@@ -5,7 +5,9 @@ The package splits into five computational layers plus a batch front end:
 
 - ``dynamics``: expanding interval and torus maps with certified branch
   structure (construction, orbits, itineraries, cocycles).
-- ``cylinders``: vectorized enumeration of cylinder representatives with
+- ``cylinders``: the cylinder walker, for deterministic maps and random
+  fibers alike.  It enumerates cylinder representatives along a chain of
+  maps, one per word position (a single map is the constant chain), with
   suffix sharing and Birkhoff folding.
 - ``pressure``: potentials, separated sets, topological pressure by
   direct counting and by transfer matrices, conjugacy and variational
@@ -14,11 +16,14 @@ The package splits into five computational layers plus a batch front end:
   dimension reports.
 - ``lyapunov``: exponents along periodic and sampled orbits, plus the
   average conformality screen.
-- ``random_bundle``: i.i.d. driven perturbation families, fiber cylinder
-  chains, symbolic conjugacies, random pressure and roots, distortion
-  and expansivity certificates, and the shrinking noise experiment.
+- ``random_bundle``: i.i.d. driven perturbation families, the walker on
+  fiber map chains, symbolic conjugacies, random pressure and roots,
+  distortion and expansivity certificates, and the shrinking noise
+  experiment.
 - ``cli`` / ``config``: the ``pressurelab`` command line front end.
 """
+
+__version__ = "0.1.0"
 
 from .bowen import DimensionReport, bowen_root, dimension_report
 from .cylinders import WORD_CAP, CylinderSet, build_levels
@@ -48,8 +53,6 @@ from .random_bundle import (BaseSample, FiberConjugacy, FiberCylinders,
                             random_conjugacy_pressure_check, random_entropy,
                             random_pressure, sample_base,
                             stability_experiment)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BadSpec", "BaseSample", "CheckFailed", "ConfigError", "CylinderSet",

@@ -12,12 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import dynamics as dyn
 from .cylinders import CylinderSet
 from .errors import NoSignChange
-from .pressure import _resolve_epsilon, logsumexp
+from .pressure import Potential, _pressure_at, _resolve_epsilon, logsumexp
 
 
 def bowen_root(pressure_fn, lo=0.0, hi=1.0, tol=1e-10):
@@ -58,15 +55,12 @@ def _pressure_functions(mapping, depth):
             return logsumexp(-t * logd) / depth
 
         return fn, fn
-    log_count = math.log(mapping.count_words(depth))
-    a_pow = np.linalg.matrix_power(mapping.constant_derivative, depth)
-    log_hi, log_lo = dyn.singular_norms(a_pow)
 
     def fn_lower(t):
-        return (log_count - t * log_hi) / depth
+        return _pressure_at(mapping, Potential.singular_upper(t), [depth])[0]
 
     def fn_upper(t):
-        return (log_count - t * log_lo) / depth
+        return _pressure_at(mapping, Potential.singular_lower(t), [depth])[0]
 
     return fn_lower, fn_upper
 

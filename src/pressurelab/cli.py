@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from . import dynamics as dyn
 from .bowen import dimension_report
-from .config import ExperimentConfig, parse_args
+from .config import parse_args
 from .errors import CheckFailed, ConfigError, PressureLabError
 from .lyapunov import average_conformal_check, lyapunov_exponents
 from .pressure import (Potential, _resolve_epsilon, conjugate_pressure_check,
@@ -35,16 +36,8 @@ from .random_bundle import (RandomFamily, StabilityResult, build_conjugacy,
                             random_conjugacy_pressure_check, random_entropy,
                             sample_base, stability_experiment)
 
-STABILITY_HEADER = ("epsilon", "t_root", "s_root", "t0", "gap_t", "gap_s",
-                    "std_err", "n", "seeds")
-
-
-def _package_version():
-    try:
-        from importlib.metadata import version
-        return version("pressurelab")
-    except Exception:
-        return "unknown"
+STABILITY_HEADER = ("epsilon", "t_root", "t0", "gap_t", "std_err", "n",
+                    "seeds")
 
 
 @dataclass(frozen=True)
@@ -258,8 +251,8 @@ def _run_stability(cfg):
             t_reference=parts[0].t_reference, certificates=certificates)
     else:
         result = stability_experiment(carrier, cfg.eps_schedule, **kwargs)
-    rows = [(r.epsilon, r.t_root, r.s_root, r.t_reference, r.gap_t, r.gap_s,
-             r.std_error, r.depth, r.seeds) for r in result.rows]
+    rows = [(r.epsilon, r.t_root, r.t_reference, r.gap_t, r.std_error,
+             r.depth, r.seeds) for r in result.rows]
     cert = {"reference_root": result.t_reference, "tol": cfg.tol}
     for eps, entry in result.certificates["per_epsilon"].items():
         cert["eps_%g" % eps] = entry
@@ -478,7 +471,7 @@ def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
     record = RunRecord(
         config_hash=cfg.config_hash(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        versions={"package": "pressurelab %s" % _package_version(),
+        versions={"package": "pressurelab %s" % __version__,
                   "python": platform.python_version(),
                   "numpy": np.__version__},
         files=tuple(files + ["record.txt"]),

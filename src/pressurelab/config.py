@@ -24,19 +24,6 @@ _MODE_DEPTH = {"dimension": 12, "pressure": 10, "lyapunov": 12,
 _MODE_TOL = {"dimension": 1e-9, "pressure": 1e-9, "lyapunov": 1e-9,
              "stability": 0.02, "entropy": 1e-9, "checks": 1e-9}
 
-_MAP_FACTORIES = {
-    "doubling": dyn.doubling_map,
-    "cookie_cutter": dyn.cookie_cutter,
-    "cookie": dyn.cookie_cutter,
-    "circle": dyn.circle_map,
-    "circle_map": dyn.circle_map,
-    "toral": dyn.toral_map,
-    "toral_map": dyn.toral_map,
-    "toral_conformal": dyn.toral_conformal_map,
-    "golden_mean": dyn.golden_mean_map,
-    "golden": dyn.golden_mean_map,
-}
-
 _POTENTIALS = {
     "zero": Potential.zero,
     "constant": Potential.constant,
@@ -73,10 +60,10 @@ def _parse_call(text, what):
 def build_map(spec):
     """Construct the named built-in map, e.g. "cookie_cutter(3,3)"."""
     name, args = _parse_call(spec, "map")
-    factory = _MAP_FACTORIES.get(name)
+    factory = dyn._FAMILIES.get(name)
     if factory is None:
         raise ConfigError("unknown map family %r; known: %s"
-                          % (name, ", ".join(sorted(set(_MAP_FACTORIES)))))
+                          % (name, ", ".join(sorted(dyn._FAMILIES))))
     try:
         return factory(*args)
     except TypeError:

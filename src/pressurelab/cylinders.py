@@ -1,21 +1,19 @@
 """Vectorized enumeration of cylinder representatives.
 
-A depth n cylinder is an admissible word of n symbols.  The walker stores
-one representative point per word, level by level, sharing suffixes: the
-representative of (a, w) is the inverse branch of a applied to the
+A depth n cylinder is an admissible word of n symbols.  One walker covers
+deterministic maps and random fibers alike: it runs through a chain of
+maps, one per word position, so the word w_0 ... w_{n-1} names a cylinder
+of the composition f_{n-1} o ... o f_0.  A single map is the constant
+chain.  The walker stores one representative point per word, level by
+level, sharing suffixes: the representative of (a, w) is the inverse
+branch of a, under the map acting at a's position, applied to the
 representative of w.  The forward orbit of a representative climbs the
 parent chain, so Birkhoff sums fold level by level and carry no forward
 iteration error.
-
-Set the PRESSURELAB_CACHE environment variable to a directory to memoize
-walkers for serializable maps across runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,30 +85,23 @@ def build_levels(maps, cap=WORD_CAP):
 class CylinderSet:
     """All admissible words of a fixed depth with representative points.
 
-    Entries at every level are ordered lexicographically by word, so runs
-    are reproducible and each level is grouped into contiguous blocks by
+    ``maps`` is either one map, acting at every position, or a sequence
+    of ``depth`` maps, ``maps[i]`` acting at word position i.  Entries at
+    every level are ordered lexicographically by word, so runs are
+    reproducible and each level is grouped into contiguous blocks by
     leading symbol.
     """
 
-    def __init__(self, mapping, depth, cap=WORD_CAP):
+    def __init__(self, maps, depth, cap=WORD_CAP):
         if depth < 1:
             raise BadSpec("cylinder depth must be positive")
-        self.mapping = mapping
         self.depth = int(depth)
-        self.cap = int(cap)
+        self.maps = (list(maps) if isinstance(maps, (list, tuple))
+                     else [maps] * self.depth)
+        if len(self.maps) != self.depth:
+            raise BadSpec("a chain needs one map per word position")
+        self.levels = build_levels(self.maps, cap)
         self._logd = None
-        levels = self._load()
-        if levels is None:
-            levels = self._build()
-            self._save(levels)
-        self.levels = levels
-
-    # -- construction ---------------------------------------------------
-
-    def _build(self):
-        return build_levels([self.mapping] * self.depth, self.cap)
-
-    # -- queries ----------------------------------------------------------
 
     @property
     def leaves(self):
@@ -148,16 +139,18 @@ class CylinderSet:
     def birkhoff(self, value_fn):
         """Birkhoff sums of a branchwise function along representative orbits.
 
-        ``value_fn(symbol, points)`` must return one value per point; it is
-        called on contiguous blocks sharing a leading symbol.  Returns one
-        array per level: entry k holds the depth k+1 sums for every word of
-        that length, aligned with the level arrays.
+        ``value_fn(mapping, symbol, points)`` must return one value per
+        point; it is called on contiguous blocks sharing a leading symbol,
+        with the map acting at that symbol's position, so every step reads
+        the function of the right map.  Returns one array per level: entry
+        k holds the depth k+1 sums for every word of that length, aligned
+        with the level arrays.
         """
         sums = []
-        for lvl in self.levels:
+        for lvl, mp in zip(self.levels, reversed(self.maps)):
             vals = np.empty(len(lvl.first), dtype=float)
             for s, start, stop in lvl.blocks:
-                vals[start:stop] = value_fn(s, lvl.points[start:stop])
+                vals[start:stop] = value_fn(mp, s, lvl.points[start:stop])
             if sums:
                 vals = vals + sums[-1][lvl.parent]
             sums.append(vals)
@@ -165,60 +158,9 @@ class CylinderSet:
 
     def log_derivative_sums(self):
         """Birkhoff sums of log f' along representative orbits (1d only)."""
-        if self.mapping.dim != 1:
+        if self.maps[0].dim != 1:
             raise BadSpec("pointwise log derivative needs a one dimensional map")
         if self._logd is None:
-            branches = self.mapping.branches
             self._logd = self.birkhoff(
-                lambda s, pts: np.log(branches[s].deriv(pts)))
+                lambda mp, s, pts: np.log(mp.branches[s].deriv(pts)))
         return self._logd
-
-    # -- cache ------------------------------------------------------------
-
-    def _cache_path(self):
-        root = os.environ.get("PRESSURELAB_CACHE")
-        if not root or not self.mapping.cacheable:
-            return None
-        text = "%s|depth=%d" % (self.mapping.describe(), self.depth)
-        key = hashlib.sha256(text.encode()).hexdigest()[:32]
-        return os.path.join(root, "cyl_%s.npz" % key)
-
-    def _load(self):
-        path = self._cache_path()
-        if not path or not os.path.exists(path):
-            return None
-        try:
-            levels = []
-            with np.load(path) as data:
-                for k in range(self.depth):
-                    blocks = tuple((int(a), int(b), int(c))
-                                   for a, b, c in data["blk%d" % k])
-                    levels.append(_Level(points=data["pts%d" % k],
-                                         first=data["fst%d" % k],
-                                         last=data["lst%d" % k],
-                                         parent=data["par%d" % k],
-                                         blocks=blocks))
-            return levels
-        except Exception:
-            # cache is best effort; fall back to a fresh build
-            return None
-
-    def _save(self, levels):
-        path = self._cache_path()
-        if not path:
-            return
-        arrays = {}
-        for k, lvl in enumerate(levels):
-            arrays["pts%d" % k] = lvl.points
-            arrays["fst%d" % k] = lvl.first
-            arrays["lst%d" % k] = lvl.last
-            arrays["par%d" % k] = lvl.parent
-            arrays["blk%d" % k] = np.array(lvl.blocks, dtype=np.int64)
-        try:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".npz")
-            os.close(fd)
-            np.savez_compressed(tmp, **arrays)
-            os.replace(tmp, path)
-        except Exception:
-            pass

@@ -34,8 +34,8 @@ class Branch1D:
 
     ``fwd``, ``inv`` and ``deriv`` must accept floats or numpy arrays.
     ``tag`` is a tuple of strings describing the construction; it feeds
-    cache keys and run records, and its first entry is ``"custom"`` when
-    the branch cannot be serialized.
+    ``ExpandingMap.describe``, and its first entry is ``"custom"`` for
+    branches built from arbitrary callables.
     """
 
     __slots__ = ("lo", "hi", "fwd", "inv", "deriv", "min_slope", "max_slope",
@@ -441,14 +441,10 @@ class ExpandingMap:
         return float(power.sum())
 
     def describe(self):
-        """Canonical text form, stable across runs; feeds cache keys."""
+        """Canonical text form, stable across runs."""
         rows = ";".join("".join(str(v) for v in row) for row in self.adjacency)
         tags = "|".join(",".join(br.tag) for br in self.branches)
         return "map:%s|dim=%d|%s|adj=%s" % (self.name, self.dim, tags, rows)
-
-    @property
-    def cacheable(self):
-        return all(br.tag[0] != "custom" for br in self.branches)
 
 
 def orbit(mapping, x, length):
@@ -594,14 +590,20 @@ def golden_mean_map():
     return m
 
 
+# Named families and their aliases; config map specs and build_markov_map
+# both look names up here.
 _FAMILIES = {
     "doubling": doubling_map,
     "cookie_cutter": cookie_cutter,
+    "cookie": cookie_cutter,
     "circle": circle_map,
+    "circle_map": circle_map,
     "toral": toral_map,
+    "toral_map": toral_map,
     "toral_conformal": toral_conformal_map,
     "linear_markov": linear_markov,
     "golden_mean": golden_mean_map,
+    "golden": golden_mean_map,
 }
 
 

@@ -20,7 +20,6 @@ from .cylinders import CylinderSet
 from .errors import (
     BadSpec,
     EpsilonTooLarge,
-    InadmissibleWord,
     MatrixTooLarge,
     NoConvergence,
     NotSemiConjugate,
@@ -110,14 +109,17 @@ class Potential:
 
     # -- evaluation -----------------------------------------------------
 
-    def fold_fn(self, mapping):
-        """Branchwise value function for CylinderSet.birkhoff."""
+    def step_values(self, mapping, symbol, pts):
+        """Single step values on one branch; the CylinderSet.birkhoff signature.
+
+        The singular kinds fold pointwise as -weight * log f' on interval
+        maps; on torus maps they have no pointwise form.
+        """
         if self.kind == "additive":
-            return lambda s, pts: self.value_fn(mapping, s, pts)
+            return self.value_fn(mapping, symbol, pts)
         if mapping.dim != 1:
             raise BadSpec("singular potentials fold pointwise only on interval maps")
-        t = self.weight
-        return lambda s, pts: -t * np.log(mapping.branches[s].deriv(np.asarray(pts, dtype=float)))
+        return -self.weight * np.log(mapping.branches[symbol].deriv(np.asarray(pts, dtype=float)))
 
     def pointwise(self, mapping, pts):
         """Single step values at arbitrary points of the map's domain."""
@@ -133,18 +135,6 @@ class Potential:
             s = mapping.symbol(x)
             out[i] = float(self.value_fn(mapping, s, np.asarray([x], dtype=float))[0])
         return out
-
-    def orbit_value(self, mapping, x, length):
-        """Accumulated value of the potential over an orbit segment."""
-        if self.kind == "additive":
-            pts, syms = dyn.orbit(mapping, x, length)
-            total = 0.0
-            for p, s in zip(pts, syms):
-                total += float(self.value_fn(mapping, s, np.asarray([p], dtype=float))[0])
-            return total
-        cp = dyn.cocycle(mapping, x, length)
-        val = cp.log_norm if self.kind == "singular_upper" else cp.log_conorm
-        return -self.weight * val
 
 
 @dataclass(frozen=True)
@@ -205,32 +195,26 @@ def _singular_log(mapping, potential, depth):
     return log_hi if potential.kind == "singular_upper" else log_lo
 
 
-def _pressure_series(mapping, potential, depth):
-    """P_k for k = 1 .. depth as an array."""
+def _pressure_at(mapping, potential, depths):
+    """P_k for each k of the ascending ``depths``, from one walk.
+
+    Singular potentials on linear torus maps weigh every word of length k
+    alike, so P_k is then a closed form in the word count.
+    """
     if potential.kind != "additive" and mapping.dim == 2:
         if mapping.constant_derivative is None:
             raise BadSpec("2d singular pressure needs a constant derivative")
-        out = np.empty(depth)
-        for k in range(1, depth + 1):
-            out[k - 1] = (math.log(mapping.count_words(k))
-                          - potential.weight * _singular_log(mapping, potential, k)) / k
-        return out
-    cyl = CylinderSet(mapping, depth)
-    sums = cyl.birkhoff(potential.fold_fn(mapping))
-    return np.array([logsumexp(sums[k]) / (k + 1) for k in range(depth)])
+        return [(math.log(mapping.count_words(k))
+                 - potential.weight * _singular_log(mapping, potential, k)) / k
+                for k in depths]
+    sums = CylinderSet(mapping, depths[-1]).birkhoff(potential.step_values)
+    return [logsumexp(sums[k - 1]) / k for k in depths]
 
 
 def pressure_additive(mapping, potential, depth, epsilon=None):
     """Finite depth pressure over the canonical separated set."""
     _resolve_epsilon(mapping, epsilon)
-    if potential.kind != "additive" and mapping.dim == 2:
-        if mapping.constant_derivative is None:
-            raise BadSpec("2d singular pressure needs a constant derivative")
-        return (math.log(mapping.count_words(depth))
-                - potential.weight * _singular_log(mapping, potential, depth)) / depth
-    cyl = CylinderSet(mapping, depth)
-    sums = cyl.birkhoff(potential.fold_fn(mapping))
-    return logsumexp(sums[-1]) / depth
+    return _pressure_at(mapping, potential, [depth])[0]
 
 
 def pressure_limit(mapping, potential, tol=1e-3, max_depth=16, epsilon=None):
@@ -278,12 +262,14 @@ def pressure_subadditive(mapping, potential, depth=8, epsilon=None):
 
     The weight of a word is the extreme singular value of the derivative
     product along its representative orbit; on interval maps this folds
-    exactly, on linear torus maps it is a closed form.
+    exactly, on linear torus maps it is a closed form.  All depths read one
+    walk to the final depth.
     """
     if potential.kind == "additive":
         raise BadSpec("use pressure_additive for additive potentials")
+    if depth < 1:
+        raise BadSpec("pressure depth must be positive")
     eps = _resolve_epsilon(mapping, epsilon)
-    series = _pressure_series(mapping, potential, depth)
     depths = []
     d = 1
     while d <= depth:
@@ -291,7 +277,8 @@ def pressure_subadditive(mapping, potential, depth=8, epsilon=None):
         d *= 2
     if depths[-1] != depth:
         depths.append(depth)
-    history = tuple((k, float(series[k - 1])) for k in depths)
+    history = tuple((k, float(p))
+                    for k, p in zip(depths, _pressure_at(mapping, potential, depths)))
     value = history[-1][1]
     prev = history[-2][1] if len(history) >= 2 else math.nan
     advisory = ""
@@ -358,7 +345,7 @@ def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500)
         s_vals = np.full(len(leaves.first),
                          -potential.weight * _singular_log(mapping, potential, block_length))
     else:
-        s_vals = cyl.birkhoff(potential.fold_fn(mapping))[-1]
+        s_vals = cyl.birkhoff(potential.step_values)[-1]
     shift = float(s_vals.max())
     weights = np.exp(s_vals - shift)
     adj = mapping.adjacency_matrix
@@ -389,24 +376,16 @@ def variational_gap(mapping, potential, word, depth=12, epsilon=None):
     here, so the gap must be nonnegative up to the finite depth error of
     the pressure term.
     """
-    from .lyapunov import periodic_point
+    from .lyapunov import _check_closable, periodic_point
 
-    word = mapping.check_word(word)
-    if not mapping.adjacency[word[-1]][word[0]]:
-        raise InadmissibleWord("word does not close up: %d -> %d forbidden"
-                               % (word[-1], word[0]))
+    word = _check_closable(mapping, word)
     p = len(word)
     cycle = [periodic_point(mapping, word[j:] + word[:j]) for j in range(p)]
-    if potential.kind == "additive":
+    if potential.kind == "additive" or mapping.dim == 1:
         total = 0.0
         for j in range(p):
-            total += float(potential.value_fn(
+            total += float(potential.step_values(
                 mapping, word[j], np.asarray([cycle[j]], dtype=float))[0])
-    elif mapping.dim == 1:
-        total = 0.0
-        for j in range(p):
-            slope = float(mapping.branches[word[j]].deriv(float(cycle[j])))
-            total -= potential.weight * math.log(slope)
     else:
         total = -potential.weight * _singular_log(mapping, potential, p)
     orbit_average = total / p

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import dynamics as dyn
 from .bowen import _clamped_root, dimension_report
-from .cylinders import WORD_CAP, CylinderSet, build_levels
+from .cylinders import WORD_CAP, CylinderSet
 from .errors import (BadSpec, HorizonExceeded, PerturbationTooLarge,
                      PressureLabError)
-from .pressure import _resolve_epsilon, logsumexp
+from .pressure import Potential, _resolve_epsilon, logsumexp
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,72 +221,21 @@ def perturbed_map(family, sample):
 
 # -- fiber cylinder chains -------------------------------------------------
 
-class FiberCylinders:
+class FiberCylinders(CylinderSet):
     """Cylinder walker through the position dependent fiber maps.
 
-    Same level structure as CylinderSet, except that extending a level
-    applies the inverse branches of the fiber map acting one position
-    earlier in the window ``start .. start + depth - 1``.  Leaves are the
-    depth n fiber cylinder representatives for that window, enumerated in
-    the same lexicographic order as the base walker.
+    The chain holds the fiber map of every position in the window
+    ``start .. start + depth - 1``.  Leaves are the depth n fiber cylinder
+    representatives for that window, enumerated in the same lexicographic
+    order as the walker of the base map.
     """
 
     def __init__(self, family, sample, depth, start=0, cap=WORD_CAP):
-        if depth < 1:
-            raise BadSpec("fiber chain depth must be positive")
         self.family = family
         self.sample = sample
-        self.depth = int(depth)
         self.start = int(start)
-        self.maps = [family.fiber_map(sample.symbol(self.start + i))
-                     for i in range(self.depth)]
-        self.levels = build_levels(self.maps, cap)
-        self._logd = None
-
-    @property
-    def leaves(self):
-        return self.levels[-1]
-
-    @property
-    def leaf_count(self):
-        return len(self.leaves.first)
-
-    def birkhoff(self, value_fn):
-        """Accumulated values along the forward orbits of representatives.
-
-        ``value_fn(mapping, symbol, points)`` is evaluated with the fiber
-        map acting at the position of the leading symbol, so sums read the
-        potential of the correct fiber at every step.
-        """
-        sums = []
-        for li, lvl in enumerate(self.levels):
-            mp = self.maps[self.depth - 1 - li]
-            vals = np.empty(len(lvl.first), dtype=float)
-            for s, a, b in lvl.blocks:
-                vals[a:b] = value_fn(mp, s, lvl.points[a:b])
-            if sums:
-                vals = vals + sums[-1][lvl.parent]
-            sums.append(vals)
-        return sums
-
-    def log_derivative_sums(self):
-        if self._logd is None:
-            self._logd = self.birkhoff(
-                lambda mp, s, pts: np.log(
-                    mp.branches[s].deriv(np.asarray(pts, dtype=float))))
-        return self._logd
-
-
-def _fiber_value_fn(potential):
-    if potential.kind == "additive":
-        return lambda mp, s, pts: np.asarray(
-            potential.value_fn(mp, s, pts), dtype=float)
-    t = potential.weight
-
-    def value_fn(mp, s, pts):
-        return -t * np.log(mp.branches[s].deriv(np.asarray(pts, dtype=float)))
-
-    return value_fn
+        super().__init__([family.fiber_map(sample.symbol(self.start + i))
+                          for i in range(int(depth))], depth, cap)
 
 
 def _require_full_shift(mapping):
@@ -427,11 +376,11 @@ def random_pressure(family, potential, seeds, depth=12):
     the accumulated potential over depth n fiber cylinders; the estimate
     is the mean over the seeded realizations with its sampling spread.
     """
-    vfn = _fiber_value_fn(potential)
     vals = []
     for smp in _seed_windows(family, seeds, depth):
         chain = FiberCylinders(family, smp, depth)
-        vals.append(logsumexp(chain.birkhoff(vfn)[-1]) / depth)
+        vals.append(logsumexp(chain.birkhoff(potential.step_values)[-1])
+                    / depth)
     return RandomEstimate(value=float(np.mean(vals)), std_error=_std_error(vals),
                           per_sample=tuple(vals), depth=int(depth),
                           epsilon_sep=_family_epsilon_sep(family))
@@ -440,19 +389,17 @@ def random_pressure(family, potential, seeds, depth=12):
 @dataclass(frozen=True)
 class RandomRoots:
     t_root: float
-    s_root: float
     std_error: float
     per_sample: tuple
     depth: int
 
 
 def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
-    """Roots of the averaged fiber pressure, with per realization spread.
+    """Root of the averaged fiber pressure, with per realization spread.
 
-    t_root solves mean pressure = 0 for the potential -t log of the
-    derivative norm along fibers, s_root for the conorm.  Interval fibers
-    are conformal, so the two roots coincide by construction and the
-    sandwich t_root <= s_root is tight.
+    t_root solves mean pressure = 0 for the potential -t log |f'| along
+    fibers.  Interval fibers are conformal, so the derivative norm and
+    conorm roots coincide and one root covers both.
     """
     logds = [FiberCylinders(family, smp, depth).log_derivative_sums()[-1]
              for smp in _seed_windows(family, seeds, depth)]
@@ -464,14 +411,12 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
     per = tuple(_clamped_root(lambda t, sd=sd: logsumexp(-t * sd) / depth,
                               1.0, tol)
                 for sd in logds)
-    return RandomRoots(t_root=float(root), s_root=float(root),
-                       std_error=_std_error(per), per_sample=per,
+    return RandomRoots(t_root=float(root), std_error=_std_error(per), per_sample=per,
                        depth=int(depth))
 
 
 def random_entropy(family, seeds, depth=12):
     """Averaged zero potential pressure; letters never change word counts."""
-    from .pressure import Potential
     return random_pressure(family, Potential.zero(), seeds, depth).value
 
 
@@ -597,8 +542,7 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
     n_sym = base.n_symbols
     total = conj.depth
     chain = FiberCylinders(family, conj.sample, total)
-    vfn = _fiber_value_fn(potential)
-    sums = chain.birkhoff(vfn)
+    sums = chain.birkhoff(potential.step_values)
 
     sel = np.arange(n_sym ** depth, dtype=np.int64) * (n_sym ** margin)
     anc = sel.copy()
@@ -617,9 +561,9 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
         word = tuple(int(v) for v in digits[row])
         for pos in range(depth):
             point = conj.shifted(pos).map_word(word[pos:])
-            s_pulled[row] += float(vfn(family.fiber_map(conj.sample.symbol(pos)),
-                                       word[pos],
-                                       np.asarray([point], dtype=float))[0])
+            s_pulled[row] += float(potential.step_values(
+                family.fiber_map(conj.sample.symbol(pos)), word[pos],
+                np.asarray([point], dtype=float))[0])
     p_pulled = logsumexp(s_pulled) / depth
 
     if lipschitz is None:
@@ -641,10 +585,8 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
 class StabilityRow:
     epsilon: float
     t_root: float
-    s_root: float
     t_reference: float
     gap_t: float
-    gap_s: float
     std_error: float
     depth: int
     seeds: int
@@ -715,10 +657,9 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                                       "worst_violation": rep.worst_violation,
                                       "pairs": rep.pairs}
             rows.append(StabilityRow(
-                epsilon=float(eps), t_root=roots.t_root, s_root=roots.s_root,
+                epsilon=float(eps), t_root=roots.t_root,
                 t_reference=float(t_reference),
                 gap_t=abs(roots.t_root - t_reference),
-                gap_s=abs(roots.s_root - t_reference),
                 std_error=roots.std_error, depth=int(depth),
                 seeds=len(seed_list), h_sup=max(h_vals),
                 equivariance=eq_meas, equivariance_bound=eq_bound))
@@ -736,8 +677,8 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
         except PressureLabError as exc:
             nan = float("nan")
             rows.append(StabilityRow(
-                epsilon=float(eps), t_root=nan, s_root=nan,
-                t_reference=float(t_reference), gap_t=nan, gap_s=nan,
+                epsilon=float(eps), t_root=nan,
+                t_reference=float(t_reference), gap_t=nan,
                 std_error=nan, depth=int(depth), seeds=len(seed_list),
                 h_sup=nan, equivariance=nan, equivariance_bound=nan,
                 failure=str(exc)))

@@ -60,6 +60,20 @@ def test_map_and_potential_specs():
         build_potential("mystery")
 
 
+def test_map_aliases_share_one_registry():
+    pairs = (("cookie(2,4)", "cookie_cutter(2,4)"),
+             ("circle_map(3,0.05)", "circle(3,0.05)"),
+             ("toral_map(2,3)", "toral(2,3)"), ("golden", "golden_mean"))
+    for alias, name in pairs:
+        assert build_map(alias).describe() == build_map(name).describe()
+    assert pl.build_markov_map("cookie", r1=2.0, r2=4.0).describe() \
+        == build_map("cookie_cutter(2,4)").describe()
+    with pytest.raises(pl.ConfigError):
+        build_map("toral(2,3,4)")
+    with pytest.raises(pl.BadSpec):
+        build_map("toral(1,2)")
+
+
 def test_family_shape_mapping():
     assert cfgmod.family_shape("cookie_cutter(3,3)") == ("cookie", (3.0, 3.0))
     assert cfgmod.family_shape("doubling") == ("circle", (2, 0.0))
@@ -97,6 +111,14 @@ def test_cli_dimension_run(tmp_path):
     assert "status=ok" in record
     assert "config_hash=" in record
     assert (out / "certificates.txt").exists()
+
+
+def test_cli_record_names_the_package_version(tmp_path):
+    rc, out = run_mode(tmp_path, "mode=dimension", "map=doubling", "depth=4")
+    assert rc == 0
+    record = (out / "record.txt").read_text()
+    assert "version.package=pressurelab %s\n" % pl.__version__ in record
+    assert "unknown" not in record
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
@@ -144,3 +166,5 @@ def test_cli_error_attribution(tmp_path):
 
 def test_cli_config_error_exit_code():
     assert cli.main(["mode=not_a_mode"]) == 2
+    assert cli.main(["mode=dimension", "map=mystery(1)"]) == 2
+    assert cli.main(["mode=dimension", "map=cookie(3,3,3)"]) == 2

@@ -1,4 +1,4 @@
-"""Cylinder walker: counts, ordering, Birkhoff folding, disk cache."""
+"""Cylinder walker: counts, ordering, Birkhoff folding, map chains."""
 
 import math
 
@@ -49,7 +49,7 @@ def test_first_last_arrays():
 def test_birkhoff_constant_function():
     mp = pl.doubling_map()
     cyl = pl.CylinderSet(mp, 5)
-    sums = cyl.birkhoff(lambda s, pts: np.full(len(pts), 0.25))
+    sums = cyl.birkhoff(lambda mp, s, pts: np.full(len(pts), 0.25))
     for k, arr in enumerate(sums):
         assert np.allclose(arr, 0.25 * (k + 1))
 
@@ -103,18 +103,3 @@ def test_build_levels_position_dependent_chain():
 def test_build_levels_rejects_mixed_transitions():
     with pytest.raises(pl.BadSpec):
         pl.build_levels([pl.doubling_map(), pl.golden_mean_map()])
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("PRESSURELAB_CACHE", str(tmp_path))
-    mp = pl.cookie_cutter(2.0, 4.0)
-    fresh = pl.CylinderSet(mp, 7)
-    files = list(tmp_path.glob("cyl_*.npz"))
-    assert len(files) == 1
-    reloaded = pl.CylinderSet(mp, 7)
-    assert np.array_equal(fresh.leaves.points, reloaded.leaves.points)
-    assert np.array_equal(fresh.leaves.parent, reloaded.leaves.parent)
-    # corrupt cache entries fall back to a fresh build
-    files[0].write_bytes(b"not a valid archive")
-    rebuilt = pl.CylinderSet(mp, 7)
-    assert np.array_equal(fresh.leaves.points, rebuilt.leaves.points)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pressurelab as pl
 from conftest import admissible_count
@@ -125,6 +127,21 @@ def test_subadditive_split_spectrum_bounds():
     assert "split" in upper.advisory
     with pytest.raises(pl.BadSpec):
         pl.pressure_subadditive(mp, pl.Potential.zero(), 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([pl.doubling_map, lambda: pl.cookie_cutter(2.0, 4.0),
+                        pl.golden_mean_map, lambda: pl.circle_map(3, 0.05)]),
+       st.floats(min_value=0.0, max_value=2.0),
+       st.integers(min_value=1, max_value=9))
+def test_subadditive_history_matches_additive_on_intervals(build, t, depth):
+    """On interval maps the upper singular potential is -t log |f'|."""
+    mp = build()
+    est = pl.pressure_subadditive(mp, pl.Potential.singular_upper(t), depth)
+    assert est.per_depth[-1][0] == depth
+    for k, value in est.per_depth:
+        expect = pl.pressure_additive(mp, pl.Potential.geometric(t), k)
+        assert value == pytest.approx(expect, rel=0.0, abs=1e-12)
 
 
 def test_iterated_pressure_telescopes():

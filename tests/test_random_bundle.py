@@ -97,6 +97,40 @@ def test_zero_noise_fibers_are_bit_identical():
     assert np.array_equal(chain.leaves.points, base.leaves.points)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=-3, max_value=3),
+       st.floats(min_value=0.0, max_value=0.15),
+       st.floats(min_value=2.5, max_value=4.0),
+       st.floats(min_value=2.5, max_value=4.0),
+       st.integers(min_value=2, max_value=3))
+def test_fiber_chain_reads_the_window_from_start(seed, depth, start, eps,
+                                                  r1, r2, n_letters):
+    """Word position i of a fiber chain uses the fiber of letter start + i.
+
+    Affine fibers give the closed form sum_i log(r_{w_i} (1 + eps a_i)),
+    with a_i the coefficient of the letter at position start + i; letter
+    coefficients are evenly spaced in [-1, 1].  Level k holds the words
+    of length k + 1 at the tail of the window, so every level pins the
+    position of each map in the chain.
+    """
+    fam = pl.RandomFamily("cookie", (r1, r2), eps, n_letters)
+    smp = pl.sample_base(seed, depth + 3, n_letters)
+    chain = pl.FiberCylinders(fam, smp, depth, start=start)
+    logd = chain.log_derivative_sums()
+    scale = [1.0 + eps * (-1.0 + 2.0 * smp.symbol(start + i) / (n_letters - 1))
+             for i in range(depth)]
+    for k, sums in enumerate(logd):
+        offset = depth - 1 - k
+        for idx in range(len(sums)):
+            word = chain.word(idx, k + 1)
+            expect = sum(math.log((r1, r2)[w] * scale[offset + j])
+                         for j, w in enumerate(word))
+            assert sums[idx] == pytest.approx(expect, rel=0.0, abs=1e-12)
+    assert len(logd) == depth and len(logd[-1]) == 2 ** depth
+
+
 def test_random_pressure_zero_potential_counts_branches():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.15)
     est = pl.random_pressure(fam, pl.Potential.zero(), range(6), depth=8)
@@ -124,7 +158,6 @@ def test_constant_window_roots_hit_closed_form():
 def test_random_roots_zero_noise_recover_moran():
     fam = pl.RandomFamily("cookie", (2.0, 4.0), 0.0)
     roots = pl.random_bowen_roots(fam, range(3), depth=12)
-    assert roots.t_root == roots.s_root
     assert roots.t_root == pytest.approx(moran_root((2.0, 4.0)), abs=1e-9)
     assert roots.std_error == 0.0
 
