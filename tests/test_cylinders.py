@@ -49,7 +49,7 @@ def test_first_last_arrays():
 def test_birkhoff_constant_function():
     mp = pl.doubling_map()
     cyl = pl.CylinderSet(mp, 5)
-    sums = cyl.birkhoff(lambda mp, s, pts: np.full(len(pts), 0.25))
+    sums = cyl.birkhoff(lambda mapping, s, pts: np.full(len(pts), 0.25))
     for k, arr in enumerate(sums):
         assert np.allclose(arr, 0.25 * (k + 1))
 
@@ -98,6 +98,15 @@ def test_build_levels_position_dependent_chain():
         parent = levels[1].parent[i]
         expect = float(a.branches[s].inv(seeds[parent]))
         assert levels[1].points[i] == pytest.approx(expect)
+
+
+def test_cylinder_set_walks_a_chain_of_maps():
+    a = pl.cookie_cutter(2.0, 4.0)
+    b = pl.cookie_cutter(3.0, 3.0)
+    cyl = pl.CylinderSet([a, b], 2)
+    assert np.array_equal(cyl.leaves.points, pl.build_levels([a, b])[1].points)
+    with pytest.raises(pl.BadSpec):
+        pl.CylinderSet([a, b], 3)
 
 
 def test_build_levels_rejects_mixed_transitions():
