@@ -5,6 +5,14 @@ geometric potential vanishes.  Two pressure functions bracket the truth on
 the torus: weighing words by the largest stretch of the derivative product
 gives the lower root, the smallest stretch gives the upper root.  On
 interval maps the two coincide.
+
+On interval maps the pressure is a log-sum-exp of Birkhoff sums S of
+log |f'|, P(t) = log sum exp(-t S) / n, which is convex and decreasing.
+Its root is found by Newton steps from t = 0, each one exp pass giving
+both P and P'; bisection (``bowen_root``) then certifies the sign change
+in a bracket of width tol around the Newton iterate, and takes over the
+whole bracket when a step stalls, leaves the bracket, or the certificate
+fails.  The torus pressures have no cheap slope and are bisected.
 """
 
 from __future__ import annotations
@@ -12,9 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cylinders import CylinderSet
 from .errors import NoSignChange
-from .pressure import Potential, _pressure_at, _resolve_epsilon, logsumexp
+from .pressure import Potential, _pressure_at, _resolve_epsilon
 
 
 def bowen_root(pressure_fn, lo=0.0, hi=1.0, tol=1e-10):
@@ -45,16 +55,78 @@ def _clamped_root(pressure_fn, hi_bound, tol):
     return bowen_root(pressure_fn, 0.0, hi_bound, tol)
 
 
-def _pressure_functions(mapping, depth):
-    """Pair (lower root function, upper root function) at one depth."""
+_NEWTON_STEPS = 20
+
+
+def _newton_root(sums, depth, hi_bound, tol):
+    """Zero in [0, hi_bound] of the mean log-sum-exp pressure of ``sums``.
+
+    The pressure P(t) is the mean over the arrays S in ``sums`` of
+    log sum exp(-t S) / depth.  Clamps as ``_clamped_root`` does: 0 when
+    P(0) <= 0, hi_bound when P(hi_bound) >= 0.  Otherwise Newton steps
+    run from t = 0 inside the bracket [lo, hi] of the signs seen so far;
+    P is convex and decreasing, so the steps climb monotonically to the
+    root.  Each step is one exp pass per array: with softmax weights w of
+    -t S, the derivative of the log-sum-exp is -<w, S>.  The arrays are
+    visited one at a time, so the scratch memory is that of one array.
+
+    Once a step is below tol / 2 its end point is handed to ``bowen_root``
+    as the center of a bracket of width tol; bisection checks the sign
+    change there and, the bracket being narrow enough already, returns its
+    center.  A non-negative slope, a step leaving the bracket, no
+    convergence or a failed certificate hand the whole bracket to
+    ``bowen_root`` instead.
+    """
+    scale = len(sums) * depth
+
+    def pressure_and_slope(t):
+        value = slope = 0.0
+        for s in sums:
+            x = -t * s
+            top = float(x.max())
+            w = np.exp(x - top)
+            total = float(w.sum())
+            value += top + math.log(total)
+            slope -= float(w @ s) / total
+        return value / scale, slope / scale
+
+    def pressure(t):
+        return pressure_and_slope(t)[0]
+
+    value, slope = pressure_and_slope(0.0)
+    if value <= 0.0:
+        return 0.0
+    hi = float(hi_bound)
+    if pressure(hi) >= 0.0:
+        return hi
+    lo = t = 0.0
+    for _ in range(_NEWTON_STEPS):
+        if slope >= 0.0:
+            break
+        t_next = t - value / slope
+        if abs(t_next - t) <= 0.5 * tol:
+            try:
+                return bowen_root(pressure, t_next - 0.5 * tol,
+                                  t_next + 0.5 * tol, tol)
+            except NoSignChange:
+                break
+        if not lo < t_next < hi:
+            break
+        t = t_next
+        value, slope = pressure_and_slope(t)
+        if value > 0.0:
+            lo = t
+        elif value < 0.0:
+            hi = t
+    return bowen_root(pressure, lo, hi, tol)
+
+
+def _roots_at_depth(mapping, depth, ambient, tol):
+    """Pair (lower root, upper root) at one depth."""
     if mapping.dim == 1:
-        cyl = CylinderSet(mapping, depth)
-        logd = cyl.log_derivative_sums()[-1]
-
-        def fn(t):
-            return logsumexp(-t * logd) / depth
-
-        return fn, fn
+        logd = CylinderSet(mapping, depth).log_derivative_sums()[-1]
+        root = _newton_root([logd], depth, ambient, tol)
+        return root, root
 
     def fn_lower(t):
         return _pressure_at(mapping, Potential.singular_upper(t), [depth])[0]
@@ -62,7 +134,8 @@ def _pressure_functions(mapping, depth):
     def fn_upper(t):
         return _pressure_at(mapping, Potential.singular_lower(t), [depth])[0]
 
-    return fn_lower, fn_upper
+    return (_clamped_root(fn_lower, ambient, tol),
+            _clamped_root(fn_upper, ambient, tol))
 
 
 @dataclass(frozen=True)
@@ -91,10 +164,7 @@ def dimension_report(mapping, depth=12, tol=1e-9, epsilon=None):
     depths = [depth] if depth <= 1 else [max(1, depth // 2), depth]
     per_depth = []
     for d in depths:
-        fn_lower, fn_upper = _pressure_functions(mapping, d)
-        t_l = _clamped_root(fn_lower, ambient, tol)
-        t_u = _clamped_root(fn_upper, ambient, tol)
-        per_depth.append((d, t_l, t_u))
+        per_depth.append((d,) + _roots_at_depth(mapping, d, ambient, tol))
     if len(per_depth) == 2:
         t_l = 2.0 * per_depth[1][1] - per_depth[0][1]
         t_u = 2.0 * per_depth[1][2] - per_depth[0][2]

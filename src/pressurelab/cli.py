@@ -195,7 +195,8 @@ def _run_pressure(cfg):
     if potential.kind == "additive":
         value = pressure_additive(mapping, potential, cfg.depth)
     else:
-        value = pressure_subadditive(mapping, potential, depth=cfg.depth)
+        value = pressure_subadditive(mapping, potential,
+                                     depth=cfg.depth).value
     header = ("map", "potential", "depth", "value")
     rows = [(cfg.map, cfg.potential, cfg.depth, value)]
     summary = {"pressure": value}
@@ -497,7 +498,9 @@ def run(config):
 
     Computation errors are recorded in record.txt before propagating, so a
     failed run still leaves a traceable record (and whatever partial rows
-    its mode produced, for stability sweeps with per-level failures).
+    its mode produced, for stability sweeps with per-level failures).  A
+    sweep in which every level failed keeps its rows and certificates but
+    is recorded with status=fail.
     """
     cfg = config.resolved()
     if cfg.mode == "checks":
@@ -510,7 +513,12 @@ def run(config):
         _emit(cfg, None, None, None, {}, None, status="error",
               error="%s: %s" % (type(exc).__name__, exc))
         raise
-    return _emit(cfg, header, rows, certificates, summary, svg)
+    error = ""
+    if cfg.mode == "stability" and \
+            summary["failed_levels"] == summary["rows"]:
+        error = "no noise level produced a root; see failures.* certificates"
+    return _emit(cfg, header, rows, certificates, summary, svg,
+                 status="fail" if error else "ok", error=error)
 
 
 def verify(config):
@@ -554,6 +562,9 @@ def main(argv=None):
         for key in sorted(record.summary):
             print("%s=%s" % (key, _cell(record.summary[key])))
         print("artifacts in %s" % record.out_dir)
+        if record.status != "ok":
+            print("run failed: %s" % record.error, file=sys.stderr)
+            return 1
         return 0
     except PressureLabError as exc:
         print("error [%s] %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 from dataclasses import dataclass, replace
 
 from . import dynamics as dyn
@@ -57,30 +58,41 @@ def _parse_call(text, what):
     return text, ()
 
 
-def build_map(spec):
-    """Construct the named built-in map, e.g. "cookie_cutter(3,3)"."""
-    name, args = _parse_call(spec, "map")
-    factory = dyn._FAMILIES.get(name)
+def _call_factory(registry, spec, what):
+    """Build the registered object a spec names.
+
+    Unknown names and argument lists that do not fit the factory's
+    signature are ConfigErrors.  Errors of the package itself (say an
+    out-of-range parameter) propagate unchanged; any other error raised
+    inside the factory becomes a ConfigError naming the spec and carrying
+    the factory's message.
+    """
+    name, args = _parse_call(spec, what)
+    factory = registry.get(name)
     if factory is None:
-        raise ConfigError("unknown map family %r; known: %s"
-                          % (name, ", ".join(sorted(dyn._FAMILIES))))
+        raise ConfigError("unknown %s %r; known: %s"
+                          % (what, name, ", ".join(sorted(registry))))
+    try:
+        inspect.signature(factory).bind(*args)
+    except TypeError:
+        raise ConfigError("wrong number of arguments for %s %r" % (what, spec))
     try:
         return factory(*args)
-    except TypeError:
-        raise ConfigError("wrong number of arguments for map %r" % spec)
+    except PressureLabError:
+        raise
+    except Exception as exc:
+        raise ConfigError("cannot build %s %r: %s: %s"
+                          % (what, spec, type(exc).__name__, exc))
+
+
+def build_map(spec):
+    """Construct the named built-in map, e.g. "cookie_cutter(3,3)"."""
+    return _call_factory(dyn._FAMILIES, spec, "map")
 
 
 def build_potential(spec):
     """Construct the named potential, e.g. "geometric(1.0)" or "zero"."""
-    name, args = _parse_call(spec, "potential")
-    factory = _POTENTIALS.get(name)
-    if factory is None:
-        raise ConfigError("unknown potential %r; known: %s"
-                          % (name, ", ".join(sorted(_POTENTIALS))))
-    try:
-        return factory(*args)
-    except TypeError:
-        raise ConfigError("wrong number of arguments for potential %r" % spec)
+    return _call_factory(_POTENTIALS, spec, "potential")
 
 
 def family_shape(spec):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from .bowen import _clamped_root, dimension_report
+from .bowen import _newton_root, dimension_report
 from .cylinders import WORD_CAP, CylinderSet
 from .errors import (BadSpec, HorizonExceeded, PerturbationTooLarge,
                      PressureLabError)
@@ -403,14 +403,8 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
     """
     logds = [FiberCylinders(family, smp, depth).log_derivative_sums()[-1]
              for smp in _seed_windows(family, seeds, depth)]
-
-    def mean_pressure(t):
-        return float(np.mean([logsumexp(-t * sd) for sd in logds])) / depth
-
-    root = _clamped_root(mean_pressure, 1.0, tol)
-    per = tuple(_clamped_root(lambda t, sd=sd: logsumexp(-t * sd) / depth,
-                              1.0, tol)
-                for sd in logds)
+    root = _newton_root(logds, depth, 1.0, tol)
+    per = tuple(_newton_root([sd], depth, 1.0, tol) for sd in logds)
     return RandomRoots(t_root=float(root), std_error=_std_error(per), per_sample=per,
                        depth=int(depth))
 

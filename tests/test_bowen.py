@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pressurelab as pl
 from conftest import GOLDEN, moran_root
+from pressurelab.bowen import _newton_root
 
 
 def test_bowen_root_linear():
@@ -67,3 +71,58 @@ def test_report_history_depths():
     assert tuple(d for d, _, _ in rep.per_depth) == (6, 12)
     assert rep.depth == 12
     assert rep.separation > 0.0
+
+
+def _bisected_root(sums, depth, hi):
+    """Clamped root of the mean log-sum-exp pressure by plain bisection."""
+    def pressure(t):
+        return float(np.mean([pl.logsumexp(-t * s) for s in sums])) / depth
+
+    if pressure(0.0) <= 0.0:
+        return 0.0
+    if pressure(hi) >= 0.0:
+        return hi
+    return pl.bowen_root(pressure, 0.0, hi, tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.floats(min_value=0.01, max_value=10.0),
+                         min_size=1, max_size=40),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([1.0, 2.0]))
+def test_newton_root_matches_bisection_on_any_sums(rows, depth, hi):
+    """Positive sums give a convex decreasing pressure; both routes agree.
+
+    Short rows and large sums push the root to 0 or past hi, so both
+    clamps are reached as well as interior roots.
+    """
+    sums = [np.asarray(row) for row in rows]
+    got = _newton_root(sums, depth, hi, 1e-10)
+    assert 0.0 <= got <= hi
+    assert got == pytest.approx(_bisected_root(sums, depth, hi), abs=1e-9)
+
+
+def test_newton_root_clamps_exactly():
+    # a single word has pressure 0 at t = 0
+    assert _newton_root([np.array([3.0])], 4, 1.0, 1e-10) == 0.0
+    # slow words keep the pressure positive up to hi
+    slow = np.full(2 ** 6, 6 * math.log(1.5))
+    assert _newton_root([slow], 6, 1.0, 1e-10) == 1.0
+    # the doubling map's pressure vanishes exactly at hi
+    full = np.full(2 ** 6, 6 * math.log(2.0))
+    assert _newton_root([full], 6, 1.0, 1e-10) == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=2.1, max_value=6.0),
+       st.floats(min_value=2.1, max_value=6.0),
+       st.integers(min_value=2, max_value=12))
+def test_dimension_report_roots_match_bisection(r1, r2, depth):
+    rep = pl.dimension_report(pl.cookie_cutter(r1, r2), depth=depth)
+    for d, t_lower, t_upper in rep.per_depth:
+        logd = pl.CylinderSet(pl.cookie_cutter(r1, r2),
+                              d).log_derivative_sums()[-1]
+        expect = _bisected_root([logd], d, 1.0)
+        assert t_lower == pytest.approx(expect, abs=1e-9)
+        assert t_upper == t_lower

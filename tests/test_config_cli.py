@@ -1,5 +1,6 @@
 """Configuration resolution and the batch front end."""
 
+import csv
 import math
 
 import pytest
@@ -168,3 +169,53 @@ def test_cli_config_error_exit_code():
     assert cli.main(["mode=not_a_mode"]) == 2
     assert cli.main(["mode=dimension", "map=mystery(1)"]) == 2
     assert cli.main(["mode=dimension", "map=cookie(3,3,3)"]) == 2
+    assert cli.main(["mode=dimension", "map=linear_markov(1,2)"]) == 2
+
+
+def test_map_build_errors_name_their_cause():
+    with pytest.raises(pl.ConfigError, match="wrong number of arguments"):
+        build_map("cookie(3,3,3)")
+    with pytest.raises(pl.ConfigError, match="wrong number of arguments"):
+        build_potential("geometric(1,2)")
+    # the count fits, but the factory wants interval lists, not numbers
+    with pytest.raises(pl.ConfigError) as info:
+        build_map("linear_markov(1,2)")
+    message = str(info.value)
+    assert "wrong number" not in message
+    assert "linear_markov(1,2)" in message
+    assert "not iterable" in message
+
+
+def test_cli_singular_pressure_value_is_a_number(tmp_path):
+    rc, out = run_mode(tmp_path, "mode=pressure", "map=toral(2,3)",
+                       "potential=singular_upper(0.7)", "depth=6")
+    assert rc == 0
+    with open(out / "run.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    expect = pl.pressure_subadditive(pl.toral_map(2, 3),
+                                     pl.Potential.singular_upper(0.7),
+                                     depth=6).value
+    assert float(row["value"]) == pytest.approx(expect, rel=1e-11)
+    record = (out / "record.txt").read_text()
+    assert "summary.pressure=%s\n" % row["value"] in record
+
+
+def test_cli_stability_without_any_root_fails(tmp_path):
+    rc, out = run_mode(tmp_path, "--mode", "stability",
+                       "map=cookie_cutter(3,3)", "eps_schedule=0.9",
+                       "seeds=2")
+    assert rc == 1
+    record = (out / "record.txt").read_text()
+    assert "status=fail\n" in record
+    assert "no noise level produced a root" in record
+    assert "failures.eps_0.9=" in (out / "certificates.txt").read_text()
+    assert (out / "run.csv").read_text().count("\n") == 2
+
+
+def test_cli_stability_partial_failure_stays_ok(tmp_path):
+    rc, out = run_mode(tmp_path, "--mode", "stability",
+                       "map=cookie_cutter(3,3)", "eps_schedule=0.9,0.05",
+                       "seeds=2", "depth=8")
+    assert rc == 0
+    assert "status=ok\n" in (out / "record.txt").read_text()
+    assert "failures.eps_0.9=" in (out / "certificates.txt").read_text()

@@ -311,3 +311,49 @@ def test_expectation_root_oracle_tracks_experiment():
     roots = pl.random_bowen_roots(fam, range(24), depth=12)
     oracle = expectation_root(eps)
     assert abs(roots.t_root - oracle) <= 3.0 * roots.std_error + 2e-3
+
+
+def _bisected_root(pressure):
+    """Clamped root on [0, 1] by plain bisection at tol 1e-12."""
+    if pressure(0.0) <= 0.0:
+        return 0.0
+    if pressure(1.0) >= 0.0:
+        return 1.0
+    return pl.bowen_root(pressure, 0.0, 1.0, tol=1e-12)
+
+
+_FAMILIES = st.one_of(
+    st.tuples(st.just("cookie"),
+              st.tuples(st.floats(min_value=2.5, max_value=5.0),
+                        st.floats(min_value=2.5, max_value=5.0)),
+              st.floats(min_value=0.0, max_value=0.15)),
+    st.tuples(st.just("circle"),
+              st.tuples(st.just(2.0),
+                        st.floats(min_value=-0.05, max_value=0.05)),
+              st.floats(min_value=0.0, max_value=0.02)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=2, max_value=10))
+def test_newton_roots_match_bisection_on_fiber_sums(shape, seed, n_seeds,
+                                                    depth):
+    """Mean and per-seed roots equal bisection of the same fiber sums.
+
+    Degree 2 circle fibers cover the circle, so their finite-depth root
+    sits at or next to the clamp at 1; cookie roots are interior.
+    """
+    kind, params, eps = shape
+    fam = pl.RandomFamily(kind, params, eps)
+    seeds = range(seed, seed + n_seeds)
+    roots = pl.random_bowen_roots(fam, seeds, depth=depth)
+    logds = [pl.FiberCylinders(fam, pl.sample_base(s, depth),
+                               depth).log_derivative_sums()[-1]
+             for s in seeds]
+    for got, sd in zip(roots.per_sample, logds):
+        expect = _bisected_root(lambda t, sd=sd: pl.logsumexp(-t * sd) / depth)
+        assert got == pytest.approx(expect, abs=1e-9)
+    expect = _bisected_root(lambda t: float(np.mean(
+        [pl.logsumexp(-t * sd) for sd in logds])) / depth)
+    assert roots.t_root == pytest.approx(expect, abs=1e-9)
