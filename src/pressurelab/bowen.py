@@ -125,8 +125,10 @@ def _roots_at_depth(mapping, depth, ambient, tol):
     """Pair (lower root, upper root) at one depth."""
     if mapping.dim == 1:
         logd = CylinderSet(mapping, depth).log_derivative_sums()[-1]
-        root = _newton_root([logd], depth, ambient, tol)
-        return root, root
+        # one solve per side, as on the torus, so solve counts per depth
+        # do not depend on the dimension of the map
+        return (_newton_root([logd], depth, ambient, tol),
+                _newton_root([logd], depth, ambient, tol))
 
     def fn_lower(t):
         return _pressure_at(mapping, Potential.singular_upper(t), [depth])[0]

@@ -161,7 +161,8 @@ class ExperimentConfig:
     depth and tol of 0 mean "use the mode default"; epsilon applies to the
     single noise level modes (entropy), while eps_schedule drives the
     stability sweep.  conj_depth of 0 lets the experiment match the
-    conjugacy truncation error to its tolerance.
+    conjugacy truncation error to its tolerance, as far as the word cap
+    allows.
     """
 
     mode: str = "dimension"

@@ -598,9 +598,18 @@ class StabilityResult:
 
 
 def _conjugacy_depth_for(family, conj_tol):
-    """Truncation depth matching the evaluator error to the tolerance."""
-    return max(2, math.ceil(math.log(conj_tol)
-                            / math.log(family.gamma_bound)))
+    """Truncation depth matching the evaluator error to the tolerance.
+
+    The depth is capped where its words still fit under ``WORD_CAP``; the
+    certificates then carry the bounds of the capped depth.
+    """
+    depth = max(2, math.ceil(math.log(conj_tol)
+                             / math.log(family.gamma_bound)))
+    n_sym = family.base_map.n_symbols
+    cap_depth = 2
+    while n_sym ** (cap_depth + 1) <= WORD_CAP:
+        cap_depth += 1
+    return min(depth, cap_depth)
 
 
 def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
@@ -619,7 +628,8 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     growth rate and distortion constants per letter.  A noise level that
     fails certification produces a row holding the failure message
     instead of aborting the experiment.  When conj_depth is omitted it is
-    chosen per level so the truncation error stays below conj_tol.
+    chosen per level so the truncation error stays below conj_tol, or as
+    deep as ``WORD_CAP`` allows when that is not deep enough.
     """
     t_reference = dimension_report(family.base_map, depth=12).t_root
     seed_list = [base_seed + k for k in range(seeds)]

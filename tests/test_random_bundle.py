@@ -304,6 +304,20 @@ def test_stability_experiment_records_failures():
     assert "failure" in res.certificates["per_epsilon"][0.9]
 
 
+def test_automatic_conjugacy_depth_fits_the_word_cap():
+    from pressurelab.random_bundle import _conjugacy_depth_for
+    cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
+    wanted = math.ceil(math.log(1e-4) / math.log(cookie.gamma_bound))
+    assert _conjugacy_depth_for(cookie, 1e-4) == wanted < 20
+    # circle(2, 0.05) at noise 0.05 wants depth 30 for 1e-4
+    circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
+    assert math.log(1e-4) / math.log(circle.gamma_bound) > 20
+    assert _conjugacy_depth_for(circle, 1e-4) == 20
+    for fam in (cookie, circle):
+        depth = _conjugacy_depth_for(fam, 1e-12)
+        assert 2 ** depth <= pl.WORD_CAP < 2 ** (depth + 1)
+
+
 def test_expectation_root_oracle_tracks_experiment():
     """Sampled roots approach the letter-averaged analytic root."""
     eps = 0.1
