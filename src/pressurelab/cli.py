@@ -16,7 +16,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,9 @@ from .lyapunov import average_conformal_check, lyapunov_exponents
 from .pressure import (Potential, _resolve_epsilon, conjugate_pressure_check,
                        pressure_additive, pressure_subadditive,
                        variational_gap)
-from .random_bundle import (RandomFamily, StabilityResult, build_conjugacy,
-                            constant_sample, distortion_constants,
-                            expansivity_min_growth, measure_equivariance,
+from .random_bundle import (RandomFamily, build_conjugacy, constant_sample,
+                            distortion_constants, expansivity_min_growth,
+                            measure_equivariance,
                             random_conjugacy_pressure_check, random_entropy,
                             sample_base, stability_experiment)
 
@@ -234,24 +233,9 @@ def _run_entropy(cfg):
 def _run_stability(cfg):
     kind, params = cfg.family_shape()
     carrier = RandomFamily(kind, params, 0.0, cfg.letters)
-    kwargs = dict(depth=cfg.depth, seeds=cfg.seeds,
-                  conj_depth=cfg.conj_depth or None, base_seed=cfg.seed,
-                  tol=cfg.tol)
-    if cfg.workers > 1 and len(cfg.eps_schedule) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(
-                lambda eps: stability_experiment(carrier, (eps,), **kwargs),
-                cfg.eps_schedule))
-        certificates = {"reference_root": parts[0].t_reference,
-                        "tol": cfg.tol, "per_epsilon": {}}
-        for part in parts:
-            certificates["per_epsilon"].update(
-                part.certificates["per_epsilon"])
-        result = StabilityResult(
-            rows=tuple(part.rows[0] for part in parts),
-            t_reference=parts[0].t_reference, certificates=certificates)
-    else:
-        result = stability_experiment(carrier, cfg.eps_schedule, **kwargs)
+    result = stability_experiment(
+        carrier, cfg.eps_schedule, depth=cfg.depth, seeds=cfg.seeds,
+        conj_depth=cfg.conj_depth or None, base_seed=cfg.seed, tol=cfg.tol)
     rows = [(r.epsilon, r.t_root, r.t_reference, r.gap_t, r.std_error,
              r.depth, r.seeds) for r in result.rows]
     cert = {"reference_root": result.t_reference, "tol": cfg.tol}
@@ -524,12 +508,7 @@ def run(config):
 def verify(config):
     """Run the invariant battery; report rows plus the usual artifacts."""
     cfg = config.resolved()
-    items = _battery(cfg)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_check_item, items))
-    else:
-        results = [_run_check_item(item) for item in items]
+    results = [_run_check_item(item) for item in _battery(cfg)]
     failed = [r for r in results if r[2] != "pass"]
     certificates = {"checks_total": len(results),
                     "checks_passed": len(results) - len(failed),

@@ -14,8 +14,10 @@ import inspect
 from dataclasses import dataclass, replace
 
 from . import dynamics as dyn
+from .cylinders import WORD_CAP
 from .errors import ConfigError, PressureLabError
 from .pressure import Potential
+from .random_bundle import REFERENCE_DEPTH
 
 MODES = ("dimension", "pressure", "lyapunov", "stability", "entropy",
          "checks")
@@ -216,27 +218,50 @@ class ExperimentConfig:
         if not self.out:
             raise ConfigError("out directory must be set")
         try:
-            build_map(self.map)
+            mapping = build_map(self.map)
         except PressureLabError as exc:
             # the map family must exist; an out-of-range parameter is a
             # computation error surfaced later, not a config error
             if isinstance(exc, ConfigError):
                 raise
+            mapping = None
         if self.mode == "pressure":
             build_potential(self.potential)
         if self.mode in ("stability", "entropy"):
             family_shape(self.map)
         if self.mode == "lyapunov" and not self.orbit_word:
             raise ConfigError("lyapunov mode needs an orbit_word")
+        depth = self._deepest_walk(mapping) if mapping is not None else 0
+        words = mapping.count_words(depth) if depth else 0
+        if words > WORD_CAP:
+            raise ConfigError("%s mode on %s enumerates %.0f words of length "
+                              "%d, cap is %d" % (self.mode, self.map, words,
+                                                 depth, WORD_CAP))
+
+    def _deepest_walk(self, mapping):
+        """Longest word a run of this config enumerates; 0 for none.
+
+        Torus dimensions and singular torus pressures are closed forms in
+        the word count; stability and entropy runs are interval-only.
+        """
+        if self.mode == "stability":
+            return max(self.depth, self.conj_depth, REFERENCE_DEPTH)
+        if self.mode == "entropy" or (self.mode in ("dimension", "pressure")
+                                      and mapping.dim == 1):
+            return self.depth
+        if self.mode == "pressure" and \
+                build_potential(self.potential).kind == "additive":
+            return self.depth
+        return 0
 
     # -- identity ---------------------------------------------------------
 
     def canonical(self):
         """Stable text form of the content fields; feeds the config hash.
 
-        The output directory and worker count are execution details with
-        no effect on results (worker pools only reorder independent
-        computations), so they stay outside the hash.
+        The output directory only places the results, and the worker
+        count is accepted but ignored (every run is serial), so both stay
+        outside the hash.
         """
         items = []
         for key in sorted(set(_SCHEMA) - {"out", "workers"}):
@@ -300,7 +325,7 @@ def _build_parser():
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="N", help="base seed")
     parser.add_argument("--workers", type=int, metavar="K",
-                        help="worker pool size")
+                        help="accepted and ignored; every run is serial")
     parser.add_argument("--tol", type=float, metavar="X", help="tolerance")
     parser.add_argument("--eps-schedule", metavar="LIST",
                         help="comma separated noise levels, largest first")
@@ -323,16 +348,7 @@ def parse_args(argv=None):
         if key not in _SCHEMA:
             raise ConfigError("unknown config key %r" % key)
         values[key] = _coerce(key, raw.strip())
-    if args.mode is not None:
-        values["mode"] = args.mode
-    if args.out is not None:
-        values["out"] = args.out
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.workers is not None:
-        values["workers"] = args.workers
-    if args.tol is not None:
-        values["tol"] = args.tol
-    if args.eps_schedule is not None:
-        values["eps_schedule"] = _coerce("eps_schedule", args.eps_schedule)
+    for key in ("mode", "out", "seed", "workers", "tol", "eps_schedule"):
+        if getattr(args, key) is not None:
+            values[key] = _coerce(key, getattr(args, key))
     return ExperimentConfig(**values).resolved()

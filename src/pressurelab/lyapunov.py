@@ -61,11 +61,11 @@ def lyapunov_exponents(mapping, source, steps=None):
     if isinstance(source, tuple):
         word = _check_closable(mapping, source)
         p = len(word)
-        cycle = [periodic_point(mapping, word[j:] + word[:j]) for j in range(p)]
         if mapping.dim == 1:
             total = 0.0
             for j in range(p):
-                total += math.log(float(mapping.branches[word[j]].deriv(cycle[j])))
+                x = periodic_point(mapping, word[j:] + word[:j])
+                total += math.log(float(mapping.branches[word[j]].deriv(x)))
             return (total / p,)
         m = np.eye(2)
         for j in range(p):

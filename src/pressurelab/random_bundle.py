@@ -27,6 +27,8 @@ from .errors import (BadSpec, HorizonExceeded, PerturbationTooLarge,
 from .pressure import Potential, _resolve_epsilon, logsumexp
 
 TWO_PI = 2.0 * math.pi
+# cylinder depth of the unperturbed root every stability sweep compares to
+REFERENCE_DEPTH = 12
 
 
 # -- base process ---------------------------------------------------------
@@ -631,7 +633,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     chosen per level so the truncation error stays below conj_tol, or as
     deep as ``WORD_CAP`` allows when that is not deep enough.
     """
-    t_reference = dimension_report(family.base_map, depth=12).t_root
+    t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root
     seed_list = [base_seed + k for k in range(seeds)]
     rows = []
     certificates = {"reference_root": float(t_reference), "tol": float(tol),

@@ -170,6 +170,35 @@ def test_cli_config_error_exit_code():
     assert cli.main(["mode=dimension", "map=mystery(1)"]) == 2
     assert cli.main(["mode=dimension", "map=cookie(3,3,3)"]) == 2
     assert cli.main(["mode=dimension", "map=linear_markov(1,2)"]) == 2
+    assert cli.main(["mode=dimension", "workers=0"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "dimension", "map=circle(3,0.05)", "depth=13"),
+    ("--mode", "pressure", "map=doubling", "depth=21"),
+    ("--mode", "stability", "map=circle(3,0.05)"),
+    ("--mode", "stability", "map=cookie_cutter(3,3)", "conj_depth=21"),
+    # the reference root of a sweep walks to depth 12 whatever depth says
+    ("--mode", "stability", "map=circle(4,0.05)", "depth=8"),
+    # additive torus pressure enumerates words; only closed forms do not
+    ("--mode", "pressure", "map=toral(2,3)", "depth=8"),
+])
+def test_cli_rejects_walks_over_the_word_cap(tmp_path, capsys, args):
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 2
+    assert not out.exists()
+    assert "cap is %d" % pl.WORD_CAP in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "dimension", "map=toral(2,3)", "depth=20"),
+    ("--mode", "pressure", "map=toral(2,3)", "potential=singular_upper(0.7)",
+     "depth=20"),
+])
+def test_cli_closed_form_torus_runs_skip_the_word_cap(tmp_path, args):
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 0
+    assert "status=ok\n" in (out / "record.txt").read_text()
 
 
 def test_map_build_errors_name_their_cause():

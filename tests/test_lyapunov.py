@@ -5,6 +5,7 @@ import math
 import pytest
 
 import pressurelab as pl
+from pressurelab import lyapunov
 
 
 def test_cycle_exponent_is_mean_log_slope():
@@ -35,6 +36,15 @@ def test_toral_cycle_exponents():
     ex = pl.lyapunov_exponents(mp, (0, 3))
     assert ex[0] == pytest.approx(math.log(3.0), abs=1e-12)
     assert ex[1] == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_torus_cycle_exponents_need_no_periodic_points(monkeypatch):
+    def no_call(mapping, word):
+        raise AssertionError("periodic_point called for a torus cycle")
+
+    monkeypatch.setattr(lyapunov, "periodic_point", no_call)
+    ex = pl.lyapunov_exponents(pl.toral_conformal_map(3), (0, 4, 7))
+    assert ex == pytest.approx((math.log(3.0),) * 2, abs=1e-12)
 
 
 def test_conformality_screen():

@@ -191,3 +191,41 @@ def test_conjugacy_rejects_wrong_intertwiner():
     with pytest.raises(pl.NotSemiConjugate):
         pl.conjugate_pressure_check(mp, mp, lambda x: 0.5 * x,
                                     pl.Potential.zero(), depth=6)
+
+
+def _circle(degree):
+    # amplitudes keep the smallest slope above 1.1
+    bound = (degree - 1.1) / (2.0 * math.pi)
+    return st.floats(min_value=-bound, max_value=bound).map(
+        lambda a: pl.circle_map(degree, a))
+
+
+_EXPANDING_MAPS = st.one_of(
+    st.tuples(st.floats(min_value=2.05, max_value=8.0),
+              st.floats(min_value=2.05, max_value=8.0)).map(
+        lambda r: pl.cookie_cutter(*r)),
+    st.integers(min_value=2, max_value=4).flatmap(_circle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_EXPANDING_MAPS,
+       st.floats(min_value=-1.0, max_value=2.0),
+       st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2,
+                max_size=4),
+       st.integers(min_value=1, max_value=7))
+def test_geometric_pressure_is_convex_with_bounded_slope(mp, t0, steps,
+                                                         depth):
+    """P_n(t) is a log-sum-exp of functions linear in t, so it is convex,
+    and its slope is minus a weighted mean of (1/n) S_n log |f'|."""
+    ts = [t0]
+    for h in steps:
+        ts.append(ts[-1] + h)
+    values = [pl.pressure_additive(mp, pl.Potential.geometric(t), depth)
+              for t in ts]
+    slopes = [(values[i + 1] - values[i]) / (ts[i + 1] - ts[i])
+              for i in range(len(ts) - 1)]
+    for lower, upper in zip(slopes, slopes[1:]):
+        assert upper >= lower - 1e-9
+    lo = -math.log(mp.max_expansion) - 1e-9
+    hi = -math.log(mp.min_expansion) + 1e-9
+    assert all(lo <= q <= hi for q in slopes)
