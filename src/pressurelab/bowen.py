@@ -12,7 +12,10 @@ Its root is found by Newton steps from t = 0, each one exp pass giving
 both P and P'; bisection (``bowen_root``) then certifies the sign change
 in a bracket of width tol around the Newton iterate, and takes over the
 whole bracket when a step stalls, leaves the bracket, or the certificate
-fails.  The torus pressures have no cheap slope and are bisected.
+fails.  The Newton solver takes any callable returning (P, P'), and
+random fiber roots (``random_bundle``) hand it transfer-operator
+pressures instead of Birkhoff sums.  The torus pressures have no cheap
+slope and are bisected.
 """
 
 from __future__ import annotations
@@ -58,24 +61,14 @@ def _clamped_root(pressure_fn, hi_bound, tol):
 _NEWTON_STEPS = 20
 
 
-def _newton_root(sums, depth, hi_bound, tol):
-    """Zero in [0, hi_bound] of the mean log-sum-exp pressure of ``sums``.
+def _logsumexp_pressure(sums, depth):
+    """P and P' at t of the mean log-sum-exp pressure of Birkhoff sums.
 
-    The pressure P(t) is the mean over the arrays S in ``sums`` of
-    log sum exp(-t S) / depth.  Clamps as ``_clamped_root`` does: 0 when
-    P(0) <= 0, hi_bound when P(hi_bound) >= 0.  Otherwise Newton steps
-    run from t = 0 inside the bracket [lo, hi] of the signs seen so far;
-    P is convex and decreasing, so the steps climb monotonically to the
-    root.  Each step is one exp pass per array: with softmax weights w of
-    -t S, the derivative of the log-sum-exp is -<w, S>.  The arrays are
-    visited one at a time, so the scratch memory is that of one array.
-
-    Once a step is below tol / 2 its end point is handed to ``bowen_root``
-    as the center of a bracket of width tol; bisection checks the sign
-    change there and, the bracket being narrow enough already, returns its
-    center.  A non-negative slope, a step leaving the bracket, no
-    convergence or a failed certificate hand the whole bracket to
-    ``bowen_root`` instead.
+    P(t) is the mean over the arrays S in ``sums`` of
+    log sum exp(-t S) / depth.  Each call is one exp pass per array: with
+    softmax weights w of -t S, the derivative of the log-sum-exp is
+    -<w, S>.  The arrays are visited one at a time, so the scratch memory
+    is that of one array.
     """
     scale = len(sums) * depth
 
@@ -89,6 +82,26 @@ def _newton_root(sums, depth, hi_bound, tol):
             value += top + math.log(total)
             slope -= float(w @ s) / total
         return value / scale, slope / scale
+
+    return pressure_and_slope
+
+
+def _newton_solve(pressure_and_slope, hi_bound, tol):
+    """Zero in [0, hi_bound] of a convex decreasing pressure.
+
+    ``pressure_and_slope(t)`` returns the pair (P(t), P'(t)).  Clamps as
+    ``_clamped_root`` does: 0 when P(0) <= 0, hi_bound when
+    P(hi_bound) >= 0.  Otherwise Newton steps run from t = 0 inside the
+    bracket [lo, hi] of the signs seen so far; P is convex and
+    decreasing, so the steps climb monotonically to the root.
+
+    Once a step is below tol / 2 its end point is handed to ``bowen_root``
+    as the center of a bracket of width tol; bisection checks the sign
+    change there and, the bracket being narrow enough already, returns its
+    center.  A non-negative slope, a step leaving the bracket, no
+    convergence or a failed certificate hand the whole bracket to
+    ``bowen_root`` instead.
+    """
 
     def pressure(t):
         return pressure_and_slope(t)[0]
@@ -119,6 +132,11 @@ def _newton_root(sums, depth, hi_bound, tol):
         elif value < 0.0:
             hi = t
     return bowen_root(pressure, lo, hi, tol)
+
+
+def _newton_root(sums, depth, hi_bound, tol):
+    """Newton root of the log-sum-exp pressure of ``sums`` at ``depth``."""
+    return _newton_solve(_logsumexp_pressure(sums, depth), hi_bound, tol)
 
 
 def _roots_at_depth(mapping, depth, ambient, tol):

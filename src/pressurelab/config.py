@@ -17,7 +17,7 @@ from . import dynamics as dyn
 from .cylinders import WORD_CAP
 from .errors import ConfigError, PressureLabError
 from .pressure import Potential
-from .random_bundle import REFERENCE_DEPTH
+from .random_bundle import GROWTH_DEPTH, REFERENCE_DEPTH
 
 MODES = ("dimension", "pressure", "lyapunov", "stability", "entropy",
          "checks")
@@ -92,6 +92,20 @@ def build_map(spec):
     return _call_factory(dyn._FAMILIES, spec, "map")
 
 
+def _map_or_none(spec):
+    """The map a spec names, or None when its parameters are out of range.
+
+    The map family must exist; an out-of-range parameter is a computation
+    error surfaced when the run starts, not a config error.
+    """
+    try:
+        return build_map(spec)
+    except ConfigError:
+        raise
+    except PressureLabError:
+        return None
+
+
 def build_potential(spec):
     """Construct the named potential, e.g. "geometric(1.0)" or "zero"."""
     return _call_factory(_POTENTIALS, spec, "potential")
@@ -160,7 +174,9 @@ def _coerce(key, raw):
 class ExperimentConfig:
     """One experiment: what to compute, at what budget, and where to put it.
 
-    depth and tol of 0 mean "use the mode default"; epsilon applies to the
+    depth and tol of 0 mean "use the mode default"; a pressure run
+    defaults to the deepest depth up to 10 whose cylinder walk fits under
+    ``WORD_CAP`` (7 on ``toral(2,3)``).  epsilon applies to the
     single noise level modes (entropy), while eps_schedule drives the
     stability sweep.  conj_depth of 0 lets the experiment match the
     conjugacy truncation error to its tolerance, as far as the word cap
@@ -190,6 +206,11 @@ class ExperimentConfig:
                               % (cfg.mode, ", ".join(MODES)))
         if cfg.depth == 0:
             cfg = replace(cfg, depth=_MODE_DEPTH[cfg.mode])
+            if cfg.mode == "pressure":
+                # the deepest default walk that fits under the word cap
+                mapping = _map_or_none(cfg.map)
+                while cfg.depth > 1 and cfg._walk_words(mapping) > WORD_CAP:
+                    cfg = replace(cfg, depth=cfg.depth - 1)
         if cfg.tol == 0.0:
             cfg = replace(cfg, tol=_MODE_TOL[cfg.mode])
         cfg.validate()
@@ -217,26 +238,24 @@ class ExperimentConfig:
             raise ConfigError("eps_schedule entries must not be negative")
         if not self.out:
             raise ConfigError("out directory must be set")
-        try:
-            mapping = build_map(self.map)
-        except PressureLabError as exc:
-            # the map family must exist; an out-of-range parameter is a
-            # computation error surfaced later, not a config error
-            if isinstance(exc, ConfigError):
-                raise
-            mapping = None
+        mapping = _map_or_none(self.map)
         if self.mode == "pressure":
             build_potential(self.potential)
         if self.mode in ("stability", "entropy"):
             family_shape(self.map)
         if self.mode == "lyapunov" and not self.orbit_word:
             raise ConfigError("lyapunov mode needs an orbit_word")
-        depth = self._deepest_walk(mapping) if mapping is not None else 0
-        words = mapping.count_words(depth) if depth else 0
+        words = self._walk_words(mapping)
         if words > WORD_CAP:
             raise ConfigError("%s mode on %s enumerates %.0f words of length "
                               "%d, cap is %d" % (self.mode, self.map, words,
-                                                 depth, WORD_CAP))
+                                                 self._deepest_walk(mapping),
+                                                 WORD_CAP))
+
+    def _walk_words(self, mapping):
+        """Words in the deepest cylinder walk of a run; 0 for none."""
+        depth = self._deepest_walk(mapping) if mapping is not None else 0
+        return mapping.count_words(depth) if depth else 0
 
     def _deepest_walk(self, mapping):
         """Longest word a run of this config enumerates; 0 for none.
@@ -245,7 +264,10 @@ class ExperimentConfig:
         the word count; stability and entropy runs are interval-only.
         """
         if self.mode == "stability":
-            return max(self.depth, self.conj_depth, REFERENCE_DEPTH)
+            # fiber roots take operator products, not words; the deepest
+            # walks are the conjugacy, the reference root and the growth
+            # probe of ``expansivity_min_growth``
+            return max(self.conj_depth, REFERENCE_DEPTH, GROWTH_DEPTH)
         if self.mode == "entropy" or (self.mode in ("dimension", "pressure")
                                       and mapping.dim == 1):
             return self.depth

@@ -20,15 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from .bowen import _newton_root, dimension_report
+from .bowen import _newton_solve, dimension_report
 from .cylinders import WORD_CAP, CylinderSet
-from .errors import (BadSpec, HorizonExceeded, PerturbationTooLarge,
-                     PressureLabError)
+from .errors import (BadSpec, HorizonExceeded, NoConvergence,
+                     PerturbationTooLarge, PressureLabError)
 from .pressure import Potential, _resolve_epsilon, logsumexp
 
 TWO_PI = 2.0 * math.pi
 # cylinder depth of the unperturbed root every stability sweep compares to
 REFERENCE_DEPTH = 12
+# cylinder depth of the smallest fiber growth rate in every certificate
+GROWTH_DEPTH = 8
 
 
 # -- base process ---------------------------------------------------------
@@ -339,6 +341,147 @@ def measure_equivariance(family, sample, depth):
     return float(residual), float(bound)
 
 
+# -- fiber transfer operators --------------------------------------------------
+
+# node counts tried for random roots: 8, 16, ... up to this many
+MAX_ROOT_NODES = 256
+# operator steps between rescalings of a fiber product by its largest value
+_RESCALE_STEPS = 16
+
+
+@dataclass(frozen=True)
+class FiberOperators:
+    """Chebyshev collocation of the fiber Ruelle operators of a family.
+
+    Functions on the hull of the base map are held by their values at
+    ``nodes`` Chebyshev points x_j.  For letter a, ``interp[a, j, b]`` is
+    the row mapping node values to the value of their interpolant at
+    g_b(x_j), with g_b the inverse branch b of fiber a, and
+    ``log_slopes[a, j, b]`` is log f_a' at g_b(x_j).  ``end_rows[a]``
+    evaluates the interpolant at the branch centres of fiber a, where the
+    cylinder walker seeds, and ``end_log_slopes[a]`` holds log f_a' at
+    those centres.
+    """
+
+    nodes: int
+    interp: np.ndarray
+    log_slopes: np.ndarray
+    end_rows: np.ndarray
+    end_log_slopes: np.ndarray
+
+
+def _interpolation_rows(nodes, weights, points):
+    """Barycentric rows evaluating the interpolant on ``nodes`` at ``points``."""
+    diff = points[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    rows = weights / np.where(hit, 1.0, diff)
+    rows /= rows.sum(axis=1, keepdims=True)
+    exact = hit.any(axis=1)
+    rows[exact] = hit[exact]
+    return rows
+
+
+def fiber_operators(family, nodes):
+    """Collocated fiber operators of ``family`` on ``nodes`` Chebyshev points.
+
+    The nodes are the Chebyshev points of the second kind on the hull of
+    the base map, which every fiber shares.  Affine (cookie) branches keep
+    constants constant, so there the interpolation is exact.
+    """
+    if nodes < 2:
+        raise BadSpec("collocation needs at least two nodes")
+    _require_full_shift(family.base_map)
+    lo, hi = family.base_map.hull
+    j = np.arange(int(nodes))
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * j / (nodes - 1))
+    w = np.where(j % 2 == 0, 1.0, -1.0)
+    w[[0, -1]] *= 0.5
+    interp, log_slopes, end_rows, end_log_slopes = [], [], [], []
+    for letter in range(family.n_letters):
+        fiber = family.fiber_map(letter)
+        pulled = [br.inv(x) for br in fiber.branches]
+        interp.append([_interpolation_rows(x, w, y) for y in pulled])
+        log_slopes.append([np.log(br.deriv(y))
+                           for br, y in zip(fiber.branches, pulled)])
+        end_rows.append(_interpolation_rows(x, w, fiber.centers))
+        end_log_slopes.append([math.log(float(br.deriv(br.center)))
+                               for br in fiber.branches])
+    return FiberOperators(
+        nodes=int(nodes), interp=np.array(interp).transpose(0, 2, 1, 3),
+        log_slopes=np.array(log_slopes).transpose(0, 2, 1),
+        end_rows=np.array(end_rows), end_log_slopes=np.array(end_log_slopes))
+
+
+def fiber_pressures(ops, letters, t):
+    """Depth n fiber pressures P_n(t) and slopes P_n'(t), one per window.
+
+    Row k of ``letters`` holds the n letters of one window, position 0
+    first.  The depth n fiber sum over words w of exp(-t S_w), with S_w
+    the Birkhoff sum of log f' along the walker's representative orbit,
+    is the end row of the last letter applied to L_{n-2} ... L_0 1, where
+    L_i is the collocated operator phi -> sum_b |f'(g_b)|^-t phi(g_b) of
+    the fiber at position i.  Its t-derivative rides along in the block
+    operator [[L, 0], [L', L]] acting on [phi; phi'], so one pass gives P
+    and P'.  Each step is divided by the largest value of L 1, whose
+    logarithm is kept, and every ``_RESCALE_STEPS`` steps the product is
+    rescaled by its largest value, so no step overflows or underflows.
+    """
+    letters = np.asarray(letters, dtype=np.intp)
+    n_windows, depth = letters.shape
+    n = ops.nodes
+    weight = np.exp(-t * ops.log_slopes)
+    # interpolation rows sum to 1, so L 1 is the weight summed over branches
+    norm = weight.sum(axis=2).max(axis=1)
+    weight /= norm[:, None, None]
+    # rows of L and of L' per letter: (letters, nodes, 2, nodes)
+    pair = np.stack([weight, -ops.log_slopes * weight], axis=2) @ ops.interp
+    block = np.zeros((len(pair), 2 * n, 2 * n))
+    block[:, :n, :n] = block[:, n:, n:] = pair[:, :, 0]
+    block[:, n:, :n] = pair[:, :, 1]
+    state = np.zeros((n_windows, 2 * n, 1))
+    state[:, :n] = 1.0
+    log_scale = np.log(norm)[letters[:, :-1]].sum(axis=1)
+    for i in range(1, depth):
+        state = block[letters[:, i - 1]] @ state
+        if i % _RESCALE_STEPS == 0:
+            top = state[:, :n, 0].max(axis=1)
+            state /= top[:, None, None]
+            log_scale += np.log(top)
+    last = letters[:, -1]
+    ell = ops.end_log_slopes[last]
+    end_weight = np.exp(-t * ell)
+    # end values of phi and phi' at the centres: (windows, symbols, 2)
+    ends = ops.end_rows[last] @ state.reshape(n_windows, 2, n).transpose(0, 2, 1)
+    total = (end_weight * ends[..., 0]).sum(axis=1)
+    d_total = (end_weight * (ends[..., 1] - ell * ends[..., 0])).sum(axis=1)
+    return (np.log(total) + log_scale) / depth, d_total / total / depth
+
+
+def _root_operators(family, letters, tol):
+    """Fiber operators on the fewest nodes that resolve the pressures.
+
+    Starting at 8, the node count doubles until P_n at t = 0 and t = 1
+    agrees with that on twice as many nodes to within tol / 10 for every
+    window.  Past ``MAX_ROOT_NODES`` nodes the pressures count as
+    unresolved and NoConvergence is raised.  Returns the operators and
+    their ``fiber_pressures`` of all windows at t = 0 and t = 1.
+    """
+    def probe(nodes):
+        ops = fiber_operators(family, nodes)
+        return ops, {t: fiber_pressures(ops, letters, t) for t in (0.0, 1.0)}
+
+    coarse, probes = probe(8)
+    while True:
+        fine, fine_probes = probe(2 * coarse.nodes)
+        if all(np.abs(probes[t][0] - fine_probes[t][0]).max() <= 0.1 * tol
+               for t in probes):
+            return coarse, probes
+        if fine.nodes > MAX_ROOT_NODES:
+            raise NoConvergence("fiber pressures of %s are unresolved on %d "
+                                "nodes" % (family.describe(), coarse.nodes))
+        coarse, probes = fine, fine_probes
+
+
 # -- averaged pressure and roots --------------------------------------------
 
 @dataclass(frozen=True)
@@ -394,6 +537,7 @@ class RandomRoots:
     std_error: float
     per_sample: tuple
     depth: int
+    nodes: int
 
 
 def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
@@ -401,14 +545,31 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
 
     t_root solves mean pressure = 0 for the potential -t log |f'| along
     fibers.  Interval fibers are conformal, so the derivative norm and
-    conorm roots coincide and one root covers both.
+    conorm roots coincide and one root covers both.  The depth n fiber
+    pressures are those of the cylinder walker, computed as products of
+    collocated fiber operators (``fiber_pressures``) on the ``nodes``
+    that ``_root_operators`` picks, so no word is enumerated.
     """
-    logds = [FiberCylinders(family, smp, depth).log_derivative_sums()[-1]
-             for smp in _seed_windows(family, seeds, depth)]
-    root = _newton_root(logds, depth, 1.0, tol)
-    per = tuple(_newton_root([sd], depth, 1.0, tol) for sd in logds)
-    return RandomRoots(t_root=float(root), std_error=_std_error(per), per_sample=per,
-                       depth=int(depth))
+    if depth < 1:
+        raise BadSpec("cylinder depth must be positive")
+    letters = np.array([[smp.symbol(i) for i in range(depth)]
+                        for smp in _seed_windows(family, seeds, depth)])
+    ops, probes = _root_operators(family, letters, tol)
+
+    def solve(rows):
+        def pressure_and_slope(t):
+            # the clamp probes at t = 0 and 1 reuse the node check's values
+            if t in probes:
+                value, slope = (v[rows] for v in probes[t])
+            else:
+                value, slope = fiber_pressures(ops, letters[rows], t)
+            return float(value.mean()), float(slope.mean())
+        return _newton_solve(pressure_and_slope, 1.0, tol)
+
+    root = solve(slice(None))
+    per = tuple(solve(slice(k, k + 1)) for k in range(len(letters)))
+    return RandomRoots(t_root=float(root), std_error=_std_error(per),
+                       per_sample=per, depth=int(depth), nodes=ops.nodes)
 
 
 def random_entropy(family, seeds, depth=12):
@@ -416,7 +577,7 @@ def random_entropy(family, seeds, depth=12):
     return random_pressure(family, Potential.zero(), seeds, depth).value
 
 
-def expansivity_min_growth(family, sample, depth=8):
+def expansivity_min_growth(family, sample, depth=GROWTH_DEPTH):
     """Smallest per step log expansion over depth n fiber words."""
     chain = FiberCylinders(family, sample, depth)
     return float(chain.log_derivative_sums()[-1].min()) / depth
@@ -625,9 +786,13 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     root gaps are comparable across the schedule.  Each row carries the
     averaged dimension roots, their distance to the unperturbed root, the
     conjugacy displacement and the measured equivariance defect with its
-    certified bound.  Certificates collect per noise level the expansion
-    margin, displacement and equivariance budgets, the smallest fiber
-    growth rate and distortion constants per letter.  A noise level that
+    certified bound.  The roots come from products of collocated fiber
+    operators (``random_bowen_roots``), not from enumerated fiber words;
+    only the conjugacy, the reference root and the growth probe walk
+    cylinders.  Certificates collect per noise level the expansion
+    margin, the node count of the root operators (``root_nodes``),
+    displacement and equivariance budgets, the smallest fiber growth rate
+    and distortion constants per letter.  A noise level that
     fails certification produces a row holding the failure message
     instead of aborting the experiment.  When conj_depth is omitted it is
     chosen per level so the truncation error stays below conj_tol, or as
@@ -650,7 +815,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                       for smp in windows]
             eq_pairs = [measure_equivariance(fam, smp, cd)
                         for smp in windows]
-            growth = min(expansivity_min_growth(fam, smp, depth=8)
+            growth = min(expansivity_min_growth(fam, smp)
                          for smp in windows)
             eq_meas = max(v for v, _ in eq_pairs)
             eq_bound = eq_pairs[0][1]
@@ -673,6 +838,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                 "expansion_margin": fam.certified_expansion - 1.0,
                 "conj_depth": int(cd),
                 "horizon": int(horizon),
+                "root_nodes": roots.nodes,
                 "h_sup": max(h_vals),
                 "h_sup_analytic": fam.displacement_bound,
                 "equivariance": eq_meas,

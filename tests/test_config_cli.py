@@ -176,7 +176,7 @@ def test_cli_config_error_exit_code():
 @pytest.mark.parametrize("args", [
     ("--mode", "dimension", "map=circle(3,0.05)", "depth=13"),
     ("--mode", "pressure", "map=doubling", "depth=21"),
-    ("--mode", "stability", "map=circle(3,0.05)"),
+    ("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
     ("--mode", "stability", "map=cookie_cutter(3,3)", "conj_depth=21"),
     # the reference root of a sweep walks to depth 12 whatever depth says
     ("--mode", "stability", "map=circle(4,0.05)", "depth=8"),
@@ -188,6 +188,37 @@ def test_cli_rejects_walks_over_the_word_cap(tmp_path, capsys, args):
     assert rc == 2
     assert not out.exists()
     assert "cap is %d" % pl.WORD_CAP in capsys.readouterr().err
+
+
+def test_cli_stability_roots_need_no_word_walk(tmp_path):
+    # 3^16 fiber words would exceed the cap; fiber roots walk none, and the
+    # deepest walks (conjugacy and reference root, depth 12) fit
+    rc, out = run_mode(tmp_path, "--mode", "stability", "map=circle(3,0.05)",
+                       "seeds=2")
+    assert rc == 0
+    assert "status=ok\n" in (out / "record.txt").read_text()
+    cert = (out / "certificates.txt").read_text()
+    assert "failures.eps_0.2=" in cert
+    with open(out / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    roots = [float(row["t_root"]) for row in rows[1:]]
+    assert [row["epsilon"] for row in rows] == ["0.2", "0.1", "0.05", "0.025"]
+    assert math.isnan(float(rows[0]["t_root"]))
+    assert all(0.0 < t <= 1.0 for t in roots)
+    for eps in ("0.1", "0.05", "0.025"):
+        assert "eps_%s.root_nodes=" % eps in cert
+
+
+def test_default_pressure_depth_fits_the_word_cap(tmp_path):
+    # 6^10 torus words would exceed the cap; 6^7 is the deepest that fits
+    assert make("pressure", map="toral(2,3)").depth == 7
+    assert make("pressure", map="toral(2,3)",
+                potential="singular_upper(0.7)").depth == 10
+    assert make("pressure", map="cookie_cutter(3,3)").depth == 10
+    assert make("pressure", map="doubling").depth == 10
+    rc, out = run_mode(tmp_path, "--mode", "pressure", "map=toral(2,3)")
+    assert rc == 0
+    assert "status=ok\n" in (out / "record.txt").read_text()
 
 
 @pytest.mark.parametrize("args", [

@@ -371,3 +371,87 @@ def test_newton_roots_match_bisection_on_fiber_sums(shape, seed, n_seeds,
     expect = _bisected_root(lambda t: float(np.mean(
         [pl.logsumexp(-t * sd) for sd in logds])) / depth)
     assert roots.t_root == pytest.approx(expect, abs=1e-9)
+
+
+_OPERATOR_FAMILIES = st.one_of(
+    st.tuples(st.just("cookie"),
+              st.tuples(st.floats(min_value=2.5, max_value=5.0),
+                        st.floats(min_value=2.5, max_value=5.0)),
+              st.floats(min_value=0.0, max_value=0.15), st.just(1e-12)),
+    st.tuples(st.just("circle"),
+              st.tuples(st.sampled_from([2.0, 3.0]),
+                        st.floats(min_value=-0.08, max_value=0.08)),
+              st.floats(min_value=0.0, max_value=0.02), st.just(1e-10)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_OPERATOR_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=2, max_value=3),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
+                                              start, n_letters, t):
+    """Operator pressures and slopes equal those of the walker's sums.
+
+    P_n(t) = logsumexp(-t S) / n and P_n'(t) = -<softmax(-t S), S> / n
+    for the log-derivative sums S of the fiber chain at positions
+    start .. start + n - 1; affine fibers are exact, circle fibers are
+    interpolated on the nodes the root solver would pick.
+    """
+    from pressurelab.random_bundle import _root_operators, fiber_pressures
+    kind, params, eps, tol = shape
+    fam = pl.RandomFamily(kind, params, eps, n_letters)
+    windows = [pl.sample_base(s, depth + start, n_letters)
+               for s in range(seed, seed + n_seeds)]
+    letters = np.array([[w.symbol(start + i) for i in range(depth)]
+                        for w in windows])
+    ops, _ = _root_operators(fam, letters, 1e-10)
+    value, slope = fiber_pressures(ops, letters, t)
+    for k, window in enumerate(windows):
+        sums = pl.FiberCylinders(fam, window, depth,
+                                 start=start).log_derivative_sums()[-1]
+        weights = np.exp(-t * sums - (-t * sums).max())
+        weights /= weights.sum()
+        assert value[k] == pytest.approx(pl.logsumexp(-t * sums) / depth,
+                                         rel=0.0, abs=tol)
+        assert slope[k] == pytest.approx(-float(weights @ sums) / depth,
+                                         rel=0.0, abs=tol)
+
+
+def test_random_roots_report_their_nodes(monkeypatch):
+    from pressurelab import random_bundle
+    cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
+    # affine fibers are exact on the first node count
+    assert pl.random_bowen_roots(cookie, range(3), depth=10).nodes == 8
+    assert pl.random_bowen_roots(circle, range(3), depth=10).nodes > 8
+    # unresolved pressures fail the root, and the sweep records the level
+    monkeypatch.setattr(random_bundle, "MAX_ROOT_NODES", 8)
+    assert pl.random_bowen_roots(cookie, range(3), depth=10).nodes == 8
+    with pytest.raises(pl.NoConvergence):
+        pl.random_bowen_roots(circle, range(3), depth=10)
+    res = pl.stability_experiment(circle, schedule=(0.05,), depth=10,
+                                  seeds=2, conj_depth=8)
+    assert "unresolved on 8 nodes" in res.rows[0].failure
+
+
+def test_stability_certificates_name_root_nodes():
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    res = pl.stability_experiment(fam, schedule=(0.1,), depth=8, seeds=2)
+    assert res.certificates["per_epsilon"][0.1]["root_nodes"] == 8
+
+
+def test_fiber_pressure_rescaling_keeps_values(monkeypatch):
+    from pressurelab import random_bundle
+    fam = pl.RandomFamily("circle", (3, 0.05), 0.1)
+    ops = random_bundle.fiber_operators(fam, 32)
+    window = pl.sample_base(4, 40)
+    letters = np.array([[window.symbol(i) for i in range(40)]])
+    monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 10 ** 9)
+    never = random_bundle.fiber_pressures(ops, letters, 0.7)
+    monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 1)
+    always = random_bundle.fiber_pressures(ops, letters, 0.7)
+    for a, b in zip(never, always):
+        assert a[0] == pytest.approx(b[0], rel=0.0, abs=1e-14)
