@@ -8,7 +8,8 @@ The package splits into five computational layers plus a batch front end:
 - ``cylinders``: the cylinder walker, for deterministic maps and random
   fibers alike.  It enumerates cylinder representatives along a chain of
   maps, one per word position (a single map is the constant chain), with
-  suffix sharing and Birkhoff folding.
+  suffix sharing and Birkhoff folding; a position holding one map per
+  window (``MapColumn``) walks several fiber windows at once.
 - ``pressure``: potentials, separated sets, topological pressure by
   direct counting and by transfer matrices, conjugacy and variational
   checks.
@@ -26,7 +27,7 @@ The package splits into five computational layers plus a batch front end:
 __version__ = "0.1.0"
 
 from .bowen import DimensionReport, bowen_root, dimension_report
-from .cylinders import WORD_CAP, CylinderSet, build_levels
+from .cylinders import WORD_CAP, CylinderSet, MapColumn, build_levels
 from .dynamics import (ExpandingMap, build_markov_map, circle_map, cocycle,
                        cookie_cutter, cylinder_point, doubling_map,
                        golden_mean_map, itinerary, linear_markov, orbit,
@@ -58,7 +59,8 @@ __all__ = [
     "BadSpec", "BaseSample", "CheckFailed", "ConfigError", "CylinderSet",
     "DimensionReport", "EpsilonTooLarge", "EscapedRepeller", "ExpandingMap",
     "FiberConjugacy", "FiberCylinders", "HorizonExceeded",
-    "InadmissibleWord", "MatrixTooLarge", "NoConvergence", "NoSignChange",
+    "InadmissibleWord", "MapColumn", "MatrixTooLarge", "NoConvergence",
+    "NoSignChange",
     "NonExpanding", "NonMarkov", "NotSemiConjugate", "PerturbationTooLarge",
     "Potential", "PressureEstimate", "PressureLabError", "RandomEstimate",
     "RandomFamily", "RandomRoots", "SingularMatrix", "StabilityResult",

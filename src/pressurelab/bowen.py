@@ -87,51 +87,83 @@ def _logsumexp_pressure(sums, depth):
 
 
 def _newton_solve(pressure_and_slope, hi_bound, tol):
-    """Zero in [0, hi_bound] of a convex decreasing pressure.
+    """Zeros in [0, hi_bound] of convex decreasing pressures, one per window.
 
-    ``pressure_and_slope(t)`` returns the pair (P(t), P'(t)).  Clamps as
-    ``_clamped_root`` does: 0 when P(0) <= 0, hi_bound when
+    ``pressure_and_slope(t)`` returns the pair (P(t), P'(t)): floats for
+    one pressure, or arrays with one entry per window, t then being an
+    array with one parameter per window (the first call passes t = 0.0).
+    The roots come back as a float or as an array to match.  Each root
+    clamps as ``_clamped_root`` does: 0 when P(0) <= 0, hi_bound when
     P(hi_bound) >= 0.  Otherwise Newton steps run from t = 0 inside the
     bracket [lo, hi] of the signs seen so far; P is convex and
-    decreasing, so the steps climb monotonically to the root.
+    decreasing, so the steps climb monotonically to the root.  All
+    windows step together, one evaluation per step.
 
-    Once a step is below tol / 2 its end point is handed to ``bowen_root``
-    as the center of a bracket of width tol; bisection checks the sign
-    change there and, the bracket being narrow enough already, returns its
-    center.  A non-negative slope, a step leaving the bracket, no
-    convergence or a failed certificate hand the whole bracket to
-    ``bowen_root`` instead.
+    Once a step is below tol / 2 its end point is the center of a bracket
+    of width tol, evaluated at both ends for all such windows at once;
+    ``bowen_root`` checks the sign change there and, the bracket being
+    narrow enough already, returns its center without further
+    evaluations.  A non-negative slope, a step leaving the bracket, no
+    convergence or a failed certificate hand that window's whole bracket
+    to ``bowen_root`` instead.
     """
-
-    def pressure(t):
-        return pressure_and_slope(t)[0]
-
     value, slope = pressure_and_slope(0.0)
-    if value <= 0.0:
-        return 0.0
-    hi = float(hi_bound)
-    if pressure(hi) >= 0.0:
-        return hi
-    lo = t = 0.0
+    single = np.ndim(value) == 0
+    if single:
+        scalar = pressure_and_slope
+
+        def pressure_and_slope(t):
+            v, s = scalar(float(t[0]))
+            return np.array([v]), np.array([s])
+
+        value, slope = np.array([value]), np.array([slope])
+    count = len(value)
+    roots = np.zeros(count)
+    lo = np.zeros(count)
+    hi = np.full(count, float(hi_bound))
+    settled = value <= 0.0
+    if not settled.all():
+        at_hi = ~settled & (pressure_and_slope(hi)[0] >= 0.0)
+        roots[at_hi] = hi[at_hi]
+        settled |= at_hi
+    t = np.zeros(count)
+    centers = np.zeros(count)
+    stepping = ~settled
+    converged = np.zeros(count, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        if slope >= 0.0:
+        stepping &= ~(slope >= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t - value / slope
+        close = stepping & (np.abs(t_next - t) <= 0.5 * tol)
+        centers[close] = t_next[close]
+        converged |= close
+        stepping &= ~close & (lo < t_next) & (t_next < hi)
+        if not stepping.any():
             break
-        t_next = t - value / slope
-        if abs(t_next - t) <= 0.5 * tol:
-            try:
-                return bowen_root(pressure, t_next - 0.5 * tol,
-                                  t_next + 0.5 * tol, tol)
-            except NoSignChange:
-                break
-        if not lo < t_next < hi:
-            break
-        t = t_next
+        t = np.where(stepping, t_next, t)
         value, slope = pressure_and_slope(t)
-        if value > 0.0:
-            lo = t
-        elif value < 0.0:
-            hi = t
-    return bowen_root(pressure, lo, hi, tol)
+        lo = np.where(stepping & (value > 0.0), t, lo)
+        hi = np.where(stepping & (value < 0.0), t, hi)
+    below = centers - 0.5 * tol
+    above = centers + 0.5 * tol
+    if converged.any():
+        at_below = pressure_and_slope(below)[0]
+        at_above = pressure_and_slope(above)[0]
+    for k in np.flatnonzero(~settled):
+        def pressure(x, k=k):
+            return pressure_and_slope(np.full(count, x))[0][k]
+
+        if converged[k]:
+            known = {float(below[k]): at_below[k],
+                     float(above[k]): at_above[k]}
+            try:
+                roots[k] = bowen_root(known.__getitem__, below[k], above[k],
+                                      tol)
+                continue
+            except NoSignChange:
+                pass
+        roots[k] = bowen_root(pressure, lo[k], hi[k], tol)
+    return float(roots[0]) if single else roots
 
 
 def _newton_root(sums, depth, hi_bound, tol):

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import dynamics as dyn
 from .bowen import _newton_solve, dimension_report
-from .cylinders import WORD_CAP, CylinderSet
-from .errors import (BadSpec, HorizonExceeded, NoConvergence,
-                     PerturbationTooLarge, PressureLabError)
+from .cylinders import WORD_CAP, CylinderSet, MapColumn
+from .errors import (BadSpec, HorizonExceeded, InadmissibleWord,
+                     NoConvergence, PerturbationTooLarge, PressureLabError)
 from .pressure import Potential, _resolve_epsilon, logsumexp
 
 TWO_PI = 2.0 * math.pi
@@ -231,15 +231,34 @@ class FiberCylinders(CylinderSet):
     The chain holds the fiber map of every position in the window
     ``start .. start + depth - 1``.  Leaves are the depth n fiber cylinder
     representatives for that window, enumerated in the same lexicographic
-    order as the walker of the base map.
+    order as the walker of the base map.  ``samples`` is one window, or a
+    sequence of windows walked at once: every position then holds a
+    ``MapColumn`` and the level points one row per window (see
+    ``_window_chunks`` for how many windows fit one walk).
     """
 
-    def __init__(self, family, sample, depth, start=0, cap=WORD_CAP):
+    def __init__(self, family, samples, depth, start=0, cap=WORD_CAP):
         self.family = family
-        self.sample = sample
+        self.samples = samples
         self.start = int(start)
-        super().__init__([family.fiber_map(sample.symbol(self.start + i))
-                          for i in range(int(depth))], depth, cap)
+        positions = range(self.start, self.start + int(depth))
+        if isinstance(samples, BaseSample):
+            maps = [family.fiber_map(samples.symbol(i)) for i in positions]
+        else:
+            maps = [MapColumn(family.fiber_map(smp.symbol(i))
+                              for smp in samples) for i in positions]
+        super().__init__(maps, depth, cap)
+
+
+def _window_chunks(family, count, depth):
+    """Slices batching ``count`` windows for walks of depth ``depth``.
+
+    A batched walk holds one point per window and word, so each batch
+    keeps windows x words within WORD_CAP; a walk too deep for two
+    windows gets one window per batch.
+    """
+    size = max(1, WORD_CAP // int(family.base_map.count_words(depth)))
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 def _require_full_shift(mapping):
@@ -270,14 +289,34 @@ class FiberConjugacy:
     def error_bound(self):
         return self.family.gamma_bound ** self.depth * self.family.base_map.diam
 
+    def map_words(self, words):
+        """Fiber points of the rows of ``words``, all of one length.
+
+        Every row is rebuilt as ``map_word`` does, and each position makes
+        one inverse branch call per symbol for all rows.
+        """
+        base = self.family.base_map
+        words = np.asarray(words, dtype=np.intp)
+        if words.ndim != 2 or words.shape[1] == 0:
+            raise InadmissibleWord("need a table of non-empty words")
+        if words.min() < 0 or words.max() >= base.n_symbols:
+            raise InadmissibleWord("symbol out of range")
+        if not base.adjacency_matrix[words[:, :-1], words[:, 1:]].all():
+            raise InadmissibleWord("forbidden transition in a word")
+        length = words.shape[1]
+        maps = [self.family.fiber_map(self.sample.symbol(i))
+                for i in range(length)]
+        z = maps[-1].centers[words[:, -1]]
+        for i in range(length - 2, -1, -1):
+            for s in range(base.n_symbols):
+                rows = words[:, i] == s
+                if rows.any():
+                    z[rows] = maps[i].branches[s].inv(z[rows])
+        return z
+
     def map_word(self, word):
         word = self.family.base_map.check_word(word)
-        maps = [self.family.fiber_map(self.sample.symbol(i))
-                for i in range(len(word))]
-        z = np.asarray([maps[-1].branches[word[-1]].center], dtype=float)
-        for i in range(len(word) - 2, -1, -1):
-            z = maps[i].branches[word[i]].inv(z)
-        return float(z[0])
+        return float(self.map_words([word])[0])
 
     def map_point(self, x):
         return self.map_word(dyn.itinerary(self.family.base_map, x, self.depth))
@@ -308,16 +347,55 @@ def fiber_repeller(conj, depth):
     return pts[idx // n_sym ** (depth - conj.depth)].copy()
 
 
-def conjugacy_displacement(family, sample, depth):
-    """Largest distance the depth n conjugacy moves a cylinder point.
+def _conjugacy_defects(family, windows, depth, equivariance=True):
+    """Conjugacy displacement and equivariance defect per window.
 
     Base and fiber walkers enumerate the same words in the same order, so
-    the conjugacy image of every base representative is the fiber
-    representative at the same index.
+    the depth n conjugacy image of every base representative is the fiber
+    representative at the same index; the displacement is their largest
+    distance.  Level n - 2 of that start 0 walk holds the words at
+    positions 1 .. n - 1 (conjugate then shift), and the leaves of a
+    start 1 walk at depth n map them (map then conjugate); the defect is
+    their largest mismatch over the prefix relation.  The base map is
+    walked once for all windows.  Returns two arrays, the second all nan
+    when ``equivariance`` is off.
     """
-    fiber = FiberCylinders(family, sample, depth)
-    base = CylinderSet(family.base_map, depth)
-    return float(np.abs(fiber.leaves.points - base.leaves.points).max())
+    if equivariance:
+        _require_full_shift(family.base_map)
+    n_sym = family.base_map.n_symbols
+    base = CylinderSet(family.base_map, depth).leaves.points
+    moved = np.empty(len(windows))
+    defect = np.full(len(windows), np.nan)
+    for rows in _window_chunks(family, len(windows), depth):
+        levels = FiberCylinders(family, windows[rows], depth).levels
+        moved[rows] = _largest_gap(levels[-1].points, base)
+        if not equivariance:
+            continue
+        shifted = levels[-2].points[..., None]
+        # free the start 0 walk before the start 1 walk is built
+        del levels
+        mapped = FiberCylinders(family, windows[rows], depth,
+                                start=1).leaves.points
+        # leaf i of the start 1 walk extends word i // n_sym of ``shifted``
+        defect[rows] = _largest_gap(
+            mapped.reshape(len(mapped), -1, n_sym), shifted)
+    return moved, defect
+
+
+def _largest_gap(points, targets):
+    """Largest |points - targets| per leading row, in one scratch array."""
+    gap = points - targets
+    return np.abs(gap, out=gap).reshape(len(gap), -1).max(axis=1)
+
+
+def _equivariance_bound(family, depth):
+    return 2.0 * family.gamma_bound ** depth * family.base_map.diam
+
+
+def conjugacy_displacement(family, sample, depth):
+    """Largest distance the depth n conjugacy moves a cylinder point."""
+    moved, _ = _conjugacy_defects(family, [sample], depth, equivariance=False)
+    return float(moved[0])
 
 
 def measure_equivariance(family, sample, depth):
@@ -330,15 +408,8 @@ def measure_equivariance(family, sample, depth):
     """
     if depth < 2:
         raise BadSpec("equivariance needs depth at least 2")
-    _require_full_shift(family.base_map)
-    n_sym = family.base_map.n_symbols
-    lhs = FiberCylinders(family, sample, depth - 1, start=1)
-    rhs = FiberCylinders(family, sample, depth, start=1)
-    idx = np.arange(rhs.leaf_count)
-    residual = np.abs(lhs.leaves.points[idx // n_sym]
-                      - rhs.leaves.points[idx]).max()
-    bound = 2.0 * family.gamma_bound ** depth * family.base_map.diam
-    return float(residual), float(bound)
+    _, defect = _conjugacy_defects(family, [sample], depth)
+    return float(defect[0]), float(_equivariance_bound(family, depth))
 
 
 # -- fiber transfer operators --------------------------------------------------
@@ -416,11 +487,12 @@ def fiber_pressures(ops, letters, t):
     """Depth n fiber pressures P_n(t) and slopes P_n'(t), one per window.
 
     Row k of ``letters`` holds the n letters of one window, position 0
-    first.  The depth n fiber sum over words w of exp(-t S_w), with S_w
-    the Birkhoff sum of log f' along the walker's representative orbit,
-    is the end row of the last letter applied to L_{n-2} ... L_0 1, where
-    L_i is the collocated operator phi -> sum_b |f'(g_b)|^-t phi(g_b) of
-    the fiber at position i.  Its t-derivative rides along in the block
+    first; ``t`` is one parameter for all windows, or an array holding
+    one per window.  The depth n fiber sum over words w of exp(-t S_w),
+    with S_w the Birkhoff sum of log f' along the walker's representative
+    orbit, is the end row of the last letter applied to L_{n-2} ... L_0 1,
+    where L_i is the collocated operator phi -> sum_b |f'(g_b)|^-t phi(g_b)
+    of the fiber at position i.  Its t-derivative rides along in the block
     operator [[L, 0], [L', L]] acting on [phi; phi'], so one pass gives P
     and P'.  Each step is divided by the largest value of L 1, whose
     logarithm is kept, and every ``_RESCALE_STEPS`` steps the product is
@@ -429,27 +501,31 @@ def fiber_pressures(ops, letters, t):
     letters = np.asarray(letters, dtype=np.intp)
     n_windows, depth = letters.shape
     n = ops.nodes
+    t = np.asarray(t, dtype=float)
+    # operators per distinct t: a leading axis of one, or one per window
+    per = np.arange(n_windows) if t.ndim else np.zeros(n_windows, np.intp)
+    t = t.reshape(-1, 1, 1, 1)
     weight = np.exp(-t * ops.log_slopes)
     # interpolation rows sum to 1, so L 1 is the weight summed over branches
-    norm = weight.sum(axis=2).max(axis=1)
-    weight /= norm[:, None, None]
-    # rows of L and of L' per letter: (letters, nodes, 2, nodes)
-    pair = np.stack([weight, -ops.log_slopes * weight], axis=2) @ ops.interp
-    block = np.zeros((len(pair), 2 * n, 2 * n))
-    block[:, :n, :n] = block[:, n:, n:] = pair[:, :, 0]
-    block[:, n:, :n] = pair[:, :, 1]
+    norm = weight.sum(axis=3).max(axis=2)
+    weight /= norm[..., None, None]
+    # rows of L and of L' per letter: (t, letters, nodes, 2, nodes)
+    pair = np.stack([weight, -ops.log_slopes * weight], axis=3) @ ops.interp
+    block = np.zeros(pair.shape[:2] + (2 * n, 2 * n))
+    block[..., :n, :n] = block[..., n:, n:] = pair[..., 0, :]
+    block[..., n:, :n] = pair[..., 1, :]
     state = np.zeros((n_windows, 2 * n, 1))
     state[:, :n] = 1.0
-    log_scale = np.log(norm)[letters[:, :-1]].sum(axis=1)
+    log_scale = np.log(norm)[per[:, None], letters[:, :-1]].sum(axis=1)
     for i in range(1, depth):
-        state = block[letters[:, i - 1]] @ state
+        state = block[per, letters[:, i - 1]] @ state
         if i % _RESCALE_STEPS == 0:
             top = state[:, :n, 0].max(axis=1)
             state /= top[:, None, None]
             log_scale += np.log(top)
     last = letters[:, -1]
     ell = ops.end_log_slopes[last]
-    end_weight = np.exp(-t * ell)
+    end_weight = np.exp(-t[per, 0, 0] * ell)
     # end values of phi and phi' at the centres: (windows, symbols, 2)
     ends = ops.end_rows[last] @ state.reshape(n_windows, 2, n).transpose(0, 2, 1)
     total = (end_weight * ends[..., 0]).sum(axis=1)
@@ -509,9 +585,12 @@ def _family_epsilon_sep(family):
 
 
 def _seed_windows(family, seeds, horizon):
+    """Base windows of the seeds; windows already drawn pass through."""
     if not seeds:
         raise BadSpec("need at least one base seed")
-    return [sample_base(seed, horizon, family.n_letters) for seed in seeds]
+    return [seed if isinstance(seed, BaseSample)
+            else sample_base(seed, horizon, family.n_letters)
+            for seed in seeds]
 
 
 def random_pressure(family, potential, seeds, depth=12):
@@ -548,7 +627,10 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
     conorm roots coincide and one root covers both.  The depth n fiber
     pressures are those of the cylinder walker, computed as products of
     collocated fiber operators (``fiber_pressures``) on the ``nodes``
-    that ``_root_operators`` picks, so no word is enumerated.
+    that ``_root_operators`` picks, so no word is enumerated.  The mean
+    root is one Newton solve; the per realization roots are one more,
+    vectorised over windows with one t per window.  ``seeds`` are base
+    seeds, or windows already drawn from them.
     """
     if depth < 1:
         raise BadSpec("cylinder depth must be positive")
@@ -556,18 +638,19 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
                         for smp in _seed_windows(family, seeds, depth)])
     ops, probes = _root_operators(family, letters, tol)
 
-    def solve(rows):
-        def pressure_and_slope(t):
-            # the clamp probes at t = 0 and 1 reuse the node check's values
-            if t in probes:
-                value, slope = (v[rows] for v in probes[t])
-            else:
-                value, slope = fiber_pressures(ops, letters[rows], t)
-            return float(value.mean()), float(slope.mean())
-        return _newton_solve(pressure_and_slope, 1.0, tol)
+    def per_window(t):
+        # the clamp probes at t = 0 and 1 reuse the node check's values
+        for at, values in probes.items():
+            if np.all(t == at):
+                return values
+        return fiber_pressures(ops, letters, t)
 
-    root = solve(slice(None))
-    per = tuple(solve(slice(k, k + 1)) for k in range(len(letters)))
+    def mean(t):
+        value, slope = per_window(t)
+        return float(value.mean()), float(slope.mean())
+
+    root = _newton_solve(mean, 1.0, tol)
+    per = tuple(float(r) for r in _newton_solve(per_window, 1.0, tol))
     return RandomRoots(t_root=float(root), std_error=_std_error(per),
                        per_sample=per, depth=int(depth), nodes=ops.nodes)
 
@@ -577,10 +660,18 @@ def random_entropy(family, seeds, depth=12):
     return random_pressure(family, Potential.zero(), seeds, depth).value
 
 
+def _min_growths(family, windows, depth=GROWTH_DEPTH):
+    """Smallest per step log expansion over depth n fiber words, per window."""
+    growth = np.empty(len(windows))
+    for rows in _window_chunks(family, len(windows), depth):
+        chain = FiberCylinders(family, windows[rows], depth)
+        growth[rows] = chain.log_derivative_sums()[-1].min(axis=1) / depth
+    return growth
+
+
 def expansivity_min_growth(family, sample, depth=GROWTH_DEPTH):
     """Smallest per step log expansion over depth n fiber words."""
-    chain = FiberCylinders(family, sample, depth)
-    return float(chain.log_derivative_sums()[-1].min()) / depth
+    return float(_min_growths(family, [sample], depth)[0])
 
 
 # -- distortion --------------------------------------------------------------
@@ -714,13 +805,12 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
     for pos in range(depth - 1, -1, -1):
         digits[:, pos] = rem % n_sym
         rem //= n_sym
-    for row in range(len(sel)):
-        word = tuple(int(v) for v in digits[row])
-        for pos in range(depth):
-            point = conj.shifted(pos).map_word(word[pos:])
-            s_pulled[row] += float(potential.step_values(
-                family.fiber_map(conj.sample.symbol(pos)), word[pos],
-                np.asarray([point], dtype=float))[0])
+    for pos in range(depth):
+        points = conj.shifted(pos).map_words(digits[:, pos:])
+        fiber = family.fiber_map(conj.sample.symbol(pos))
+        for s in range(n_sym):
+            rows = digits[:, pos] == s
+            s_pulled[rows] += potential.step_values(fiber, s, points[rows])
     p_pulled = logsumexp(s_pulled) / depth
 
     if lipschitz is None:
@@ -760,6 +850,15 @@ class StabilityResult:
     certificates: dict
 
 
+def _cap_depth(family):
+    """Deepest conjugacy whose words, one level deeper, fit under WORD_CAP."""
+    n_sym = family.base_map.n_symbols
+    depth = 2
+    while n_sym ** (depth + 1) <= WORD_CAP:
+        depth += 1
+    return depth
+
+
 def _conjugacy_depth_for(family, conj_tol):
     """Truncation depth matching the evaluator error to the tolerance.
 
@@ -768,11 +867,7 @@ def _conjugacy_depth_for(family, conj_tol):
     """
     depth = max(2, math.ceil(math.log(conj_tol)
                              / math.log(family.gamma_bound)))
-    n_sym = family.base_map.n_symbols
-    cap_depth = 2
-    while n_sym ** (cap_depth + 1) <= WORD_CAP:
-        cap_depth += 1
-    return min(depth, cap_depth)
+    return min(depth, _cap_depth(family))
 
 
 def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
@@ -789,7 +884,11 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     certified bound.  The roots come from products of collocated fiber
     operators (``random_bowen_roots``), not from enumerated fiber words;
     only the conjugacy, the reference root and the growth probe walk
-    cylinders.  Certificates collect per noise level the expansion
+    cylinders.  Each seed's window is drawn once per sweep, and each
+    level certifies all windows together: one base walk, batched fiber
+    walks from positions 0 and 1 at the conjugacy depth, one batched
+    growth walk, and one vectorised Newton pass for the per-seed roots.
+    Certificates collect per noise level the expansion
     margin, the node count of the root operators (``root_nodes``),
     displacement and equivariance budgets, the smallest fiber growth rate
     and distortion constants per letter.  A noise level that
@@ -800,6 +899,10 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     """
     t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root
     seed_list = [base_seed + k for k in range(seeds)]
+    # letters never depend on the horizon, so one window per seed, as wide
+    # as the deepest level can ask for, serves every level
+    widest = max(depth, (conj_depth or _cap_depth(family)) + 1)
+    windows = _seed_windows(family, seed_list, widest)
     rows = []
     certificates = {"reference_root": float(t_reference), "tol": float(tol),
                     "per_epsilon": {}}
@@ -809,16 +912,12 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                                family.n_letters)
             cd = conj_depth or _conjugacy_depth_for(fam, conj_tol)
             horizon = max(depth, cd + 1)
-            windows = _seed_windows(fam, seed_list, horizon)
-            roots = random_bowen_roots(fam, seed_list, depth=depth)
-            h_vals = [conjugacy_displacement(fam, smp, cd)
-                      for smp in windows]
-            eq_pairs = [measure_equivariance(fam, smp, cd)
-                        for smp in windows]
-            growth = min(expansivity_min_growth(fam, smp)
-                         for smp in windows)
-            eq_meas = max(v for v, _ in eq_pairs)
-            eq_bound = eq_pairs[0][1]
+            roots = random_bowen_roots(fam, windows, depth=depth)
+            h_vals, eq_vals = _conjugacy_defects(fam, windows, cd)
+            growth = float(_min_growths(fam, windows).min())
+            h_sup = float(h_vals.max())
+            eq_meas = float(eq_vals.max())
+            eq_bound = _equivariance_bound(fam, cd)
             distortion = {}
             for letter in range(fam.n_letters):
                 probe_window = constant_sample(letter, 10, fam.n_letters)
@@ -832,14 +931,14 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                 t_reference=float(t_reference),
                 gap_t=abs(roots.t_root - t_reference),
                 std_error=roots.std_error, depth=int(depth),
-                seeds=len(seed_list), h_sup=max(h_vals),
+                seeds=len(seed_list), h_sup=h_sup,
                 equivariance=eq_meas, equivariance_bound=eq_bound))
             certificates["per_epsilon"][float(eps)] = {
                 "expansion_margin": fam.certified_expansion - 1.0,
                 "conj_depth": int(cd),
                 "horizon": int(horizon),
                 "root_nodes": roots.nodes,
-                "h_sup": max(h_vals),
+                "h_sup": h_sup,
                 "h_sup_analytic": fam.displacement_bound,
                 "equivariance": eq_meas,
                 "equivariance_bound": eq_bound,

@@ -1,6 +1,7 @@
 """Root solving for the dimension equation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import pressurelab as pl
 from conftest import GOLDEN, moran_root
+from pressurelab import bowen
 from pressurelab.bowen import _newton_root
 
 
@@ -101,6 +103,34 @@ def test_newton_root_matches_bisection_on_any_sums(rows, depth, hi):
     got = _newton_root(sums, depth, hi, 1e-10)
     assert 0.0 <= got <= hi
     assert got == pytest.approx(_bisected_root(sums, depth, hi), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.floats(min_value=0.01, max_value=10.0),
+                         min_size=1, max_size=20),
+                min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=8),
+       st.sampled_from([1.0, 2.0]),
+       st.sampled_from([1, 2, 20]))
+def test_newton_windows_equal_one_window_solves(rows, depth, hi, steps):
+    """A Newton pass over windows gives each window's own root, bit for bit.
+
+    Capping the Newton steps makes windows stall, so some roots come from
+    the fallback bisection on their own brackets.
+    """
+    one = [bowen._logsumexp_pressure([np.asarray(row)], depth)
+           for row in rows]
+
+    def windows(t):
+        pairs = [fn(float(x)) for fn, x in
+                 zip(one, np.broadcast_to(t, (len(one),)))]
+        return tuple(np.array(v) for v in zip(*pairs))
+
+    with mock.patch.object(bowen, "_NEWTON_STEPS", steps):
+        got = bowen._newton_solve(windows, hi, 1e-10)
+        expect = [bowen._newton_solve(fn, hi, 1e-10) for fn in one]
+    assert got.shape == (len(rows),)
+    assert got.tolist() == expect
 
 
 def test_newton_root_clamps_exactly():

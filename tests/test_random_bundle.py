@@ -1,6 +1,7 @@
 """Random perturbation families: sampling, fibers, conjugacies, roots."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,3 +456,154 @@ def test_fiber_pressure_rescaling_keeps_values(monkeypatch):
     always = random_bundle.fiber_pressures(ops, letters, 0.7)
     for a, b in zip(never, always):
         assert a[0] == pytest.approx(b[0], rel=0.0, abs=1e-14)
+
+
+_WALK_FAMILIES = st.one_of(
+    st.tuples(st.just("cookie"),
+              st.tuples(st.floats(min_value=2.5, max_value=4.0),
+                        st.floats(min_value=2.5, max_value=4.0)),
+              st.floats(min_value=0.0, max_value=0.15)),
+    st.tuples(st.just("circle"),
+              st.tuples(st.sampled_from([2.0, 3.0]),
+                        st.floats(min_value=-0.05, max_value=0.05)),
+              st.floats(min_value=0.0, max_value=0.02)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_WALK_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=2, max_value=3),
+       st.booleans())
+def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
+                                                  depth, start, n_letters,
+                                                  small_cap):
+    """Every window row of a batched walk is that window's own walk.
+
+    Words, parents and blocks are shared; points and log-derivative sums
+    are exact on affine fibers and agree to 1e-12 on circle fibers, whose
+    inverse branches iterate Newton steps over all points of a call.  A
+    small word cap splits the windows into batches of two.
+    """
+    from pressurelab import random_bundle
+    kind, params, eps = shape
+    fam = pl.RandomFamily(kind, params, eps, n_letters)
+    windows = [pl.sample_base(s, depth + start, n_letters)
+               for s in range(seed, seed + n_windows)]
+    words = int(fam.base_map.count_words(depth))
+    cap = 2 * words if small_cap else random_bundle.WORD_CAP
+    with mock.patch.object(random_bundle, "WORD_CAP", cap):
+        chunks = random_bundle._window_chunks(fam, n_windows, depth)
+    if small_cap:
+        assert [len(windows[rows]) for rows in chunks] == \
+            [2] * (n_windows // 2) + [1] * (n_windows % 2)
+    tol = 0.0 if kind == "cookie" else 1e-12
+    for rows in chunks:
+        batch = pl.FiberCylinders(fam, windows[rows], depth, start=start)
+        assert batch.windows == len(windows[rows])
+        for k, window in enumerate(windows[rows]):
+            one = pl.FiberCylinders(fam, window, depth, start=start)
+            assert one.windows is None
+            for lb, lo in zip(batch.levels, one.levels):
+                for field in ("first", "last", "parent"):
+                    assert np.array_equal(getattr(lb, field),
+                                          getattr(lo, field))
+                assert lb.blocks == lo.blocks
+                np.testing.assert_allclose(lb.points[k], lo.points,
+                                           rtol=0.0, atol=tol)
+            np.testing.assert_allclose(batch.log_derivative_sums()[-1][k],
+                                       one.log_derivative_sums()[-1],
+                                       rtol=0.0, atol=tol)
+
+
+def test_batched_walk_counts_every_window_against_the_cap():
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    windows = [pl.sample_base(s, 8) for s in range(4)]
+    assert pl.FiberCylinders(fam, windows, 6, cap=4 * 64).windows == 4
+    with pytest.raises(pl.MatrixTooLarge, match="x 4 windows"):
+        pl.FiberCylinders(fam, windows, 6, cap=4 * 64 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_OPERATOR_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=12))
+def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
+                                                    depth):
+    """Per-seed roots of one vectorised pass equal one-window solves."""
+    from pressurelab.bowen import _newton_solve
+    from pressurelab.random_bundle import _root_operators, fiber_pressures
+    kind, params, eps, _ = shape
+    fam = pl.RandomFamily(kind, params, eps)
+    seeds = range(seed, seed + n_seeds)
+    letters = np.array([[pl.sample_base(s, depth).symbol(i)
+                         for i in range(depth)] for s in seeds])
+    ops, _ = _root_operators(fam, letters, 1e-10)
+    roots = pl.random_bowen_roots(fam, seeds, depth=depth)
+    assert roots.nodes == ops.nodes
+    for k, got in enumerate(roots.per_sample):
+        def one(t, k=k):
+            value, slope = fiber_pressures(ops, letters[k:k + 1], t)
+            return float(value[0]), float(slope[0])
+        assert got == pytest.approx(_newton_solve(one, 1.0, 1e-10),
+                                    rel=0.0, abs=1e-12)
+
+
+def test_default_cookie_sweep_traffic(monkeypatch):
+    """One window draw per seed, and one base walk per noise level.
+
+    Per level the sweep walks the base map once, the batched fibers at
+    start 0, start 1 and the growth depth once each, and one constant
+    window per letter for distortion; the reference root walks the base
+    map at half and full depth.
+    """
+    from pressurelab import cylinders, random_bundle
+    draws = []
+    draw = random_bundle.sample_base
+
+    def counted_draw(seed, *args, **kwargs):
+        draws.append(seed)
+        return draw(seed, *args, **kwargs)
+
+    base = pl.cookie_cutter(3.0, 3.0).describe()
+    walks = []
+    walk = cylinders.build_levels
+
+    def counted_walk(maps, *args, **kwargs):
+        walks.append((len(maps), all(mp.describe() == base for mp in maps)))
+        return walk(maps, *args, **kwargs)
+
+    monkeypatch.setattr(random_bundle, "sample_base", counted_draw)
+    monkeypatch.setattr(cylinders, "build_levels", counted_walk)
+    carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    res = pl.stability_experiment(carrier)
+    assert draws == list(range(16))
+    levels = res.certificates["per_epsilon"]
+    assert len(levels) == 4
+    base_depths = sorted(depth for depth, is_base in walks if is_base)
+    reference = [random_bundle.REFERENCE_DEPTH // 2,
+                 random_bundle.REFERENCE_DEPTH]
+    assert base_depths == sorted(reference + [cert["conj_depth"]
+                                              for cert in levels.values()])
+    assert len(walks) == len(reference) + 6 * len(levels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_WALK_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=7))
+def test_map_words_rows_equal_map_word(shape, seed, length):
+    """The batched pulled route is the single-word one, row by row."""
+    kind, params, eps = shape
+    fam = pl.RandomFamily(kind, params, eps)
+    conj = pl.build_conjugacy(fam, pl.sample_base(seed, 8), 8)
+    n_sym = fam.base_map.n_symbols
+    words = np.array(list(np.ndindex(*(n_sym,) * length)))
+    got = conj.map_words(words)
+    tol = 0.0 if kind == "cookie" else 1e-12
+    for word, point in list(zip(words, got))[::max(1, len(words) // 40)]:
+        assert point == pytest.approx(conj.map_word(word), rel=0.0, abs=tol)
+    with pytest.raises(pl.InadmissibleWord):
+        conj.map_words([[0, n_sym]])
+    with pytest.raises(pl.InadmissibleWord):
+        conj.map_words(np.zeros((3, 0), dtype=int))
