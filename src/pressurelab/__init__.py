@@ -38,12 +38,13 @@ from .errors import (BadSpec, CheckFailed, ConfigError, EpsilonTooLarge,
                      NoSignChange, NotSemiConjugate, PerturbationTooLarge,
                      PressureLabError, SingularMatrix)
 from .lyapunov import (average_conformal_check, lyapunov_exponents,
-                       periodic_point)
+                       periodic_orbit, periodic_point)
 from .pressure import (Potential, PressureEstimate, conjugate_pressure_check,
                        iterated_singular_pressure, logsumexp,
                        pressure_additive, pressure_limit,
                        pressure_subadditive, separated_set,
-                       transfer_pressure, variational_gap)
+                       transfer_pressure, variational_gap,
+                       variational_gaps)
 from .random_bundle import (BaseSample, FiberConjugacy, FiberCylinders,
                             RandomEstimate, RandomFamily, RandomRoots,
                             StabilityResult, StabilityRow, build_conjugacy,
@@ -71,11 +72,11 @@ __all__ = [
     "dimension_report", "distortion_constants", "doubling_map",
     "expansivity_min_growth", "fiber_repeller", "golden_mean_map",
     "itinerary", "iterated_singular_pressure", "linear_markov", "logsumexp",
-    "lyapunov_exponents", "measure_equivariance", "orbit", "periodic_point",
-    "perturbed_map", "pressure_additive", "pressure_limit",
+    "lyapunov_exponents", "measure_equivariance", "orbit", "periodic_orbit",
+    "periodic_point", "perturbed_map", "pressure_additive", "pressure_limit",
     "pressure_subadditive", "random_bowen_roots",
     "random_conjugacy_pressure_check", "random_entropy", "random_pressure",
     "sample_base", "separated_set", "stability_experiment",
     "toral_conformal_map", "toral_map", "transfer_pressure",
-    "variational_gap",
+    "variational_gap", "variational_gaps",
 ]

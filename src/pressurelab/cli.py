@@ -24,11 +24,12 @@ from . import __version__
 from . import dynamics as dyn
 from .bowen import dimension_report
 from .config import parse_args
+from .cylinders import CylinderSet
 from .errors import CheckFailed, ConfigError, PressureLabError
 from .lyapunov import average_conformal_check, lyapunov_exponents
 from .pressure import (Potential, _resolve_epsilon, conjugate_pressure_check,
-                       pressure_additive, pressure_subadditive,
-                       variational_gap)
+                       logsumexp, pressure_additive, pressure_subadditive,
+                       variational_gaps)
 from .random_bundle import (RandomFamily, build_conjugacy, constant_sample,
                             distortion_constants, expansivity_min_growth,
                             measure_equivariance,
@@ -287,8 +288,8 @@ def _check_entropy_identity():
 def _check_monotone_pressure():
     mapping = dyn.cookie_cutter(2.0, 4.0)
     grid = np.linspace(0.0, 1.0, 10)
-    values = [pressure_additive(mapping, Potential.geometric(t), 8)
-              for t in grid]
+    log_slopes = CylinderSet(mapping, 8).log_derivative_sums()[-1]
+    values = [logsumexp(-t * log_slopes) / 8 for t in grid]
     cap = -math.log(mapping.min_expansion) + 1e-6
     worst = max((values[i + 1] - values[i]) / (grid[i + 1] - grid[i])
                 for i in range(len(grid) - 1))
@@ -298,12 +299,12 @@ def _check_monotone_pressure():
 
 
 def _check_lipschitz_pressure():
-    from .cylinders import CylinderSet
     mapping = dyn.cookie_cutter(2.0, 4.0)
     phi, psi = Potential.geometric(0.4), Potential.geometric(0.7)
-    gap = abs(pressure_additive(mapping, phi, 8)
-              - pressure_additive(mapping, psi, 8))
-    pts = CylinderSet(mapping, 8).leaves.points
+    walk = CylinderSet(mapping, 8)
+    gap = abs(pressure_additive(mapping, phi, 8, walk=walk)
+              - pressure_additive(mapping, psi, 8, walk=walk))
+    pts = walk.leaves.points
     sup = float(np.abs(phi.pointwise(mapping, pts)
                        - psi.pointwise(mapping, pts)).max())
     return _require(gap <= sup + 1e-12,
@@ -312,11 +313,11 @@ def _check_lipschitz_pressure():
 
 
 def _check_variational():
-    worst = math.inf
-    for mapping in (dyn.cookie_cutter(3.0, 3.0), dyn.circle_map(2, 0.02)):
-        for word in ((0,), (1,), (0, 1), (0, 1, 1), (0, 0, 1)):
-            worst = min(worst, variational_gap(
-                mapping, Potential.geometric(0.5), word, depth=12))
+    words = ((0,), (1,), (0, 1), (0, 1, 1), (0, 0, 1))
+    worst = min(float(variational_gaps(mapping, Potential.geometric(0.5),
+                                       words, depth=12).min())
+                for mapping in (dyn.cookie_cutter(3.0, 3.0),
+                                dyn.circle_map(2, 0.02)))
     return _require(worst >= -1e-6,
                     "smallest variational gap %.3e over probe orbits" % worst)
 
@@ -428,18 +429,20 @@ def _battery(cfg):
 
 
 def _run_check_item(item):
+    """(module, name, status, detail) of one check, and its seconds."""
     module, name, fn = item
+    start = time.perf_counter()
     try:
-        return (module, name, "pass", fn())
+        row = (module, name, "pass", fn())
     except Exception as exc:
-        return (module, name, "fail",
-                "%s: %s" % (type(exc).__name__, exc))
+        row = (module, name, "fail", "%s: %s" % (type(exc).__name__, exc))
+    return row, time.perf_counter() - start
 
 
 # -- orchestration ------------------------------------------------------------
 
 def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
-          error=""):
+          error="", timings=()):
     os.makedirs(cfg.out, exist_ok=True)
     files = []
     if header is not None:
@@ -471,6 +474,8 @@ def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
     lines.append("files=%s" % ";".join(record.files))
     for key in sorted(record.summary):
         lines.append("summary.%s=%s" % (key, _cell(record.summary[key])))
+    for key, seconds in timings:
+        lines.append("timing.%s=%.6f" % (key, seconds))
     lines.append("timestamp=%s" % record.timestamp)
     with open(os.path.join(cfg.out, "record.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -508,7 +513,9 @@ def run(config):
 def verify(config):
     """Run the invariant battery; report rows plus the usual artifacts."""
     cfg = config.resolved()
-    results = [_run_check_item(item) for item in _battery(cfg)]
+    timed = [_run_check_item(item) for item in _battery(cfg)]
+    results = [row for row, _ in timed]
+    timings = [("check.%s.%s" % row[:2], seconds) for row, seconds in timed]
     failed = [r for r in results if r[2] != "pass"]
     certificates = {"checks_total": len(results),
                     "checks_passed": len(results) - len(failed),
@@ -518,7 +525,7 @@ def verify(config):
     summary = {"checks_total": len(results), "checks_failed": len(failed)}
     record = _emit(cfg, ("module", "check", "status", "detail"), results,
                    certificates, summary, None,
-                   status="ok" if not failed else "fail")
+                   status="ok" if not failed else "fail", timings=timings)
     return record, results
 
 

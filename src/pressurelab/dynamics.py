@@ -139,9 +139,10 @@ def circle_branch(degree, amplitude, index):
         x = (arr + index) / degree
         for _ in range(64):
             r = lift(x) - (arr + index)
+            x = x - r / dlift(x)
+            # the step from a residual this small is exact to rounding
             if np.max(np.abs(r)) < 1e-13:
                 break
-            x = x - r / dlift(x)
         x = np.clip(x, lo, hi)
         return float(x) if np.ndim(y) == 0 else x
 
@@ -343,11 +344,21 @@ class ExpandingMap:
         return self.branches[0].matrix.copy()
 
     @cached_property
+    def _offsets(self):
+        return np.array([br.offset for br in self.branches])
+
+    @cached_property
     def _offset_index(self):
-        table = {}
-        for s, br in enumerate(self.branches):
-            table[tuple(int(round(v)) for v in br.offset)] = s
-        return table
+        """Cell lookup: the least offset and a table of symbols by offset.
+
+        Entry k - least of the table is the symbol of the cell with integer
+        offset k, and -1 where no cell has that offset.
+        """
+        keys = np.round(self._offsets).astype(np.int64)
+        least = keys.min(axis=0)
+        table = np.full(tuple(keys.max(axis=0) - least + 1), -1, dtype=np.intp)
+        table[tuple((keys - least).T)] = np.arange(self.n_symbols)
+        return least, table
 
     @cached_property
     def separation_threshold(self):
@@ -382,40 +393,84 @@ class ExpandingMap:
 
     # -- pointwise dynamics -------------------------------------------
 
+    def _rows(self, x):
+        """(points as a stack of rows, whether x was a single point)."""
+        pts = np.asarray(x, dtype=float)
+        single = pts.ndim == self.dim - 1
+        return pts.reshape((-1,) if self.dim == 1 else (-1, 2)), single
+
     def symbol(self, x):
-        """Index of the branch domain containing x."""
+        """Index of the branch domain containing x.
+
+        x is one point or a stack of rows (floats on the interval, pairs on
+        the torus); a stack gives one symbol per row.  On the interval the
+        first branch in index order whose closed domain holds the point
+        wins, then the first within ``_ALIGN_TOL`` of it.  Raises
+        EscapedRepeller for the first row that lies in no domain.
+        """
+        rows, single = self._rows(x)
         if self.dim == 1:
-            x = float(x)
-            for s, br in enumerate(self.branches):
-                if br.lo <= x <= br.hi:
-                    return s
-            for s, br in enumerate(self.branches):
-                if br.lo - _ALIGN_TOL <= x <= br.hi + _ALIGN_TOL:
-                    return s
-            raise EscapedRepeller("point %r lies in no branch domain" % x)
-        z = self.branches[0].matrix @ np.asarray(x, dtype=float)
-        key = (int(math.floor(z[0] + 1e-9)), int(math.floor(z[1] + 1e-9)))
-        s = self._offset_index.get(key)
-        if s is None:
-            raise EscapedRepeller("point %r lies in no cell" % (tuple(x),))
-        return s
+            syms = np.full(len(rows), -1, dtype=np.intp)
+            for tol in (0.0, _ALIGN_TOL):
+                free = syms < 0
+                if not free.any():
+                    break
+                for s in reversed(range(self.n_symbols)):
+                    br = self.branches[s]
+                    syms[free & (br.lo - tol <= rows)
+                         & (rows <= br.hi + tol)] = s
+            escaped = np.nonzero(syms < 0)[0]
+            if escaped.size:
+                raise EscapedRepeller("point %r lies in no branch domain"
+                                      % float(rows[escaped[0]]))
+        else:
+            least, table = self._offset_index
+            keys = np.floor(rows @ self.branches[0].matrix.T + 1e-9)
+            keys = keys.astype(np.int64) - least
+            inside = np.all((keys >= 0) & (keys < table.shape), axis=1)
+            syms = np.full(len(rows), -1, dtype=np.intp)
+            syms[inside] = table[keys[inside, 0], keys[inside, 1]]
+            escaped = np.nonzero(syms < 0)[0]
+            if escaped.size:
+                raise EscapedRepeller("point %r lies in no cell" % (
+                    tuple(float(v) for v in rows[escaped[0]]),))
+        return int(syms[0]) if single else syms
 
     def apply(self, x, symbol=None):
-        """One forward step.  Raises EscapedRepeller off the branch domains."""
-        s = self.symbol(x) if symbol is None else symbol
-        br = self.branches[s]
+        """One forward step of a point or of a stack of rows.
+
+        ``symbol`` names the branch of every row (one symbol or one per
+        row); by default it is read with ``symbol``, which raises
+        EscapedRepeller off the branch domains.
+        """
+        rows, single = self._rows(x)
+        syms = self.symbol(rows) if symbol is None else symbol
+        syms = np.broadcast_to(np.asarray(syms, dtype=np.intp), len(rows))
         if self.dim == 1:
-            return float(br.fwd(float(x)))
-        y = br.matrix @ np.asarray(x, dtype=float) - br.offset
-        return np.clip(y, 0.0, 1.0)
+            out = np.empty_like(rows)
+            for s, br in enumerate(self.branches):
+                at = syms == s
+                if at.any():
+                    out[at] = br.fwd(rows[at])
+        else:
+            # torus cells share one derivative matrix
+            out = rows @ self.branches[0].matrix.T - self._offsets[syms]
+            np.clip(out, 0.0, 1.0, out=out)
+        if single:
+            return float(out[0]) if self.dim == 1 else out[0]
+        return out
 
     def distance(self, x, y):
-        """Metric of the ambient space: interval distance or torus distance."""
-        if self.dim == 1:
-            return abs(float(x) - float(y))
+        """Metric of the ambient space: interval distance or torus distance.
+
+        Points or stacks of rows; a stack gives one distance per row.
+        """
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        d = d - np.round(d)
-        return float(np.hypot(d[0], d[1]))
+        if self.dim == 2:
+            d = d - np.round(d)
+            d = np.hypot(d[..., 0], d[..., 1])
+        d = np.abs(d)
+        return float(d) if d.ndim == 0 else d
 
     def check_word(self, word):
         """Validate a symbol word against the transition matrix."""

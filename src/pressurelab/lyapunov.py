@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from .errors import BadSpec, InadmissibleWord, SingularMatrix
+from .errors import BadSpec, InadmissibleWord, NoConvergence, SingularMatrix
 
 
 def _check_closable(mapping, word):
@@ -19,62 +19,122 @@ def _check_closable(mapping, word):
     return word
 
 
-def periodic_point(mapping, word):
-    """The periodic point whose itinerary repeats the given closable word.
+_ORBIT_PASSES = 300
 
-    Found as the fixed point of the composite inverse branch, which
-    contracts at rate gamma^p, so the iteration settles to machine
-    precision.
+
+def periodic_orbit(mapping, word):
+    """The periodic orbit whose itinerary repeats the given closable word.
+
+    Row j is the periodic point of the rotation word[j:] + word[:j], so
+    row j + 1 is the image of row j and row 0 comes back to itself after
+    p = len(word) steps.  The result has shape (p,) on interval maps and
+    (p, 2) on the torus.
+
+    Row 0 is the fixed point of the composite inverse branch G, solved by
+    Newton's method on G(x) - x from the centre of the domain of word[0].
+    One inverse branch pass from x visits every row of the orbit and gives
+    G(x); the slope of G rides along by the chain rule, as the product of
+    1/f' at the points of the pass (interval) or of the inverse cell
+    matrices (torus, where G is affine and one step is exact).  A Newton
+    step that leaves the domain of word[0] takes the contraction value
+    G(x) instead.  The orbit is returned from the first pass whose G moves
+    x by at most 1e-15 (1e-14 on the torus), and NoConvergence is raised
+    if none does within 300 passes.
     """
     word = _check_closable(mapping, word)
     branches = [mapping.branches[s] for s in word]
+    first = branches[0]
+    p = len(word)
     if mapping.dim == 1:
-        x = branches[0].center
-        for _ in range(300):
-            z = x
-            for br in reversed(branches):
-                z = float(br.inv(z))
-            if abs(z - x) <= 1e-15:
-                return z
-            x = z
-        return x
-    x = branches[0].center
-    for _ in range(300):
-        z = x
-        for br in reversed(branches):
-            z = br.inv(z)
-        if float(np.max(np.abs(z - x))) <= 1e-14:
-            return z
-        x = z
-    return x
+        tol, orbit, unit = 1e-15, np.empty(p), 1.0
+
+        def chain(slope, br, z):
+            return slope / float(br.deriv(z))
+
+        def inside(x):
+            return first.lo - dyn._ALIGN_TOL <= x <= first.hi + dyn._ALIGN_TOL
+
+        def newton(x, g, slope):
+            return x - (g - x) / (slope - 1.0) if slope != 1.0 else math.nan
+    else:
+        tol, orbit, unit = 1e-14, np.empty((p, 2)), np.eye(2)
+
+        def chain(slope, br, z):
+            return br.inv_matrix @ slope
+
+        def inside(x):
+            z = first.matrix @ x - first.offset
+            return bool(np.all((z >= -dyn._ALIGN_TOL)
+                               & (z <= 1.0 + dyn._ALIGN_TOL)))
+
+        def newton(x, g, slope):
+            return x - np.linalg.solve(slope - unit, g - x)
+
+    x = first.center
+    for _ in range(_ORBIT_PASSES):
+        z, slope = x, unit
+        for j in range(p - 1, -1, -1):
+            z = branches[j].inv(z)
+            orbit[j] = z
+            slope = chain(slope, branches[j], z)
+        g = orbit[0].copy()
+        if float(np.max(np.abs(g - x))) <= tol:
+            return orbit
+        step = newton(x, g, slope)
+        x = step if inside(step) else g
+    raise NoConvergence("periodic orbit of %r did not settle in %d passes"
+                        % (word, _ORBIT_PASSES), estimate=orbit)
+
+
+def periodic_point(mapping, word):
+    """The periodic point whose itinerary repeats the given closable word.
+
+    Row 0 of ``periodic_orbit``: a float on interval maps, a pair on the
+    torus.
+    """
+    x = periodic_orbit(mapping, word)[0]
+    return float(x) if mapping.dim == 1 else x
+
+
+def _cycle_exponents(mapping, words):
+    """Exponents of torus cycles of one period, one row per word, descending.
+
+    The cycle derivative products are stacked, so every word of the
+    period costs one matrix product per position and one eigvals call in
+    all.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    p = words.shape[1]
+    mats = np.array([br.matrix for br in mapping.branches])
+    m = np.broadcast_to(np.eye(2), (len(words), 2, 2))
+    for j in range(p):
+        m = mats[words[:, j]] @ m
+    moduli = np.sort(np.abs(np.linalg.eigvals(m)), axis=1)[:, ::-1]
+    if np.any(moduli[:, -1] <= 0.0):
+        raise SingularMatrix("cycle derivative product has a zero eigenvalue")
+    return np.log(moduli) / p
 
 
 def lyapunov_exponents(mapping, source, steps=None):
     """Expansion exponents, sorted descending.
 
     A tuple source is read as a closable word: the cycle is exact, interval
-    exponents are mean log slopes over it, and torus exponents are the
-    eigenvalue moduli of the cycle derivative product.  A numeric source is
-    a starting point; exponents then come from a finite orbit cocycle and
-    require at least 32 steps.
+    exponents are mean log slopes over its periodic orbit, and torus
+    exponents are the eigenvalue moduli of the cycle derivative product.
+    A numeric source is a starting point; exponents then come from a
+    finite orbit cocycle and require at least 32 steps.
     """
     if isinstance(source, tuple):
         word = _check_closable(mapping, source)
         p = len(word)
         if mapping.dim == 1:
+            orbit = periodic_orbit(mapping, word)
             total = 0.0
             for j in range(p):
-                x = periodic_point(mapping, word[j:] + word[:j])
-                total += math.log(float(mapping.branches[word[j]].deriv(x)))
+                total += math.log(float(
+                    mapping.branches[word[j]].deriv(orbit[j])))
             return (total / p,)
-        m = np.eye(2)
-        for j in range(p):
-            m = mapping.branches[word[j]].matrix @ m
-        moduli = sorted((abs(complex(v)) for v in np.linalg.eigvals(m)),
-                        reverse=True)
-        if moduli[-1] <= 0.0:
-            raise SingularMatrix("cycle derivative product has a zero eigenvalue")
-        return tuple(math.log(v) / p for v in moduli)
+        return tuple(float(v) for v in _cycle_exponents(mapping, [word])[0])
     steps = 64 if steps is None else int(steps)
     if steps < 32:
         raise BadSpec("orbit exponents need at least 32 steps")
@@ -152,12 +212,15 @@ def average_conformal_check(mapping, period_cap=8, budget=2048, samples=32,
     """
     if mapping.dim == 1:
         return ConformalityReport(0.0, True, 0, 0)
+    by_period = {}
+    for word in _primitive_cycles(mapping, period_cap, budget):
+        by_period.setdefault(len(word), []).append(word)
     spread = 0.0
     count = 0
-    for word in _primitive_cycles(mapping, period_cap, budget):
-        ex = lyapunov_exponents(mapping, word)
-        spread = max(spread, ex[0] - ex[-1])
-        count += 1
+    for words in by_period.values():
+        ex = _cycle_exponents(mapping, words)
+        spread = max(spread, float(np.max(ex[:, 0] - ex[:, -1])))
+        count += len(words)
     rng = np.random.default_rng(np.random.PCG64(seed))
     used = 0
     for _ in range(samples):

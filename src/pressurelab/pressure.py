@@ -122,19 +122,27 @@ class Potential:
         return -self.weight * np.log(mapping.branches[symbol].deriv(np.asarray(pts, dtype=float)))
 
     def pointwise(self, mapping, pts):
-        """Single step values at arbitrary points of the map's domain."""
+        """Single step values at arbitrary points of the map's domain.
+
+        The points are read with ``mapping.symbol`` and each branch's value
+        function is called once, on the points of that branch.
+        """
         if self.kind != "additive":
             raise BadSpec("pointwise evaluation needs an additive potential")
         pts = np.asarray(pts, dtype=float)
         if self.symbol_free:
             return self.value_fn(mapping, None, pts)
-        rows = pts.shape[0]
-        out = np.empty(rows)
-        for i in range(rows):
-            x = pts[i]
-            s = mapping.symbol(x)
-            out[i] = float(self.value_fn(mapping, s, np.asarray([x], dtype=float))[0])
-        return out
+        return _per_symbol(self.value_fn, mapping, mapping.symbol(pts), pts)
+
+
+def _per_symbol(value_fn, mapping, syms, pts):
+    """value_fn(mapping, s, points) at every row, one call per symbol s."""
+    out = np.empty(len(syms))
+    for s in range(mapping.n_symbols):
+        at = syms == s
+        if at.any():
+            out[at] = value_fn(mapping, s, pts[at])
+    return out
 
 
 @dataclass(frozen=True)
@@ -195,11 +203,13 @@ def _singular_log(mapping, potential, depth):
     return log_hi if potential.kind == "singular_upper" else log_lo
 
 
-def _pressure_at(mapping, potential, depths):
+def _pressure_at(mapping, potential, depths, walk=None):
     """P_k for each k of the ascending ``depths``, from one walk.
 
-    Singular potentials on linear torus maps weigh every word of length k
-    alike, so P_k is then a closed form in the word count.
+    ``walk`` is a CylinderSet of the map at depth ``depths[-1]`` to read
+    instead of walking again.  Singular potentials on linear torus maps
+    weigh every word of length k alike, so P_k is then a closed form in the
+    word count.
     """
     if potential.kind != "additive" and mapping.dim == 2:
         if mapping.constant_derivative is None:
@@ -207,14 +217,23 @@ def _pressure_at(mapping, potential, depths):
         return [(math.log(mapping.count_words(k))
                  - potential.weight * _singular_log(mapping, potential, k)) / k
                 for k in depths]
-    sums = CylinderSet(mapping, depths[-1]).birkhoff(potential.step_values)
+    if walk is None:
+        walk = CylinderSet(mapping, depths[-1])
+    elif walk.depth != depths[-1]:
+        raise BadSpec("walk of depth %d cannot give pressure at depth %d"
+                      % (walk.depth, depths[-1]))
+    sums = walk.birkhoff(potential.step_values)
     return [logsumexp(sums[k - 1]) / k for k in depths]
 
 
-def pressure_additive(mapping, potential, depth, epsilon=None):
-    """Finite depth pressure over the canonical separated set."""
+def pressure_additive(mapping, potential, depth, epsilon=None, walk=None):
+    """Finite depth pressure over the canonical separated set.
+
+    ``walk`` may pass a CylinderSet of the map at this depth, so several
+    potentials read one walk.
+    """
     _resolve_epsilon(mapping, epsilon)
-    return _pressure_at(mapping, potential, [depth])[0]
+    return _pressure_at(mapping, potential, [depth], walk)[0]
 
 
 def pressure_limit(mapping, potential, tol=1e-3, max_depth=16, epsilon=None):
@@ -369,28 +388,42 @@ def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500)
                         % (lam_lo, lam_hi), estimate=estimate)
 
 
-def variational_gap(mapping, potential, word, depth=12, epsilon=None):
-    """Pressure minus the orbit average of the potential on a closed word.
+def variational_gaps(mapping, potential, words, depth=12, epsilon=None):
+    """Pressure minus the orbit average of the potential on closed words.
 
-    The orbit measure of a periodic point has zero entropy contribution
-    here, so the gap must be nonnegative up to the finite depth error of
-    the pressure term.
+    One array entry per word of ``words``.  The orbit measure of a periodic
+    point has zero entropy contribution here, so every gap must be
+    nonnegative up to the finite depth error of the pressure term.  The
+    pressure is one walk at ``depth`` shared by all words; each word's
+    orbit is one ``periodic_orbit`` solve, and the potential is evaluated
+    once per symbol on the orbit points of every word.  Singular
+    potentials on the torus weigh a cycle by the singular values of the
+    derivative power, a closed form in the period.
     """
-    from .lyapunov import _check_closable, periodic_point
+    from .lyapunov import _check_closable, periodic_orbit
 
-    word = _check_closable(mapping, word)
-    p = len(word)
-    cycle = [periodic_point(mapping, word[j:] + word[:j]) for j in range(p)]
+    words = [_check_closable(mapping, word) for word in words]
     if potential.kind == "additive" or mapping.dim == 1:
-        total = 0.0
-        for j in range(p):
-            total += float(potential.step_values(
-                mapping, word[j], np.asarray([cycle[j]], dtype=float))[0])
+        syms = np.concatenate([np.array(word, dtype=np.intp)
+                               for word in words])
+        pts = np.concatenate([periodic_orbit(mapping, word)
+                              for word in words])
+        values = _per_symbol(potential.step_values, mapping, syms, pts)
+        lengths = np.array([len(word) for word in words])
+        averages = np.add.reduceat(values, np.cumsum(lengths) - lengths) \
+            / lengths
     else:
-        total = -potential.weight * _singular_log(mapping, potential, p)
-    orbit_average = total / p
+        averages = np.array([-potential.weight
+                             * _singular_log(mapping, potential, len(word))
+                             / len(word) for word in words])
     value = pressure_additive(mapping, potential, depth, epsilon)
-    return value - orbit_average
+    return value - averages
+
+
+def variational_gap(mapping, potential, word, depth=12, epsilon=None):
+    """The variational gap of one closed word; see ``variational_gaps``."""
+    return float(variational_gaps(mapping, potential, [word], depth,
+                                  epsilon)[0])
 
 
 @dataclass(frozen=True)
@@ -408,10 +441,14 @@ def conjugate_pressure_check(map_src, map_dst, phi, potential, depth=10,
     """Compare pressure of a potential with its pullback across a factor map.
 
     ``phi`` must intertwine the two maps: phi(f_src x) = f_dst(phi x) on the
-    source repeller.  The equivariance defect is measured on the canonical
-    depth sample; beyond tol the check refuses.  For a genuine factor map
-    the pulled back pressure dominates the target pressure, with equality
-    under a bijective change of coordinates.
+    source repeller.  It is called on whole point arrays (a stack of
+    floats on the interval, of rows on the torus), as
+    ``Potential.from_function`` requires of its function.  The
+    equivariance defect is measured on the canonical depth sample at once;
+    beyond tol the check refuses.  For a genuine factor map the pulled back
+    pressure dominates the target pressure, with equality under a
+    bijective change of coordinates.  The pulled back pressure reads the
+    sample's walk.
     """
     if potential.kind != "additive":
         raise BadSpec("conjugacy comparison is defined for additive potentials")
@@ -420,25 +457,21 @@ def conjugate_pressure_check(map_src, map_dst, phi, potential, depth=10,
     if len(pts) > sample_cap:
         idx = np.linspace(0, len(pts) - 1, sample_cap).astype(int)
         pts = pts[idx]
-    residual = 0.0
-    for x in pts:
-        fx = map_src.apply(x)
-        left = phi(fx)
-        right = map_dst.apply(phi(x))
-        residual = max(residual, map_dst.distance(left, right))
-    if residual > tol:
+    left = phi(map_src.apply(pts))
+    right = map_dst.apply(phi(pts))
+    residual = float(np.max(map_dst.distance(left, right), initial=0.0))
+    if not residual <= tol:
         raise NotSemiConjugate(
             "equivariance defect %.3g exceeds tolerance %.3g" % (residual, tol))
 
     def pulled_fn(mapping, symbol, pts_arr):
-        pts_arr = np.asarray(pts_arr, dtype=float)
-        images = np.asarray([phi(x) for x in pts_arr], dtype=float)
+        images = np.asarray(phi(np.asarray(pts_arr, dtype=float)), dtype=float)
         return potential.pointwise(map_dst, images)
 
     pulled = Potential("additive", pulled_fn,
                        name="pullback(%s)" % potential.name, symbol_free=True)
     p_target = pressure_additive(map_dst, potential, depth)
-    p_pulled = pressure_additive(map_src, pulled, depth)
+    p_pulled = pressure_additive(map_src, pulled, depth, walk=cyl)
     return ConjugacyReport(pressure_target=p_target,
                            pressure_pulled=p_pulled,
                            slack=p_pulled - p_target,

@@ -87,6 +87,104 @@ def primitive_cycles(adj, period_cap):
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
+COOKIE_PARAMS = ((3.0, 3.0), (2.0, 4.0), (2.5, 3.5))
+
+
+def cookie_branches(r1, r2):
+    """(domain, image) intervals of the two affine cookie cutter branches."""
+    return [((0.0, 1.0 / r1), (0.0, 1.0)),
+            ((1.0 - 1.0 / r2, 1.0), (0.0, 1.0))]
+
+
+def golden_branches():
+    """(domain, image) intervals of the golden mean map's two branches."""
+    a = (math.sqrt(5.0) - 1.0) / 2.0
+    return [((0.0, a), (0.0, 1.0)), ((a, 1.0), (0.0, a))]
+
+
+def affine_cycle(branches, word):
+    """Periodic orbit of an affine Markov map, rotation by rotation.
+
+    Every inverse branch is y -> lo + (y - image_lo) * scale, so the
+    composite inverse of a rotation is an affine map x -> a x + b and its
+    fixed point is b / (1 - a).
+    """
+    p = len(word)
+    out = []
+    for j in range(p):
+        a, b = 1.0, 0.0
+        for s in reversed(word[j:] + word[:j]):
+            (lo, hi), (img_lo, img_hi) = branches[s]
+            scale = (hi - lo) / (img_hi - img_lo)
+            a, b = scale * a, lo + (b - img_lo) * scale
+        out.append(b / (1.0 - a))
+    return out
+
+
+def circle_inverse(degree, amplitude, index, y):
+    """Inverse of branch ``index`` of x -> degree x + amplitude sin(2 pi x).
+
+    Newton's method from the affine guess until the step vanishes at
+    double precision.
+    """
+    two_pi = 2.0 * math.pi
+    target = y + index
+    x = target / degree
+    for _ in range(100):
+        step = ((degree * x + amplitude * math.sin(two_pi * x) - target)
+                / (degree + amplitude * two_pi * math.cos(two_pi * x)))
+        x -= step
+        if abs(step) <= 1e-17:
+            break
+    return x
+
+
+def circle_cycle(degree, amplitude, word):
+    """Periodic orbit of the circle map, rotation by rotation.
+
+    The fixed point of the composite inverse is iterated until it stops
+    moving (2000 passes at most); one more pull back from it gives every
+    rotation.
+    """
+    def pull(x):
+        pts = [0.0] * len(word)
+        for j in range(len(word) - 1, -1, -1):
+            x = circle_inverse(degree, amplitude, word[j], x)
+            pts[j] = x
+        return pts
+
+    x = 0.5
+    for _ in range(2000):
+        z = pull(x)[0]
+        if z == x:
+            break
+        x = z
+    return pull(x)
+
+
+def torus_cycle_exponents(matrix):
+    """Exponents of every cycle of a diagonal or quarter-turn torus map.
+
+    All cells share the matrix A, so a cycle of period p has derivative
+    A^p.  For diag(a, b) its eigenvalues are a^p and b^p; for the quarter
+    turn [[0, -s], [s, 0]] both have modulus s^p.  Per step the exponents
+    do not depend on p.
+    """
+    (a, b), (c, d) = matrix
+    if b == 0.0 and c == 0.0:
+        return (math.log(max(abs(a), abs(d))), math.log(min(abs(a), abs(d))))
+    assert a == d == 0.0 and c == -b
+    return (math.log(abs(c)),) * 2
+
+
+def branch_symbol(domains, x, tol):
+    """First branch whose closed domain holds x, then first within tol."""
+    for pad in (0.0, tol):
+        for s, (lo, hi) in enumerate(domains):
+            if lo - pad <= x <= hi + pad:
+                return s
+    return None
+
 
 @pytest.fixture(scope="session")
 def markov_example():

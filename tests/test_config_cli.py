@@ -155,6 +155,19 @@ def test_cli_checks_battery(tmp_path):
     assert all(line.endswith("=pass") for line in statuses)
 
 
+def test_cli_checks_record_times_every_check(tmp_path):
+    rc, out = run_mode(tmp_path, "mode=checks")
+    assert rc == 0
+    with open(out / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    record = (out / "record.txt").read_text().splitlines()
+    timings = [line for line in record if line.startswith("timing.")]
+    assert [line.split("=")[0] for line in timings] == [
+        "timing.check.%s.%s" % (row["module"], row["check"]) for row in rows]
+    assert all(float(line.split("=")[1]) >= 0.0 for line in timings)
+    assert "timing." not in (out / "certificates.txt").read_text()
+
+
 def test_cli_error_attribution(tmp_path):
     out = tmp_path / "out"
     rc = cli.main(["mode=dimension", "map=cookie_cutter(0.5,3)",

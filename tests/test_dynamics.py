@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
-from conftest import GOLDEN, admissible_count
+from conftest import GOLDEN, admissible_count, branch_symbol
+from pressurelab.dynamics import _ALIGN_TOL
 
 
 def test_doubling_branches():
@@ -147,3 +148,101 @@ def test_cylinder_point_round_trip_property(word):
 def test_toral_word_count_property(a, b):
     mp = pl.toral_map(a, b)
     assert mp.count_words(3) == (a * b) ** 3
+
+
+_ROW_MAPS = {
+    "doubling": pl.doubling_map(),
+    "cookie(2,4)": pl.cookie_cutter(2.0, 4.0),
+    "golden": pl.golden_mean_map(),
+    "circle(3,0.05)": pl.circle_map(3, 0.05),
+    "markov": pl.linear_markov(((0.0, 0.25), (0.375, 0.5)),
+                               ((0.0, 0.5), (0.0, 0.5))),
+}
+
+# offsets from a branch endpoint: on it, within _ALIGN_TOL, and beyond
+_NUDGES = (0.0, 1e-16, -1e-16, 0.5 * _ALIGN_TOL, -0.5 * _ALIGN_TOL,
+           2.0 * _ALIGN_TOL, -2.0 * _ALIGN_TOL)
+
+
+def _scalar(fn, *args):
+    try:
+        return fn(*args)
+    except pl.EscapedRepeller:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_ROW_MAPS)),
+       st.lists(st.one_of(
+           st.tuples(st.integers(min_value=0, max_value=5),
+                     st.sampled_from(_NUDGES)),
+           st.floats(min_value=-0.01, max_value=1.01)),
+           min_size=1, max_size=24))
+def test_interval_rows_equal_the_one_point_results(name, picks):
+    """Shared endpoints and points within _ALIGN_TOL code as one by one."""
+    mp = _ROW_MAPS[name]
+    ends = sorted({v for br in mp.branches for v in (br.lo, br.hi)})
+    pts = np.array([p if isinstance(p, float) else ends[p[0] % len(ends)]
+                    + p[1] for p in picks])
+    domains = [(br.lo, br.hi) for br in mp.branches]
+    one = [_scalar(mp.symbol, float(x)) for x in pts]
+    assert one == [branch_symbol(domains, float(x), _ALIGN_TOL) for x in pts]
+    if None in one:
+        with pytest.raises(pl.EscapedRepeller, match=repr(
+                float(pts[one.index(None)]))):
+            mp.symbol(pts)
+        with pytest.raises(pl.EscapedRepeller):
+            mp.apply(pts)
+        pts = pts[[s is not None for s in one]]
+        one = [s for s in one if s is not None]
+        if not one:
+            return
+    assert mp.symbol(pts).tolist() == one
+    images = mp.apply(pts)
+    assert images.tolist() == [mp.apply(float(x)) for x in pts]
+    assert mp.apply(pts, symbol=np.array(one)).tolist() == images.tolist()
+    back = pts[::-1]
+    assert mp.distance(pts, back).tolist() == [
+        mp.distance(float(x), float(y)) for x, y in zip(pts, back)]
+
+
+def _torus_symbol(matrix, offsets, x):
+    """Cell of a torus point: floor of A x, nudged by 1e-9, as an offset."""
+    key = tuple(math.floor(sum(matrix[i][k] * x[k] for k in range(2)) + 1e-9)
+                for i in range(2))
+    return offsets.get(key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 2), (2, 2), "conformal"]),
+       st.lists(st.one_of(
+           st.tuples(st.integers(min_value=0, max_value=6),
+                     st.integers(min_value=0, max_value=6),
+                     st.sampled_from(_NUDGES)),
+           st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                     st.floats(min_value=0.0, max_value=1.0))),
+           min_size=1, max_size=16))
+def test_torus_rows_equal_the_one_point_results(shape, picks):
+    mp = (pl.toral_conformal_map(3) if shape == "conformal"
+          else pl.toral_map(*shape))
+    pts = np.array([p if len(p) == 2 else ((p[0] % 7) / 6.0 + p[2],
+                                           (p[1] % 7) / 6.0 - p[2])
+                    for p in picks])
+    matrix = mp.constant_derivative.tolist()
+    offsets = {tuple(int(round(v)) for v in br.offset): s
+               for s, br in enumerate(mp.branches)}
+    one = [_scalar(mp.symbol, x) for x in pts]
+    assert one == [_torus_symbol(matrix, offsets, x.tolist()) for x in pts]
+    if None in one:
+        with pytest.raises(pl.EscapedRepeller):
+            mp.symbol(pts)
+        pts = pts[[s is not None for s in one]]
+        one = [s for s in one if s is not None]
+        if not one:
+            return
+    assert mp.symbol(pts).tolist() == one
+    images = mp.apply(pts)
+    assert images.tolist() == [mp.apply(x).tolist() for x in pts]
+    back = pts[::-1]
+    assert mp.distance(pts, back).tolist() == [
+        mp.distance(x, y) for x, y in zip(pts, back)]

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
-from conftest import admissible_count
+from conftest import (COOKIE_PARAMS, admissible_count, affine_cycle,
+                      cookie_branches, primitive_cycles)
 
 
 def test_logsumexp_matches_direct():
@@ -167,6 +168,128 @@ def test_variational_gap_geometric_nonnegative():
     pot = pl.Potential.geometric(0.8)
     for word in ((0,), (1,), (0, 1), (0, 0, 1), (0, 1, 1)):
         assert pl.variational_gap(mp, pot, word, depth=10) >= -1e-6
+
+
+_GAP_MAPS = {"cookie": pl.cookie_cutter(2.0, 4.0),
+             "golden": pl.golden_mean_map(),
+             "circle(2,0.02)": pl.circle_map(2, 0.02),
+             "circle(3,0.05)": pl.circle_map(3, 0.05),
+             "toral(2,3)": pl.toral_map(2, 3)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_GAP_MAPS)),
+       st.sampled_from(["zero", "geometric(0.5)", "cos"]),
+       st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
+                max_size=8))
+def test_variational_gaps_equal_the_one_word_gaps(name, pname, picks):
+    """One walk and one evaluation per symbol give every word's own gap."""
+    mp = _GAP_MAPS[name]
+    pot = {"zero": pl.Potential.zero(),
+           "geometric(0.5)": pl.Potential.geometric(0.5),
+           "cos": pl.Potential.from_function(
+               lambda x: 0.3 * np.cos(2 * np.pi * x).reshape(
+                   len(x), -1).sum(axis=1))}[pname]
+    if mp.dim == 2 and pname == "geometric(0.5)":
+        pot = pl.Potential.singular_upper(0.5)
+    cycles = primitive_cycles(mp.adjacency, 6 if mp.n_symbols == 2 else 3)
+    words = [cycles[i % len(cycles)] for i in picks]
+    depth = 5 if mp.n_symbols > 2 else 8
+    gaps = pl.variational_gaps(mp, pot, words, depth=depth)
+    assert gaps.shape == (len(words),)
+    one = [pl.variational_gap(mp, pot, w, depth=depth) for w in words]
+    assert np.abs(gaps - np.array(one)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r1,r2", COOKIE_PARAMS)
+def test_variational_gaps_match_the_oracle_cycles(r1, r2):
+    mp = pl.cookie_cutter(r1, r2)
+    words = primitive_cycles(mp.adjacency, 6)
+    gaps = pl.variational_gaps(mp, pl.Potential.geometric(0.7), words,
+                               depth=10)
+    pressure = pl.pressure_additive(mp, pl.Potential.geometric(0.7), 10)
+    for word, gap in zip(words, gaps):
+        average = -0.7 * sum(math.log((r1, r2)[s]) for s in word) / len(word)
+        assert gap == pytest.approx(pressure - average, abs=1e-12)
+    sin = pl.Potential.from_function(lambda x: np.sin(3.0 * x))
+    gaps = pl.variational_gaps(mp, sin, words, depth=10)
+    pressure = pl.pressure_additive(mp, sin, 10)
+    for word, gap in zip(words, gaps):
+        cycle = affine_cycle(cookie_branches(r1, r2), word)
+        average = sum(math.sin(3.0 * x) for x in cycle) / len(word)
+        assert gap == pytest.approx(pressure - average, abs=1e-12)
+
+
+def test_variational_gaps_walk_once(monkeypatch):
+    from pressurelab import pressure as pmod
+
+    walks = []
+    real = pmod.CylinderSet
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pmod, "CylinderSet", counted)
+    mp = pl.circle_map(2, 0.02)
+    words = primitive_cycles(mp.adjacency, 5)
+    pl.variational_gaps(mp, pl.Potential.geometric(0.5), words, depth=9)
+    assert walks == [9]
+
+
+def test_pressure_reads_a_given_walk():
+    mp = pl.cookie_cutter(2.0, 4.0)
+    walk = pl.CylinderSet(mp, 7)
+    for pot in (pl.Potential.geometric(0.3), pl.Potential.zero()):
+        assert (pl.pressure_additive(mp, pot, 7, walk=walk)
+                == pl.pressure_additive(mp, pot, 7))
+    with pytest.raises(pl.BadSpec):
+        pl.pressure_additive(mp, pl.Potential.zero(), 8, walk=walk)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["cookie", "golden", "circle", "torus"]),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
+                max_size=40))
+def test_pointwise_rows_equal_one_point_values(name, xs):
+    """One value function call per branch gives each point's own value."""
+    mp = {"cookie": pl.cookie_cutter(3.0, 3.0),
+          "golden": pl.golden_mean_map(), "circle": pl.circle_map(3, 0.05),
+          "torus": pl.toral_map(2, 3)}[name]
+    calls = []
+
+    def value_fn(mapping, symbol, pts):
+        calls.append(symbol)
+        pts = np.asarray(pts, dtype=float)
+        return np.cos(pts if pts.ndim == 1 else pts.sum(axis=1)) + symbol
+
+    pot = pl.Potential("additive", value_fn)
+    if mp.dim == 1:
+        pts = np.array([x for x in xs if mp.hull[0] <= x <= mp.hull[1]
+                        and not (1 / 3 < x < 2 / 3 and name == "cookie")]
+                       or [0.0])
+    else:
+        pts = np.array(xs[:len(xs) // 2 * 2]).reshape(-1, 2)
+    values = pot.pointwise(mp, pts)
+    assert len(calls) <= mp.n_symbols
+    for x, v in zip(pts, values):
+        s = mp.symbol(x)
+        assert v == value_fn(mp, s, np.array([x]))[0]
+
+
+def test_conjugacy_check_calls_phi_on_point_arrays(markov_example):
+    calls = []
+
+    def phi(x):
+        calls.append(np.shape(x))
+        return 0.5 * x
+
+    rep = pl.conjugate_pressure_check(
+        pl.cookie_cutter(2.0, 4.0), pl.linear_markov(*markov_example), phi,
+        pl.Potential.geometric(0.5), depth=8)
+    assert abs(rep.slack) <= 1e-9
+    assert all(len(shape) == 1 for shape in calls)
+    assert len(calls) <= 2 + 8 * 2
 
 
 def test_conjugacy_identity_and_scaling(markov_example):
