@@ -21,62 +21,66 @@ The package splits into five computational layers plus a batch front end:
   fiber map chains, symbolic conjugacies, random pressure and roots,
   distortion and expansivity certificates, and the shrinking noise
   experiment.
-- ``cli`` / ``config``: the ``pressurelab`` command line front end.
+- ``cli`` / ``config`` / ``checks``: the ``pressurelab`` command line
+  front end and the invariant battery of its ``checks`` mode.
+
+Importing the package loads none of them.  The public names below (all
+of ``__all__``) and the submodules themselves are imported on first
+access (PEP 562), so ``pl.dimension_report`` loads ``bowen`` and what it
+imports, and a CLI run loads only the modules of its mode.
 """
+
+from importlib import import_module as _import_module
+from time import perf_counter as _clock
+
+# start of the package import; a run's record times its start-up from here
+_IMPORT_START = _clock()
 
 __version__ = "0.1.0"
 
-from .bowen import DimensionReport, bowen_root, dimension_report
-from .cylinders import WORD_CAP, CylinderSet, MapColumn, build_levels
-from .dynamics import (ExpandingMap, build_markov_map, circle_map, cocycle,
-                       cookie_cutter, cylinder_point, doubling_map,
-                       golden_mean_map, itinerary, linear_markov, orbit,
-                       toral_conformal_map, toral_map)
-from .errors import (BadSpec, CheckFailed, ConfigError, EpsilonTooLarge,
-                     EscapedRepeller, HorizonExceeded, InadmissibleWord,
-                     MatrixTooLarge, NoConvergence, NonExpanding, NonMarkov,
-                     NoSignChange, NotSemiConjugate, PerturbationTooLarge,
-                     PressureLabError, SingularMatrix)
-from .lyapunov import (average_conformal_check, lyapunov_exponents,
-                       periodic_orbit, periodic_point)
-from .pressure import (Potential, PressureEstimate, conjugate_pressure_check,
-                       iterated_singular_pressure, logsumexp,
-                       pressure_additive, pressure_limit,
-                       pressure_subadditive, separated_set,
-                       transfer_pressure, variational_gap,
-                       variational_gaps)
-from .random_bundle import (BaseSample, FiberConjugacy, FiberCylinders,
-                            RandomEstimate, RandomFamily, RandomRoots,
-                            StabilityResult, StabilityRow, build_conjugacy,
-                            conjugacy_displacement, constant_sample,
-                            distortion_constants, expansivity_min_growth,
-                            fiber_repeller, measure_equivariance,
-                            perturbed_map, random_bowen_roots,
-                            random_conjugacy_pressure_check, random_entropy,
-                            random_pressure, sample_base,
-                            stability_experiment)
+# every public name, by the submodule defining it
+_PUBLIC = {
+    "bowen": "DimensionReport bowen_root dimension_report",
+    "cylinders": "WORD_CAP CylinderSet MapColumn build_levels",
+    "dynamics": "ExpandingMap build_markov_map circle_map cocycle "
+                "cookie_cutter cylinder_point doubling_map golden_mean_map "
+                "itinerary linear_markov orbit toral_conformal_map toral_map",
+    "errors": "BadSpec CheckFailed ConfigError EpsilonTooLarge "
+              "EscapedRepeller HorizonExceeded InadmissibleWord "
+              "MatrixTooLarge NoConvergence NoSignChange NonExpanding "
+              "NonMarkov NotSemiConjugate PerturbationTooLarge "
+              "PressureLabError SingularMatrix",
+    "lyapunov": "average_conformal_check lyapunov_exponents periodic_orbit "
+                "periodic_point",
+    "pressure": "Potential PressureEstimate conjugate_pressure_check "
+                "iterated_singular_pressure logsumexp pressure_additive "
+                "pressure_limit pressure_subadditive separated_set "
+                "transfer_pressure variational_gap variational_gaps",
+    "random_bundle": "BaseSample FiberConjugacy FiberCylinders "
+                     "RandomEstimate RandomFamily RandomRoots "
+                     "StabilityResult StabilityRow build_conjugacy "
+                     "conjugacy_displacement constant_sample "
+                     "distortion_constants expansivity_min_growth "
+                     "fiber_repeller measure_equivariance perturbed_map "
+                     "random_bowen_roots random_conjugacy_pressure_check "
+                     "random_entropy random_pressure sample_base "
+                     "stability_experiment",
+}
+_HOME = {name: module for module, names in _PUBLIC.items()
+         for name in names.split()}
+_SUBMODULES = frozenset(_PUBLIC) | {"checks", "cli", "config"}
 
-__all__ = [
-    "BadSpec", "BaseSample", "CheckFailed", "ConfigError", "CylinderSet",
-    "DimensionReport", "EpsilonTooLarge", "EscapedRepeller", "ExpandingMap",
-    "FiberConjugacy", "FiberCylinders", "HorizonExceeded",
-    "InadmissibleWord", "MapColumn", "MatrixTooLarge", "NoConvergence",
-    "NoSignChange",
-    "NonExpanding", "NonMarkov", "NotSemiConjugate", "PerturbationTooLarge",
-    "Potential", "PressureEstimate", "PressureLabError", "RandomEstimate",
-    "RandomFamily", "RandomRoots", "SingularMatrix", "StabilityResult",
-    "StabilityRow", "WORD_CAP", "average_conformal_check", "bowen_root",
-    "build_conjugacy", "build_levels", "build_markov_map", "circle_map",
-    "cocycle", "conjugacy_displacement", "conjugate_pressure_check",
-    "constant_sample", "cookie_cutter", "cylinder_point",
-    "dimension_report", "distortion_constants", "doubling_map",
-    "expansivity_min_growth", "fiber_repeller", "golden_mean_map",
-    "itinerary", "iterated_singular_pressure", "linear_markov", "logsumexp",
-    "lyapunov_exponents", "measure_equivariance", "orbit", "periodic_orbit",
-    "periodic_point", "perturbed_map", "pressure_additive", "pressure_limit",
-    "pressure_subadditive", "random_bowen_roots",
-    "random_conjugacy_pressure_check", "random_entropy", "random_pressure",
-    "sample_base", "separated_set", "stability_experiment",
-    "toral_conformal_map", "toral_map", "transfer_pressure",
-    "variational_gap", "variational_gaps",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module("." + name, __name__)
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(_import_module("." + _HOME[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(__all__))

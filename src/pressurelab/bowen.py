@@ -18,16 +18,13 @@ pressures instead of Birkhoff sums.  The torus pressures have no cheap
 slope and are bisected.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cylinders import CylinderSet
 from .errors import NoSignChange
-from .pressure import Potential, _pressure_at, _resolve_epsilon
 
 
 def bowen_root(pressure_fn, lo=0.0, hi=1.0, tol=1e-10):
@@ -179,6 +176,8 @@ def _roots_at_depth(mapping, depth, ambient, tol):
         # do not depend on the dimension of the map
         return (_newton_root([logd], depth, ambient, tol),
                 _newton_root([logd], depth, ambient, tol))
+    # only torus maps need the singular value pressures
+    from .pressure import Potential, _pressure_at
 
     def fn_lower(t):
         return _pressure_at(mapping, Potential.singular_upper(t), [depth])[0]
@@ -190,8 +189,7 @@ def _roots_at_depth(mapping, depth, ambient, tol):
             _clamped_root(fn_upper, ambient, tol))
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Bracketing dimension roots with their refinement history."""
 
     t_lower: float
@@ -211,7 +209,7 @@ def dimension_report(mapping, depth=12, tol=1e-9, epsilon=None):
     When the bracket is tight the single root t_root is their mean,
     otherwise it is nan.
     """
-    eps = _resolve_epsilon(mapping, epsilon)
+    eps = mapping.resolve_epsilon(epsilon)
     ambient = float(mapping.dim)
     depths = [depth] if depth <= 1 else [max(1, depth // 2), depth]
     per_depth = []

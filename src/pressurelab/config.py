@@ -6,18 +6,14 @@ to the same effective values always hash identically, regardless of which
 file, flag, or default supplied each field.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import inspect
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import dynamics as dyn
-from .cylinders import WORD_CAP
+from .cylinders import GROWTH_DEPTH, REFERENCE_DEPTH, WORD_CAP
 from .errors import ConfigError, PressureLabError
-from .pressure import Potential
-from .random_bundle import GROWTH_DEPTH, REFERENCE_DEPTH
 
 MODES = ("dimension", "pressure", "lyapunov", "stability", "entropy",
          "checks")
@@ -27,13 +23,9 @@ _MODE_DEPTH = {"dimension": 12, "pressure": 10, "lyapunov": 12,
 _MODE_TOL = {"dimension": 1e-9, "pressure": 1e-9, "lyapunov": 1e-9,
              "stability": 0.02, "entropy": 1e-9, "checks": 1e-9}
 
-_POTENTIALS = {
-    "zero": Potential.zero,
-    "constant": Potential.constant,
-    "geometric": Potential.geometric,
-    "singular_upper": Potential.singular_upper,
-    "singular_lower": Potential.singular_lower,
-}
+# potential spec names, each a constructor of ``pressure.Potential``
+_POTENTIALS = ("zero", "constant", "geometric", "singular_upper",
+               "singular_lower")
 
 
 def _parse_call(text, what):
@@ -107,8 +99,15 @@ def _map_or_none(spec):
 
 
 def build_potential(spec):
-    """Construct the named potential, e.g. "geometric(1.0)" or "zero"."""
-    return _call_factory(_POTENTIALS, spec, "potential")
+    """Construct the named potential, e.g. "geometric(1.0)" or "zero".
+
+    The pressure layer loads with the first potential spec built, so
+    modes without a potential never load it.
+    """
+    from .pressure import Potential
+
+    return _call_factory({name: getattr(Potential, name)
+                          for name in _POTENTIALS}, spec, "potential")
 
 
 def family_shape(spec):
@@ -135,43 +134,21 @@ def family_shape(spec):
     raise ConfigError("map %r has no random perturbation family" % spec)
 
 
-_SCHEMA = {
-    "mode": str,
-    "map": str,
-    "potential": str,
-    "depth": int,
-    "tol": float,
-    "eps_schedule": "floats",
-    "seeds": int,
-    "seed": int,
-    "out": str,
-    "workers": int,
-    "epsilon": float,
-    "letters": int,
-    "conj_depth": int,
-    "orbit_word": "ints",
-}
-
-
 def _coerce(key, raw):
-    kind = _SCHEMA[key]
+    """The value of a config key from its text, typed as its field."""
+    kind = ExperimentConfig.__annotations__[key]
     try:
-        if kind is str:
-            return str(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        parts = [p for p in str(raw).replace(";", ",").split(",") if p.strip()]
-        if kind == "floats":
-            return tuple(float(p) for p in parts)
-        return tuple(int(p) for p in parts)
+        if kind is not tuple:
+            return kind(raw)
+        # list entries take the type of the default's entries
+        item = type(ExperimentConfig._field_defaults[key][0])
+        return tuple(item(p) for p in str(raw).replace(";", ",").split(",")
+                     if p.strip())
     except ValueError:
         raise ConfigError("bad value %r for key %r" % (raw, key))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """One experiment: what to compute, at what budget, and where to put it.
 
     depth and tol of 0 mean "use the mode default"; a pressure run
@@ -205,21 +182,19 @@ class ExperimentConfig:
             raise ConfigError("unknown mode %r; known: %s"
                               % (cfg.mode, ", ".join(MODES)))
         if cfg.depth == 0:
-            cfg = replace(cfg, depth=_MODE_DEPTH[cfg.mode])
+            cfg = cfg._replace(depth=_MODE_DEPTH[cfg.mode])
             if cfg.mode == "pressure":
                 # the deepest default walk that fits under the word cap
                 mapping = _map_or_none(cfg.map)
                 while cfg.depth > 1 and cfg._walk_words(mapping) > WORD_CAP:
-                    cfg = replace(cfg, depth=cfg.depth - 1)
+                    cfg = cfg._replace(depth=cfg.depth - 1)
         if cfg.tol == 0.0:
-            cfg = replace(cfg, tol=_MODE_TOL[cfg.mode])
+            cfg = cfg._replace(tol=_MODE_TOL[cfg.mode])
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigError("unknown mode %r; known: %s"
-                              % (self.mode, ", ".join(MODES)))
+        """Raise ConfigError unless this resolved config can run."""
         if self.depth < 1:
             raise ConfigError("depth must be positive")
         if self.tol <= 0.0:
@@ -286,7 +261,7 @@ class ExperimentConfig:
         outside the hash.
         """
         items = []
-        for key in sorted(set(_SCHEMA) - {"out", "workers"}):
+        for key in sorted(set(self._fields) - {"out", "workers"}):
             val = getattr(self, key)
             if isinstance(val, tuple):
                 text = ",".join("%r" % v for v in val)
@@ -329,7 +304,7 @@ def read_config_file(path):
                               % (path, lineno, text))
         key, raw = text.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _SCHEMA:
+        if key not in ExperimentConfig._fields:
             raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
         values[key] = _coerce(key, raw.strip())
     return values
@@ -367,7 +342,7 @@ def parse_args(argv=None):
             raise ConfigError("override %r is not KEY=VALUE" % item)
         key, raw = item.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _SCHEMA:
+        if key not in ExperimentConfig._fields:
             raise ConfigError("unknown config key %r" % key)
         values[key] = _coerce(key, raw.strip())
     for key in ("mode", "out", "seed", "workers", "tol", "eps_schedule"):

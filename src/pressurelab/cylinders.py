@@ -18,15 +18,17 @@ points gain a leading window axis, and each step makes one inverse branch
 call per distinct map and symbol.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadSpec, MatrixTooLarge
 
 WORD_CAP = 1 << 20
+# cylinder depth of the unperturbed root every stability sweep compares to
+REFERENCE_DEPTH = 12
+# cylinder depth of the smallest fiber growth rate in every certificate
+GROWTH_DEPTH = 8
 
 
 class MapColumn:
@@ -80,8 +82,7 @@ def _chain_windows(maps):
     return counts.pop() if counts else None
 
 
-@dataclass
-class _Level:
+class _Level(NamedTuple):
     points: np.ndarray
     first: np.ndarray
     last: np.ndarray

@@ -7,16 +7,15 @@ modules can rely on uniform expansion, Markov alignment of branch images,
 and irreducibility of the transition matrix without rechecking.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BadSpec,
+    EpsilonTooLarge,
     EscapedRepeller,
     InadmissibleWord,
     NonExpanding,
@@ -25,6 +24,9 @@ from .errors import (
 )
 
 _ALIGN_TOL = 1e-9
+# torus cell lookup: a row on a cell edge lies in the cells on both sides;
+# nudged up first, then down on one axis, the other, and both
+_EDGE_NUDGES = 1e-9 * np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -62,10 +64,6 @@ class Branch1D:
     @property
     def center(self):
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def length(self):
-        return self.hi - self.lo
 
     @property
     def image(self):
@@ -186,8 +184,7 @@ class Branch2D:
         return (y + self.offset) @ self.inv_matrix.T
 
 
-@dataclass(frozen=True)
-class CocycleProduct:
+class CocycleProduct(NamedTuple):
     """Logarithms of the extreme singular values of a derivative product."""
 
     log_norm: float
@@ -296,11 +293,6 @@ class ExpandingMap:
     def max_expansion(self):
         return max(br.max_slope for br in self.branches)
 
-    @property
-    def gamma(self):
-        """Uniform contraction rate of the inverse branches."""
-        return 1.0 / self.min_expansion
-
     @cached_property
     def log_deriv_lipschitz(self):
         return max(br.log_deriv_lipschitz for br in self.branches)
@@ -391,6 +383,24 @@ class ExpandingMap:
                         best = min(best, float(np.min(disp)))
         return best
 
+    def resolve_epsilon(self, epsilon=None):
+        """Separation scale of a pressure estimate; None picks the default.
+
+        The default is half the smaller of the threshold and the diameter;
+        a given scale must be positive and below the threshold.
+        """
+        delta = self.separation_threshold
+        if epsilon is None:
+            scale = min(delta, self.diam)
+            return 0.5 * scale if math.isfinite(scale) else 0.5 * self.diam
+        eps = float(epsilon)
+        if eps <= 0.0:
+            raise BadSpec("separation scale must be positive")
+        if eps >= delta:
+            raise EpsilonTooLarge("scale %g is not below the separation "
+                                  "threshold %g" % (eps, delta))
+        return eps
+
     # -- pointwise dynamics -------------------------------------------
 
     def _rows(self, x):
@@ -425,11 +435,15 @@ class ExpandingMap:
                                       % float(rows[escaped[0]]))
         else:
             least, table = self._offset_index
-            keys = np.floor(rows @ self.branches[0].matrix.T + 1e-9)
-            keys = keys.astype(np.int64) - least
-            inside = np.all((keys >= 0) & (keys < table.shape), axis=1)
+            images = rows @ self.branches[0].matrix.T
             syms = np.full(len(rows), -1, dtype=np.intp)
-            syms[inside] = table[keys[inside, 0], keys[inside, 1]]
+            for nudge in _EDGE_NUDGES:
+                free = np.nonzero(syms < 0)[0]
+                if not free.size:
+                    break
+                keys = np.floor(images[free] + nudge).astype(np.int64) - least
+                inside = np.all((keys >= 0) & (keys < table.shape), axis=1)
+                syms[free[inside]] = table[keys[inside, 0], keys[inside, 1]]
             escaped = np.nonzero(syms < 0)[0]
             if escaped.size:
                 raise EscapedRepeller("point %r lies in no cell" % (

@@ -1,9 +1,7 @@
 """Expansion exponents from exact cycles and orbit cocycles."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,8 +190,7 @@ def _random_word(mapping, length, rng):
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class ConformalityReport:
+class ConformalityReport(NamedTuple):
     spread: float
     conformal: bool
     periodic_orbits: int

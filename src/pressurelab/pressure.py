@@ -8,22 +8,14 @@ family is the single systematic approximation used throughout: the scale
 eps only gates validity, it never changes the returned numbers.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics as dyn
 from .cylinders import CylinderSet
-from .errors import (
-    BadSpec,
-    EpsilonTooLarge,
-    MatrixTooLarge,
-    NoConvergence,
-    NotSemiConjugate,
-)
+from .errors import BadSpec, MatrixTooLarge, NoConvergence, NotSemiConjugate
 
 TRANSFER_CAP = 1 << 16
 
@@ -145,8 +137,7 @@ def _per_symbol(value_fn, mapping, syms, pts):
     return out
 
 
-@dataclass(frozen=True)
-class PressureEstimate:
+class PressureEstimate(NamedTuple):
     """Finite depth pressure value with its refinement history."""
 
     value: float
@@ -158,8 +149,7 @@ class PressureEstimate:
     advisory: str = ""
 
 
-@dataclass(frozen=True)
-class SeparatedSet:
+class SeparatedSet(NamedTuple):
     points: np.ndarray
     epsilon: float
     depth: int
@@ -167,20 +157,6 @@ class SeparatedSet:
     @property
     def count(self):
         return len(self.points)
-
-
-def _resolve_epsilon(mapping, epsilon):
-    delta = mapping.separation_threshold
-    if epsilon is None:
-        scale = min(delta, mapping.diam)
-        return 0.5 * scale if math.isfinite(scale) else 0.5 * mapping.diam
-    eps = float(epsilon)
-    if eps <= 0.0:
-        raise BadSpec("separation scale must be positive")
-    if eps >= delta:
-        raise EpsilonTooLarge(
-            "scale %g is not below the separation threshold %g" % (eps, delta))
-    return eps
 
 
 def separated_set(mapping, depth, epsilon=None):
@@ -191,7 +167,7 @@ def separated_set(mapping, depth, epsilon=None):
     on two distinct branch centers or pass through two different inverse
     branches applied to one common point.
     """
-    eps = _resolve_epsilon(mapping, epsilon)
+    eps = mapping.resolve_epsilon(epsilon)
     cyl = CylinderSet(mapping, depth)
     return SeparatedSet(points=cyl.leaves.points.copy(), epsilon=eps, depth=depth)
 
@@ -232,7 +208,7 @@ def pressure_additive(mapping, potential, depth, epsilon=None, walk=None):
     ``walk`` may pass a CylinderSet of the map at this depth, so several
     potentials read one walk.
     """
-    _resolve_epsilon(mapping, epsilon)
+    mapping.resolve_epsilon(epsilon)
     return _pressure_at(mapping, potential, [depth], walk)[0]
 
 
@@ -243,7 +219,7 @@ def pressure_limit(mapping, potential, tol=1e-3, max_depth=16, epsilon=None):
     extrapolated value drops below tol.  The leading finite depth error is
     of order 1/depth, so 2 P(2n) - P(n) cancels it.
     """
-    eps = _resolve_epsilon(mapping, epsilon)
+    eps = mapping.resolve_epsilon(epsilon)
     history = []
     extraps = []
     depth = 2
@@ -288,7 +264,7 @@ def pressure_subadditive(mapping, potential, depth=8, epsilon=None):
         raise BadSpec("use pressure_additive for additive potentials")
     if depth < 1:
         raise BadSpec("pressure depth must be positive")
-    eps = _resolve_epsilon(mapping, epsilon)
+    eps = mapping.resolve_epsilon(epsilon)
     depths = []
     d = 1
     while d <= depth:
@@ -426,8 +402,7 @@ def variational_gap(mapping, potential, word, depth=12, epsilon=None):
                                   epsilon)[0])
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(NamedTuple):
     """Pressure comparison across a factor map."""
 
     pressure_target: float

@@ -12,31 +12,24 @@ scalar, hence conformal, and the upper and lower singular value routes
 through any computation coincide by construction.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics as dyn
 from .bowen import _newton_solve, dimension_report
-from .cylinders import WORD_CAP, CylinderSet, MapColumn
+from .cylinders import (GROWTH_DEPTH, REFERENCE_DEPTH, WORD_CAP, CylinderSet,
+                        MapColumn)
 from .errors import (BadSpec, HorizonExceeded, InadmissibleWord,
                      NoConvergence, PerturbationTooLarge, PressureLabError)
-from .pressure import Potential, _resolve_epsilon, logsumexp
 
 TWO_PI = 2.0 * math.pi
-# cylinder depth of the unperturbed root every stability sweep compares to
-REFERENCE_DEPTH = 12
-# cylinder depth of the smallest fiber growth rate in every certificate
-GROWTH_DEPTH = 8
 
 
 # -- base process ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseSample:
+class BaseSample(NamedTuple):
     """One sampled window of the driving letter sequence.
 
     ``symbols`` covers positions -horizon .. horizon of the realization;
@@ -347,7 +340,7 @@ def fiber_repeller(conj, depth):
     return pts[idx // n_sym ** (depth - conj.depth)].copy()
 
 
-def _conjugacy_defects(family, windows, depth, equivariance=True):
+def _conjugacy_defects(family, windows, depth, equivariance=True, base=None):
     """Conjugacy displacement and equivariance defect per window.
 
     Base and fiber walkers enumerate the same words in the same order, so
@@ -357,13 +350,15 @@ def _conjugacy_defects(family, windows, depth, equivariance=True):
     positions 1 .. n - 1 (conjugate then shift), and the leaves of a
     start 1 walk at depth n map them (map then conjugate); the defect is
     their largest mismatch over the prefix relation.  The base map is
-    walked once for all windows.  Returns two arrays, the second all nan
-    when ``equivariance`` is off.
+    walked once for all windows, unless ``base`` already holds the leaf
+    points of that walk.  Returns two arrays, the second all nan when
+    ``equivariance`` is off.
     """
     if equivariance:
         _require_full_shift(family.base_map)
     n_sym = family.base_map.n_symbols
-    base = CylinderSet(family.base_map, depth).leaves.points
+    if base is None:
+        base = CylinderSet(family.base_map, depth).leaves.points
     moved = np.empty(len(windows))
     defect = np.full(len(windows), np.nan)
     for rows in _window_chunks(family, len(windows), depth):
@@ -420,8 +415,7 @@ MAX_ROOT_NODES = 256
 _RESCALE_STEPS = 16
 
 
-@dataclass(frozen=True)
-class FiberOperators:
+class FiberOperators(NamedTuple):
     """Chebyshev collocation of the fiber Ruelle operators of a family.
 
     Functions on the hull of the base map are held by their values at
@@ -560,8 +554,7 @@ def _root_operators(family, letters, tol):
 
 # -- averaged pressure and roots --------------------------------------------
 
-@dataclass(frozen=True)
-class RandomEstimate:
+class RandomEstimate(NamedTuple):
     value: float
     std_error: float
     per_sample: tuple
@@ -580,7 +573,7 @@ def _std_error(values):
 
 
 def _family_epsilon_sep(family):
-    return min(_resolve_epsilon(family.fiber_map(a), None)
+    return min(family.fiber_map(a).resolve_epsilon()
                for a in range(family.n_letters))
 
 
@@ -600,6 +593,9 @@ def random_pressure(family, potential, seeds, depth=12):
     the accumulated potential over depth n fiber cylinders; the estimate
     is the mean over the seeded realizations with its sampling spread.
     """
+    # the pressure layer loads only with the modes that fold potentials
+    from .pressure import logsumexp
+
     vals = []
     for smp in _seed_windows(family, seeds, depth):
         chain = FiberCylinders(family, smp, depth)
@@ -610,8 +606,7 @@ def random_pressure(family, potential, seeds, depth=12):
                           epsilon_sep=_family_epsilon_sep(family))
 
 
-@dataclass(frozen=True)
-class RandomRoots:
+class RandomRoots(NamedTuple):
     t_root: float
     std_error: float
     per_sample: tuple
@@ -657,6 +652,8 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
 
 def random_entropy(family, seeds, depth=12):
     """Averaged zero potential pressure; letters never change word counts."""
+    from .pressure import Potential
+
     return random_pressure(family, Potential.zero(), seeds, depth).value
 
 
@@ -676,8 +673,7 @@ def expansivity_min_growth(family, sample, depth=GROWTH_DEPTH):
 
 # -- distortion --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(NamedTuple):
     k0: float
     k_value: float
     worst_violation: float
@@ -687,7 +683,7 @@ class DistortionReport:
     pairs: int
 
 
-def distortion_constants(family, sample, sample_pairs=12000, depth=10,
+def distortion_constants(family, samples, sample_pairs=12000, depth=10,
                          alpha=1.0, seed=0):
     """Uniform two sided distortion inequality for the origin fiber map.
 
@@ -703,56 +699,60 @@ def distortion_constants(family, sample, sample_pairs=12000, depth=10,
     Circle families use circle distance, so the inequality also covers
     pairs straddling a branch boundary.  worst_violation is the smallest
     slack over all sampled pairs; the inequality holds when it is not
-    negative.
+    negative.  ``samples`` is one window, or a sequence of windows walked
+    at once with one report each; windows share the word count, so they
+    share the pairs drawn from ``seed``.
     """
     if depth < 2:
         raise BadSpec("distortion sampling needs depth at least 2")
     if sample_pairs < 100:
         raise BadSpec("need at least 100 sample pairs")
-    chain = FiberCylinders(family, sample, depth)
+    single = isinstance(samples, BaseSample)
+    windows = [samples] if single else list(samples)
+    chain = FiberCylinders(family, windows, depth)
     leaves = chain.leaves
-    pts = leaves.points
-    images = chain.levels[-2].points[leaves.parent]
-    mp = chain.maps[0]
-    derivs = np.empty(len(pts), dtype=float)
-    for s, a, b in leaves.blocks:
-        derivs[a:b] = mp.branches[s].deriv(pts[a:b])
-    circle = family.kind == "circle"
-
-    def metric(u, v):
-        d = np.abs(u - v)
-        return np.minimum(d, 1.0 - d) if circle else d
-
-    r0 = 0.25 * mp.diam
-    if mp.domain_gaps:
-        r0 = min(r0, 0.5 * min(mp.domain_gaps))
-
-    m = len(pts)
+    m = len(leaves.first)
     rng = np.random.default_rng(np.random.PCG64(int(seed)))
     extra = max(0, int(sample_pairs) - (m - 1))
     i = np.concatenate([np.arange(m - 1), rng.integers(0, m, size=extra)])
     j = np.concatenate([np.arange(1, m), rng.integers(0, m, size=extra)])
     keep = i != j
     i, j = i[keep], j[keep]
-    dx = metric(pts[i], pts[j])
-    k0 = float((np.abs(derivs[i] - derivs[j]) / dx ** alpha).max())
-    k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
-    ratio = metric(images[i], images[j]) / dx
-    pad = k_val * dx ** alpha
-    slack = np.minimum(
-        np.minimum(derivs[i] + pad - ratio, ratio - derivs[i] + pad),
-        np.minimum(derivs[j] + pad - ratio, ratio - derivs[j] + pad))
-    return DistortionReport(k0=k0, k_value=float(k_val),
-                            worst_violation=float(slack.min()),
-                            slope_variation=float(family.slope_variation),
-                            radius=float(r0), alpha=float(alpha),
-                            pairs=int(len(i)))
+    circle = family.kind == "circle"
+
+    def metric(u, v):
+        d = np.abs(u - v)
+        return np.minimum(d, 1.0 - d) if circle else d
+
+    reports = []
+    for w, window in enumerate(windows):
+        pts = leaves.points[w]
+        images = chain.levels[-2].points[w][leaves.parent]
+        mp = family.fiber_map(window.symbol(0))
+        derivs = np.empty(m, dtype=float)
+        for s, a, b in leaves.blocks:
+            derivs[a:b] = mp.branches[s].deriv(pts[a:b])
+        r0 = 0.25 * mp.diam
+        if mp.domain_gaps:
+            r0 = min(r0, 0.5 * min(mp.domain_gaps))
+        dx = metric(pts[i], pts[j])
+        k0 = float((np.abs(derivs[i] - derivs[j]) / dx ** alpha).max())
+        k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
+        ratio = metric(images[i], images[j]) / dx
+        pad = k_val * dx ** alpha
+        slack = np.minimum(
+            np.minimum(derivs[i] + pad - ratio, ratio - derivs[i] + pad),
+            np.minimum(derivs[j] + pad - ratio, ratio - derivs[j] + pad))
+        reports.append(DistortionReport(
+            k0=k0, k_value=float(k_val), worst_violation=float(slack.min()),
+            slope_variation=float(family.slope_variation), radius=float(r0),
+            alpha=float(alpha), pairs=int(len(i))))
+    return reports[0] if single else reports
 
 
 # -- pressure transport through the conjugacy --------------------------------
 
-@dataclass(frozen=True)
-class RandomConjugacyReport:
+class RandomConjugacyReport(NamedTuple):
     pressure_direct: float
     pressure_pulled: float
     residual: float
@@ -780,6 +780,8 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
     log slope variation, exact for the built in geometric and singular
     potentials.
     """
+    from .pressure import logsumexp
+
     base = family.base_map
     _require_full_shift(base)
     if conj.family is not family:
@@ -828,8 +830,7 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
 
 # -- shrinking noise experiment ----------------------------------------------
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(NamedTuple):
     epsilon: float
     t_root: float
     t_reference: float
@@ -843,8 +844,7 @@ class StabilityRow:
     failure: str = ""
 
 
-@dataclass(frozen=True)
-class StabilityResult:
+class StabilityResult(NamedTuple):
     rows: tuple
     t_reference: float
     certificates: dict
@@ -883,17 +883,19 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     conjugacy displacement and the measured equivariance defect with its
     certified bound.  The roots come from products of collocated fiber
     operators (``random_bowen_roots``), not from enumerated fiber words;
-    only the conjugacy, the reference root and the growth probe walk
-    cylinders.  Each seed's window is drawn once per sweep, and each
-    level certifies all windows together: one base walk, batched fiber
-    walks from positions 0 and 1 at the conjugacy depth, one batched
-    growth walk, and one vectorised Newton pass for the per-seed roots.
-    Certificates collect per noise level the expansion
-    margin, the node count of the root operators (``root_nodes``),
-    displacement and equivariance budgets, the smallest fiber growth rate
-    and distortion constants per letter.  A noise level that
-    fails certification produces a row holding the failure message
-    instead of aborting the experiment.  When conj_depth is omitted it is
+    only the conjugacy, the reference root, the growth and the
+    distortion probes walk cylinders.  Each seed's window is drawn once
+    per sweep, and each level certifies all windows together: batched
+    fiber walks from positions 0 and 1 at the conjugacy depth, one
+    batched growth walk, one walk of the constant windows of all letters
+    for distortion, and one vectorised Newton pass for the per-seed
+    roots.  The base map is walked once per distinct conjugacy depth.
+    Certificates collect per noise level the expansion margin, the node
+    count of the root operators (``root_nodes``), displacement and
+    equivariance budgets, the smallest fiber growth rate and distortion
+    constants per letter.  A noise level that fails certification
+    produces a row holding the failure message instead of aborting the
+    experiment.  When conj_depth is omitted it is
     chosen per level so the truncation error stays below conj_tol, or as
     deep as ``WORD_CAP`` allows when that is not deep enough.
     """
@@ -903,6 +905,10 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     # as the deepest level can ask for, serves every level
     widest = max(depth, (conj_depth or _cap_depth(family)) + 1)
     windows = _seed_windows(family, seed_list, widest)
+    probes = [constant_sample(letter, 10, family.n_letters)
+              for letter in range(family.n_letters)]
+    # base map leaves per conjugacy depth, shared by levels of one depth
+    base_walks = {}
     rows = []
     certificates = {"reference_root": float(t_reference), "tol": float(tol),
                     "per_epsilon": {}}
@@ -913,19 +919,19 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
             cd = conj_depth or _conjugacy_depth_for(fam, conj_tol)
             horizon = max(depth, cd + 1)
             roots = random_bowen_roots(fam, windows, depth=depth)
-            h_vals, eq_vals = _conjugacy_defects(fam, windows, cd)
+            if cd not in base_walks:
+                base_walks[cd] = CylinderSet(family.base_map,
+                                             cd).leaves.points
+            h_vals, eq_vals = _conjugacy_defects(fam, windows, cd,
+                                                 base=base_walks[cd])
             growth = float(_min_growths(fam, windows).min())
             h_sup = float(h_vals.max())
             eq_meas = float(eq_vals.max())
             eq_bound = _equivariance_bound(fam, cd)
-            distortion = {}
-            for letter in range(fam.n_letters):
-                probe_window = constant_sample(letter, 10, fam.n_letters)
-                rep = distortion_constants(fam, probe_window, depth=10)
-                distortion[letter] = {"k0": rep.k0, "k_value": rep.k_value,
-                                      "radius": rep.radius,
-                                      "worst_violation": rep.worst_violation,
-                                      "pairs": rep.pairs}
+            reports = distortion_constants(fam, probes)
+            distortion = {letter: {key: getattr(rep, key) for key in (
+                "k0", "k_value", "radius", "worst_violation", "pairs")}
+                for letter, rep in enumerate(reports)}
             rows.append(StabilityRow(
                 epsilon=float(eps), t_root=roots.t_root,
                 t_reference=float(t_reference),

@@ -161,11 +161,34 @@ def test_cli_checks_record_times_every_check(tmp_path):
     with open(out / "run.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     record = (out / "record.txt").read_text().splitlines()
-    timings = [line for line in record if line.startswith("timing.")]
+    timings = [line for line in record if line.startswith("timing.check.")]
     assert [line.split("=")[0] for line in timings] == [
         "timing.check.%s.%s" % (row["module"], row["check"]) for row in rows]
     assert all(float(line.split("=")[1]) >= 0.0 for line in timings)
     assert "timing." not in (out / "certificates.txt").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "dimension", "map=doubling", "depth=4"),
+    ("--mode", "stability", "map=cookie_cutter(3,3)", "eps_schedule=0.1",
+     "seeds=2", "depth=8"),
+    ("--mode", "checks"),
+])
+def test_cli_record_times_every_stage(tmp_path, args):
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 0
+    record = (out / "record.txt").read_text()
+    stages = [line.split("=") for line in record.splitlines()
+              if line.startswith("timing.") and "check." not in line]
+    assert [key for key, _ in stages] == [
+        "timing.import", "timing.parse", "timing.run", "timing.write"]
+    assert all(float(seconds) >= 0.0 for _, seconds in stages)
+    (modules,) = [line for line in record.splitlines()
+                  if line.startswith("count.")]
+    assert 1 <= int(modules.split("=")[1]) <= len(pl._SUBMODULES)
+    for name in ("run.csv", "certificates.txt"):
+        body = (out / name).read_text()
+        assert "timing." not in body and "count." not in body
 
 
 def test_cli_error_attribution(tmp_path):

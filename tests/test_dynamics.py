@@ -207,10 +207,32 @@ def test_interval_rows_equal_the_one_point_results(name, picks):
 
 
 def _torus_symbol(matrix, offsets, x):
-    """Cell of a torus point: floor of A x, nudged by 1e-9, as an offset."""
-    key = tuple(math.floor(sum(matrix[i][k] * x[k] for k in range(2)) + 1e-9)
-                for i in range(2))
-    return offsets.get(key)
+    """Cell of a torus point: floor of A x, nudged by 1e-9, as an offset.
+
+    The nudge goes up on both axes first; a point on an edge it pushes off
+    the cells tries it down on the first axis, then the second, then both.
+    """
+    image = [sum(matrix[i][k] * x[k] for k in range(2)) for i in range(2)]
+    for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        key = tuple(math.floor(image[i] + signs[i] * 1e-9) for i in range(2))
+        if key in offsets:
+            return offsets[key]
+    return None
+
+
+def test_torus_points_on_the_upper_edges_find_their_cell():
+    mp = pl.toral_map(2, 3)
+    # offsets (i, j) are listed with j fastest, three to each i
+    assert mp.symbol((0.0, 1.0)) == 2
+    assert mp.symbol((0.999999999999, 0.5)) == 4
+    assert mp.symbol((1.0, 0.0)) == 3
+    assert mp.symbol((1.0, 1.0)) == 5
+    image = mp.apply((0.5, 0.99999999999999))
+    assert 0.0 <= image.min() and image.max() <= 1.0
+    rows = np.array([(0.0, 1.0), (0.999999999999, 0.5),
+                     (0.5, 0.99999999999999), (1.0, 0.0)])
+    assert mp.symbol(rows).tolist() == [2, 4, 5, 3]
+    assert mp.apply(rows).tolist() == [mp.apply(x).tolist() for x in rows]
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
@@ -251,6 +251,8 @@ def test_pressure_reads_a_given_walk():
 @given(st.sampled_from(["cookie", "golden", "circle", "torus"]),
        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
                 max_size=40))
+# a torus point on the upper edge of the unit square
+@example("torus", [0.0, 1.0])
 def test_pointwise_rows_equal_one_point_values(name, xs):
     """One value function call per branch gives each point's own value."""
     mp = {"cookie": pl.cookie_cutter(3.0, 3.0),

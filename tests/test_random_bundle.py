@@ -551,12 +551,12 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
 
 
 def test_default_cookie_sweep_traffic(monkeypatch):
-    """One window draw per seed, and one base walk per noise level.
+    """One window draw per seed, and one base walk per conjugacy depth.
 
-    Per level the sweep walks the base map once, the batched fibers at
-    start 0, start 1 and the growth depth once each, and one constant
-    window per letter for distortion; the reference root walks the base
-    map at half and full depth.
+    Per level the sweep walks the batched fibers at start 0, start 1 and
+    the growth depth once each, and the constant windows of all letters
+    once for distortion.  The base map is walked once per distinct
+    conjugacy depth, and at half and full depth for the reference root.
     """
     from pressurelab import cylinders, random_bundle
     draws = []
@@ -584,9 +584,11 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     base_depths = sorted(depth for depth, is_base in walks if is_base)
     reference = [random_bundle.REFERENCE_DEPTH // 2,
                  random_bundle.REFERENCE_DEPTH]
-    assert base_depths == sorted(reference + [cert["conj_depth"]
-                                              for cert in levels.values()])
-    assert len(walks) == len(reference) + 6 * len(levels)
+    conj_depths = {cert["conj_depth"] for cert in levels.values()}
+    assert base_depths == sorted(reference + list(conj_depths))
+    # levels 0.05 and 0.025 share conjugacy depth 9 and its base walk
+    assert base_depths == [6, 9, 10, 11, 12]
+    assert len(walks) == len(base_depths) + 4 * len(levels)
 
 
 @settings(max_examples=20, deadline=None)
