@@ -6,16 +6,15 @@ the torus: weighing words by the largest stretch of the derivative product
 gives the lower root, the smallest stretch gives the upper root.  On
 interval maps the two coincide.
 
-On interval maps the pressure is a log-sum-exp of Birkhoff sums S of
-log |f'|, P(t) = log sum exp(-t S) / n, which is convex and decreasing.
-Its root is found by Newton steps from t = 0, each one exp pass giving
-both P and P'; bisection (``bowen_root``) then certifies the sign change
-in a bracket of width tol around the Newton iterate, and takes over the
-whole bracket when a step stalls, leaves the bracket, or the certificate
-fails.  The Newton solver takes any callable returning (P, P'), and
-random fiber roots (``random_bundle``) hand it transfer-operator
-pressures instead of Birkhoff sums.  The torus pressures have no cheap
-slope and are bisected.
+Every root is found by Newton steps from t = 0, each step one evaluation
+of both P and P'; bisection (``bowen_root``) then certifies the sign
+change in a bracket of width tol around the Newton iterate, and takes
+over the whole bracket when a step stalls, leaves the bracket, or the
+certificate fails.  On interval maps P is a log-sum-exp of Birkhoff sums
+S of log |f'|, P(t) = log sum exp(-t S) / n, convex and decreasing.  On
+linear torus maps every word of length k has derivative A^k, so P is the
+closed form (log N_k - t log sigma(A^k)) / k at any depth.  Random fiber
+roots (``random_bundle``) hand the solver transfer-operator pressures.
 """
 
 import math
@@ -23,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import dynamics as dyn
 from .cylinders import CylinderSet
 from .errors import NoSignChange
 
@@ -45,14 +45,6 @@ def bowen_root(pressure_fn, lo=0.0, hi=1.0, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _clamped_root(pressure_fn, hi_bound, tol):
-    if pressure_fn(0.0) <= 0.0:
-        return 0.0
-    if pressure_fn(hi_bound) >= 0.0:
-        return float(hi_bound)
-    return bowen_root(pressure_fn, 0.0, hi_bound, tol)
 
 
 _NEWTON_STEPS = 20
@@ -90,7 +82,7 @@ def _newton_solve(pressure_and_slope, hi_bound, tol):
     one pressure, or arrays with one entry per window, t then being an
     array with one parameter per window (the first call passes t = 0.0).
     The roots come back as a float or as an array to match.  Each root
-    clamps as ``_clamped_root`` does: 0 when P(0) <= 0, hi_bound when
+    clamps into the bracket: 0 when P(0) <= 0, hi_bound when
     P(hi_bound) >= 0.  Otherwise Newton steps run from t = 0 inside the
     bracket [lo, hi] of the signs seen so far; P is convex and
     decreasing, so the steps climb monotonically to the root.  All
@@ -163,30 +155,26 @@ def _newton_solve(pressure_and_slope, hi_bound, tol):
     return float(roots[0]) if single else roots
 
 
-def _newton_root(sums, depth, hi_bound, tol):
-    """Newton root of the log-sum-exp pressure of ``sums`` at ``depth``."""
-    return _newton_solve(_logsumexp_pressure(sums, depth), hi_bound, tol)
-
-
 def _roots_at_depth(mapping, depth, ambient, tol):
     """Pair (lower root, upper root) at one depth."""
     if mapping.dim == 1:
-        logd = CylinderSet(mapping, depth).log_derivative_sums()[-1]
+        pressure = _logsumexp_pressure(
+            [CylinderSet(mapping, depth).log_derivative_sums()[-1]], depth)
         # one solve per side, as on the torus, so solve counts per depth
         # do not depend on the dimension of the map
-        return (_newton_root([logd], depth, ambient, tol),
-                _newton_root([logd], depth, ambient, tol))
-    # only torus maps need the singular value pressures
-    from .pressure import Potential, _pressure_at
+        return (_newton_solve(pressure, ambient, tol),
+                _newton_solve(pressure, ambient, tol))
+    log_count, log_hi, log_lo = dyn._torus_logs(mapping, depth)
 
-    def fn_lower(t):
-        return _pressure_at(mapping, Potential.singular_upper(t), [depth])[0]
+    def closed_form(log_sigma):
+        # P_k(t) = (log N_k - t l_k) / k times the positive k / l_k: the
+        # same root and signs, and the Newton step from any t lands on
+        # log N_k / l_k exactly
+        root = log_count / log_sigma
+        return lambda t: (root - t, -1.0)
 
-    def fn_upper(t):
-        return _pressure_at(mapping, Potential.singular_lower(t), [depth])[0]
-
-    return (_clamped_root(fn_lower, ambient, tol),
-            _clamped_root(fn_upper, ambient, tol))
+    return (_newton_solve(closed_form(log_hi), ambient, tol),
+            _newton_solve(closed_form(log_lo), ambient, tol))
 
 
 class DimensionReport(NamedTuple):

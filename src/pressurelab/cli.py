@@ -304,9 +304,10 @@ def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
     return record
 
 
-def run(config, startup=()):
+def run(cfg, startup=()):
     """Execute one experiment and persist its artifacts.
 
+    ``cfg`` is a resolved config, as ``parse_args`` returns it.
     Computation errors are recorded in record.txt before propagating, so a
     failed run still leaves a traceable record (and whatever partial rows
     its mode produced, for stability sweeps with per-level failures).  A
@@ -314,7 +315,6 @@ def run(config, startup=()):
     is recorded with status=fail.  ``startup`` holds the (stage, seconds)
     pairs of the import and the parse, timed by ``main``.
     """
-    cfg = config.resolved()
     if cfg.mode == "checks":
         record, _ = verify(cfg, startup)
         return record
@@ -336,9 +336,8 @@ def run(config, startup=()):
                  timings=timings)
 
 
-def verify(config, startup=()):
-    """Run the invariant battery; report rows plus the usual artifacts."""
-    cfg = config.resolved()
+def verify(cfg, startup=()):
+    """Run the invariant battery of a resolved config; report its rows."""
     start = time.perf_counter()
     timed = pl.checks.run_battery(cfg)
     timings = [("check.%s.%s" % row[:2], took) for row, took in timed]

@@ -192,14 +192,6 @@ class CocycleProduct(NamedTuple):
     steps: int
 
 
-def singular_norms(matrix):
-    """Return (log largest singular value, log smallest singular value)."""
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if not np.all(np.isfinite(sv)) or float(sv[-1]) <= 0.0:
-        raise SingularMatrix("matrix has a vanishing singular value")
-    return float(np.log(sv[0])), float(np.log(sv[-1]))
-
-
 class ExpandingMap:
     """Piecewise expanding Markov map with explicit inverse branches."""
 
@@ -572,8 +564,36 @@ def cocycle(mapping, x, length):
         if norm > 1e12:
             m /= norm
             scale += math.log(norm)
-    log_hi, log_lo = singular_norms(m)
-    return CocycleProduct(scale + log_hi, scale + log_lo, length)
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not np.all(np.isfinite(sv)) or float(sv[-1]) <= 0.0:
+        raise SingularMatrix("matrix has a vanishing singular value")
+    return CocycleProduct(scale + float(np.log(sv[0])),
+                          scale + float(np.log(sv[-1])), length)
+
+
+def _torus_logs(mapping, k):
+    """(log N_k, log sigma_max(A^k), log sigma_min(A^k)) of a torus map.
+
+    Every cell has derivative A and the cells form a full shift on n
+    symbols, so the N_k = n^k words of length k all have derivative A^k.
+    Repeated squaring forms A^k rescaled by powers of two, their exponents
+    summed as integers, so no depth overflows; sigma_min follows from
+    sigma_max sigma_min = |det A|^k.
+    """
+    if mapping.dim != 2 or k < 1:
+        raise BadSpec("torus closed forms need a torus map and k >= 1")
+    a = mapping.constant_derivative
+    power, exponent = np.eye(2), 0
+    for bit in bin(k)[2:]:
+        power, exponent = power @ power, 2 * exponent
+        if bit == "1":
+            power = a @ power
+        shift = int(np.frexp(np.abs(power).max())[1])
+        power, exponent = np.ldexp(power, -shift), exponent + shift
+    log_hi = exponent * math.log(2.0) + math.log(
+        float(np.linalg.svd(power, compute_uv=False)[0]))
+    log_det = math.log(abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+    return k * math.log(mapping.n_symbols), log_hi, k * log_det - log_hi
 
 
 # -- named families ----------------------------------------------------

@@ -97,20 +97,16 @@ def periodic_point(mapping, word):
 def _cycle_exponents(mapping, words):
     """Exponents of torus cycles of one period, one row per word, descending.
 
-    The cycle derivative products are stacked, so every word of the
-    period costs one matrix product per position and one eigvals call in
-    all.
+    Every cell of a torus map has derivative A, so every cycle of period p
+    has derivative product A^p: one matrix power and one eigvals call
+    give the row shared by all the words.
     """
-    words = np.asarray(words, dtype=np.intp)
-    p = words.shape[1]
-    mats = np.array([br.matrix for br in mapping.branches])
-    m = np.broadcast_to(np.eye(2), (len(words), 2, 2))
-    for j in range(p):
-        m = mats[words[:, j]] @ m
-    moduli = np.sort(np.abs(np.linalg.eigvals(m)), axis=1)[:, ::-1]
-    if np.any(moduli[:, -1] <= 0.0):
+    p = len(words[0])
+    m = np.linalg.matrix_power(mapping.constant_derivative, p)
+    moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
+    if moduli[-1] <= 0.0:
         raise SingularMatrix("cycle derivative product has a zero eigenvalue")
-    return np.log(moduli) / p
+    return np.tile(np.log(moduli) / p, (len(words), 1))
 
 
 def lyapunov_exponents(mapping, source, steps=None):
@@ -152,31 +148,27 @@ def lyapunov_exponents(mapping, source, steps=None):
     return tuple(sorted((sums / steps).tolist(), reverse=True))
 
 
-def _is_power(word):
-    p = len(word)
-    for d in range(1, p):
-        if p % d == 0 and word == word[:d] * (p // d):
-            return True
-    return False
-
-
 def _primitive_cycles(mapping, period_cap, budget):
-    """Primitive closable words up to rotation, shortest periods first."""
+    """Primitive closed words up to rotation, shortest periods first.
+
+    The periods run from 1 while they stay within the cap and their word
+    count within budget.  Torus cells form a full shift, so these words
+    are the Lyndon words on the map's symbols, which Duval's algorithm
+    generates in lexicographic order.
+    """
     n = mapping.n_symbols
-    adj = mapping.adjacency
-    words = [(s,) for s in range(n)]
-    p = 1
-    while p <= period_cap and mapping.count_words(p) <= budget:
-        for w in words:
-            if not adj[w[-1]][w[0]]:
-                continue
-            canon = min(w[i:] + w[:i] for i in range(p))
-            if canon != w or _is_power(w):
-                continue
-            yield w
-        p += 1
-        if p <= period_cap:
-            words = [w + (b,) for w in words for b in range(n) if adj[w[-1]][b]]
+    longest = 0
+    while longest < period_cap and mapping.count_words(longest + 1) <= budget:
+        longest += 1
+    words = []
+    word = [-1] if longest else []
+    while word:
+        word[-1] += 1
+        words.append(tuple(word))
+        word = (word * longest)[:longest]
+        while word and word[-1] == n - 1:
+            word.pop()
+    return sorted(words, key=len)
 
 
 def _random_word(mapping, length, rng):

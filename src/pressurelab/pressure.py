@@ -21,6 +21,9 @@ TRANSFER_CAP = 1 << 16
 
 _KINDS = ("additive", "singular_upper", "singular_lower")
 
+# where ``dynamics._torus_logs`` puts the log singular value of each kind
+_TORUS_SIDE = {"singular_upper": 1, "singular_lower": 2}
+
 
 def logsumexp(values):
     """Stable log of a sum of exponentials."""
@@ -172,13 +175,6 @@ def separated_set(mapping, depth, epsilon=None):
     return SeparatedSet(points=cyl.leaves.points.copy(), epsilon=eps, depth=depth)
 
 
-def _singular_log(mapping, potential, depth):
-    """log of the singular value weight shared by all depth n words (2d)."""
-    a_pow = np.linalg.matrix_power(mapping.constant_derivative, depth)
-    log_hi, log_lo = dyn.singular_norms(a_pow)
-    return log_hi if potential.kind == "singular_upper" else log_lo
-
-
 def _pressure_at(mapping, potential, depths, walk=None):
     """P_k for each k of the ascending ``depths``, from one walk.
 
@@ -188,11 +184,12 @@ def _pressure_at(mapping, potential, depths, walk=None):
     word count.
     """
     if potential.kind != "additive" and mapping.dim == 2:
-        if mapping.constant_derivative is None:
-            raise BadSpec("2d singular pressure needs a constant derivative")
-        return [(math.log(mapping.count_words(k))
-                 - potential.weight * _singular_log(mapping, potential, k)) / k
-                for k in depths]
+        side = _TORUS_SIDE[potential.kind]
+        values = []
+        for k in depths:
+            logs = dyn._torus_logs(mapping, k)
+            values.append((logs[0] - potential.weight * logs[side]) / k)
+        return values
     if walk is None:
         walk = CylinderSet(mapping, depths[-1])
     elif walk.depth != depths[-1]:
@@ -278,7 +275,7 @@ def pressure_subadditive(mapping, potential, depth=8, epsilon=None):
     prev = history[-2][1] if len(history) >= 2 else math.nan
     advisory = ""
     if mapping.dim == 2:
-        log_hi, log_lo = dyn.singular_norms(mapping.constant_derivative)
+        _, log_hi, log_lo = dyn._torus_logs(mapping, 1)
         if log_hi - log_lo > 1e-6:
             advisory = ("singular spectrum is split; upper and lower "
                         "pressures bound the limit from two sides")
@@ -295,11 +292,15 @@ def iterated_singular_pressure(mapping, t, k, budget=16, kind="upper"):
     Words of the k-fold composition with inner length budget/k are exactly
     the base words of length budget, and on interval maps the k-step log
     derivative telescopes, so the value is k-invariant there by the chain
-    rule.  On linear torus maps the k-step weight uses the singular values
-    of the k-th matrix power.
+    rule.  On linear torus maps the k-step weight uses the largest
+    (``kind="upper"``) or smallest (``kind="lower"``) singular value of
+    the k-th matrix power; on interval maps the two kinds coincide.
     """
     t = float(t)
     k = int(k)
+    if kind not in ("upper", "lower"):
+        raise BadSpec("singular pressure kind must be 'upper' or 'lower', "
+                      "got %r" % (kind,))
     if k < 1:
         raise BadSpec("iteration order must be positive")
     if budget % k != 0:
@@ -311,13 +312,8 @@ def iterated_singular_pressure(mapping, t, k, budget=16, kind="upper"):
         cyl = CylinderSet(mapping, budget)
         sums = cyl.log_derivative_sums()
         return logsumexp(-t * sums[-1]) / budget
-    a = mapping.constant_derivative
-    if a is None:
-        raise BadSpec("iterated pressure on the torus needs a constant derivative")
-    a_pow = np.linalg.matrix_power(a, k)
-    log_hi, log_lo = dyn.singular_norms(a_pow)
-    log_sigma = log_hi if kind == "upper" else log_lo
-    return math.log(mapping.count_words(budget)) / budget - (t / k) * log_sigma
+    log_sigma = dyn._torus_logs(mapping, k)[_TORUS_SIDE["singular_" + kind]]
+    return dyn._torus_logs(mapping, budget)[0] / budget - (t / k) * log_sigma
 
 
 def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500):
@@ -337,8 +333,8 @@ def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500)
     cyl = CylinderSet(mapping, block_length, cap=TRANSFER_CAP)
     leaves = cyl.leaves
     if potential.kind != "additive" and mapping.dim == 2:
-        s_vals = np.full(len(leaves.first),
-                         -potential.weight * _singular_log(mapping, potential, block_length))
+        s_vals = np.full(len(leaves.first), -potential.weight * dyn._torus_logs(
+            mapping, block_length)[_TORUS_SIDE[potential.kind]])
     else:
         s_vals = cyl.birkhoff(potential.step_values)[-1]
     shift = float(s_vals.max())
@@ -389,8 +385,9 @@ def variational_gaps(mapping, potential, words, depth=12, epsilon=None):
         averages = np.add.reduceat(values, np.cumsum(lengths) - lengths) \
             / lengths
     else:
+        side = _TORUS_SIDE[potential.kind]
         averages = np.array([-potential.weight
-                             * _singular_log(mapping, potential, len(word))
+                             * dyn._torus_logs(mapping, len(word))[side]
                              / len(word) for word in words])
     value = pressure_additive(mapping, potential, depth, epsilon)
     return value - averages

@@ -177,6 +177,18 @@ def torus_cycle_exponents(matrix):
     return (math.log(abs(c)),) * 2
 
 
+def toral_dimension(a, b):
+    """(lower root, upper root) of the torus map diag(a, b), clamped to 2.
+
+    Its ab cells form a full shift and every word of length k has
+    derivative diag(a, b)^k, with extreme singular values max(a, b)^k
+    and min(a, b)^k.  So the lower pressure k log(ab) - t k log max(a, b)
+    vanishes at log(ab) / log max(a, b), at most 2, and the upper root
+    log(ab) / log min(a, b) is at least 2 and clamps to the ambient 2.
+    """
+    return math.log(a * b) / math.log(max(a, b)), 2.0
+
+
 def branch_symbol(domains, x, tol):
     """First branch whose closed domain holds x, then first within tol."""
     for pad in (0.0, tol):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
-from conftest import GOLDEN, moran_root
+from conftest import GOLDEN, moran_root, toral_dimension
 from pressurelab import bowen
-from pressurelab.bowen import _newton_root
+from pressurelab.bowen import _logsumexp_pressure, _newton_solve
 
 
 def test_bowen_root_linear():
@@ -68,6 +68,17 @@ def test_toral_bracket_and_conformal_root():
     assert rep.t_root == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("depth", [8, 64, 1000])
+def test_toral_dimensions_match_the_closed_form_at_any_depth(depth):
+    """Newton on the closed-form torus pressures, past float range of A^k."""
+    for a in range(2, 7):
+        for b in range(2, 7):
+            t_lower, t_upper = toral_dimension(a, b)
+            rep = pl.dimension_report(pl.toral_map(a, b), depth=depth)
+            assert abs(rep.t_lower - t_lower) <= 1e-12
+            assert abs(rep.t_upper - t_upper) <= 1e-12
+
+
 def test_report_history_depths():
     rep = pl.dimension_report(pl.cookie_cutter(3.0, 3.0), depth=12)
     assert tuple(d for d, _, _ in rep.per_depth) == (6, 12)
@@ -100,7 +111,7 @@ def test_newton_root_matches_bisection_on_any_sums(rows, depth, hi):
     clamps are reached as well as interior roots.
     """
     sums = [np.asarray(row) for row in rows]
-    got = _newton_root(sums, depth, hi, 1e-10)
+    got = _newton_solve(_logsumexp_pressure(sums, depth), hi, 1e-10)
     assert 0.0 <= got <= hi
     assert got == pytest.approx(_bisected_root(sums, depth, hi), abs=1e-9)
 
@@ -118,7 +129,7 @@ def test_newton_windows_equal_one_window_solves(rows, depth, hi, steps):
     Capping the Newton steps makes windows stall, so some roots come from
     the fallback bisection on their own brackets.
     """
-    one = [bowen._logsumexp_pressure([np.asarray(row)], depth)
+    one = [_logsumexp_pressure([np.asarray(row)], depth)
            for row in rows]
 
     def windows(t):
@@ -127,21 +138,22 @@ def test_newton_windows_equal_one_window_solves(rows, depth, hi, steps):
         return tuple(np.array(v) for v in zip(*pairs))
 
     with mock.patch.object(bowen, "_NEWTON_STEPS", steps):
-        got = bowen._newton_solve(windows, hi, 1e-10)
-        expect = [bowen._newton_solve(fn, hi, 1e-10) for fn in one]
+        got = _newton_solve(windows, hi, 1e-10)
+        expect = [_newton_solve(fn, hi, 1e-10) for fn in one]
     assert got.shape == (len(rows),)
     assert got.tolist() == expect
 
 
 def test_newton_root_clamps_exactly():
     # a single word has pressure 0 at t = 0
-    assert _newton_root([np.array([3.0])], 4, 1.0, 1e-10) == 0.0
+    one = _logsumexp_pressure([np.array([3.0])], 4)
+    assert _newton_solve(one, 1.0, 1e-10) == 0.0
     # slow words keep the pressure positive up to hi
-    slow = np.full(2 ** 6, 6 * math.log(1.5))
-    assert _newton_root([slow], 6, 1.0, 1e-10) == 1.0
+    slow = _logsumexp_pressure([np.full(2 ** 6, 6 * math.log(1.5))], 6)
+    assert _newton_solve(slow, 1.0, 1e-10) == 1.0
     # the doubling map's pressure vanishes exactly at hi
-    full = np.full(2 ** 6, 6 * math.log(2.0))
-    assert _newton_root([full], 6, 1.0, 1e-10) == 1.0
+    full = _logsumexp_pressure([np.full(2 ** 6, 6 * math.log(2.0))], 6)
+    assert _newton_solve(full, 1.0, 1e-10) == 1.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -261,11 +261,33 @@ def test_default_pressure_depth_fits_the_word_cap(tmp_path):
     ("--mode", "dimension", "map=toral(2,3)", "depth=20"),
     ("--mode", "pressure", "map=toral(2,3)", "potential=singular_upper(0.7)",
      "depth=20"),
+    # A^k leaves float range here; the closed forms work in log space
+    ("--mode", "dimension", "map=toral(2,3)", "depth=1000"),
+    ("--mode", "pressure", "map=toral(2,3)", "potential=singular_upper(0.7)",
+     "depth=700"),
 ])
 def test_cli_closed_form_torus_runs_skip_the_word_cap(tmp_path, args):
     rc, out = run_mode(tmp_path, *args)
     assert rc == 0
     assert "status=ok\n" in (out / "record.txt").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "stability", "map=cookie_cutter(3,3)", "seeds=2"),
+    ("--mode", "checks"),
+])
+def test_cli_validates_its_config_once(tmp_path, monkeypatch, args):
+    calls = []
+    validate = cfgmod.ExperimentConfig.validate
+
+    def counted(self):
+        calls.append(self.mode)
+        return validate(self)
+
+    monkeypatch.setattr(cfgmod.ExperimentConfig, "validate", counted)
+    rc, _ = run_mode(tmp_path, *args)
+    assert rc == 0
+    assert calls == [args[1]]
 
 
 def test_map_build_errors_name_their_cause():

@@ -52,6 +52,9 @@ def test_package_import_loads_no_submodule():
      {"lyapunov", "checks", "pressure", "random_bundle"}),
     (("--mode", "pressure", "map=doubling", "potential=geometric(0.7)"),
      {"lyapunov", "checks", "bowen", "random_bundle"}),
+    # torus roots are closed forms from dynamics, not pressure estimators
+    (("--mode", "dimension", "map=toral(2,3)", "depth=20"),
+     {"lyapunov", "checks", "pressure", "random_bundle"}),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
     loaded = _loaded_by_run(tmp_path / "out", *args)

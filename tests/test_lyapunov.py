@@ -62,6 +62,11 @@ def test_conformality_screen():
     assert rep.conformal
     assert rep.spread <= 1e-9
     assert rep.periodic_orbits > 0
+    # the checks battery's screen: the 9 + 36 + 240 Lyndon words on 9
+    # symbols of length 1 to 3 (9^4 words exceed the budget of 2048)
+    rep = pl.average_conformal_check(pl.toral_conformal_map(3),
+                                     period_cap=5, samples=8, depth=10)
+    assert (rep.periodic_orbits, rep.spread) == (285, 0.0)
 
     rep = pl.average_conformal_check(pl.toral_map(2, 3),
                                      period_cap=4, samples=8)
@@ -201,3 +206,16 @@ def test_stacked_cycle_exponents_match_the_matrix_power(mp):
     rep = pl.average_conformal_check(mp, period_cap=3, samples=0)
     assert rep.periodic_orbits == len(cycles)
     assert rep.spread == pytest.approx(expected[0] - expected[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("mp", [pl.doubling_map(), pl.circle_map(3),
+                                pl.toral_map(2, 2)],
+                         ids=lambda mp: "%d_symbols" % mp.n_symbols)
+def test_primitive_cycles_are_the_lyndon_words(mp):
+    full = [[1] * mp.n_symbols] * mp.n_symbols
+    expected = primitive_cycles(full, 6)
+    assert lyapunov._primitive_cycles(mp, 6, 4 ** 6) == expected
+    # the budget stops the periods at the last word count within it
+    assert lyapunov._primitive_cycles(mp, 6, mp.n_symbols ** 3) == [
+        w for w in expected if len(w) <= 3]
+    assert lyapunov._primitive_cycles(mp, 0, 4 ** 6) == []

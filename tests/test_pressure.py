@@ -155,6 +155,51 @@ def test_iterated_pressure_telescopes():
         pl.iterated_singular_pressure(mp, t, 3, budget=16)
 
 
+_INTERVAL_BUILDS = (pl.doubling_map, lambda: pl.cookie_cutter(2.0, 4.0),
+                    lambda: pl.cookie_cutter(3.0, 3.0), pl.golden_mean_map,
+                    lambda: pl.circle_map(2, 0.05))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(_INTERVAL_BUILDS), st.just(()),
+              st.integers(min_value=1, max_value=12)),
+    st.tuples(st.just(pl.toral_map),
+              st.tuples(st.integers(2, 6), st.integers(2, 6)),
+              st.integers(min_value=1, max_value=720)),
+    st.tuples(st.just(pl.toral_conformal_map),
+              st.tuples(st.integers(2, 6)),
+              st.integers(min_value=1, max_value=720))),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.sampled_from(["upper", "lower"]))
+def test_iterated_pressure_is_invariant_under_every_divisor(case, t, kind):
+    """P of the k-step singular potential per base step does not depend on k.
+
+    Interval maps telescope the k-step log derivative; diagonal and
+    quarter-turn torus maps have sigma(A^k) = sigma(A)^k.  The torus
+    budget runs past the depth at which A^k leaves float range.
+    """
+    build, params, budget = case
+    mp = build(*params)
+    values = [pl.iterated_singular_pressure(mp, t, k, budget=budget,
+                                            kind=kind)
+              for k in range(1, budget + 1) if budget % k == 0]
+    assert max(values) - min(values) <= 1e-12
+
+
+def test_iterated_pressure_kind_is_checked():
+    for mp in (pl.cookie_cutter(3.0, 3.0), pl.toral_map(2, 3)):
+        for kind in ("bogus", "Upper", None):
+            with pytest.raises(pl.BadSpec, match="upper"):
+                pl.iterated_singular_pressure(mp, 1.0, 2, budget=8,
+                                              kind=kind)
+    mp = pl.toral_map(2, 3)
+    upper = pl.iterated_singular_pressure(mp, 1.0, 2, budget=8, kind="upper")
+    lower = pl.iterated_singular_pressure(mp, 1.0, 2, budget=8, kind="lower")
+    assert upper == pytest.approx(math.log(2.0), abs=1e-12)
+    assert lower == pytest.approx(math.log(3.0), abs=1e-12)
+
+
 def test_variational_gap_doubling_zero_potential():
     mp = pl.doubling_map()
     gap = pl.variational_gap(mp, pl.Potential.zero(), (0, 1), depth=10)
