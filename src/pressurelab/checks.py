@@ -95,11 +95,9 @@ def _check_dimension_oracles():
 
 
 def _check_conformality():
-    report = average_conformal_check(dyn.toral_conformal_map(3),
-                                     period_cap=5, samples=8, depth=10)
+    report = average_conformal_check(dyn.toral_conformal_map(3))
     return _require(report.conformal,
-                    "exponent spread %.2e over %d cycles"
-                    % (report.spread, report.periodic_orbits))
+                    "exponent spread %.2e" % report.spread)
 
 
 def _check_conjugacy_transport():

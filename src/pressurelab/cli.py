@@ -30,7 +30,7 @@ from .errors import ConfigError, PressureLabError
 # the modules each mode runs on top of config, dynamics and cylinders
 _MODE_MODULES = {"dimension": ("bowen",), "pressure": ("pressure",),
                  "lyapunov": ("lyapunov",),
-                 "entropy": ("random_bundle", "pressure"),
+                 "entropy": ("random_bundle",),
                  "stability": ("random_bundle",), "checks": ("checks",)}
 
 
@@ -190,9 +190,7 @@ def _run_lyapunov(cfg):
     word_text = "".join(str(s) for s in word)
     header = ("map", "orbit_word", "index", "exponent")
     rows = [(cfg.map, word_text, i, v) for i, v in enumerate(exponents)]
-    screen = pl.average_conformal_check(mapping, period_cap=6, samples=16,
-                                        depth=min(cfg.depth, 12),
-                                        seed=cfg.seed)
+    screen = pl.average_conformal_check(mapping)
     cert = _map_certificates(cfg, mapping)
     cert["conformality_spread"] = screen.spread
     cert["conformal"] = screen.conformal
@@ -204,8 +202,7 @@ def _run_lyapunov(cfg):
 def _run_entropy(cfg):
     kind, params = cfg.family_shape()
     family = pl.RandomFamily(kind, params, cfg.epsilon, cfg.letters)
-    seeds = list(range(cfg.seed, cfg.seed + cfg.seeds))
-    value = pl.random_entropy(family, seeds, depth=cfg.depth)
+    value = pl.random_entropy(family, depth=cfg.depth)
     header = ("map", "epsilon", "letters", "depth", "seeds", "entropy")
     rows = [(cfg.map, cfg.epsilon, cfg.letters, cfg.depth, cfg.seeds, value)]
     summary = {"entropy": value}

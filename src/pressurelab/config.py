@@ -201,6 +201,8 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("tol must be positive")
         if self.seeds < 1:
             raise ConfigError("seeds must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
         if self.letters < 1:
@@ -211,6 +213,8 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("conj_depth must not be negative")
         if any(e < 0.0 for e in self.eps_schedule):
             raise ConfigError("eps_schedule entries must not be negative")
+        if self.mode == "stability" and not self.eps_schedule:
+            raise ConfigError("stability mode needs a nonempty eps_schedule")
         if not self.out:
             raise ConfigError("out directory must be set")
         mapping = _map_or_none(self.map)
@@ -235,16 +239,15 @@ class ExperimentConfig(NamedTuple):
     def _deepest_walk(self, mapping):
         """Longest word a run of this config enumerates; 0 for none.
 
-        Torus dimensions and singular torus pressures are closed forms in
-        the word count; stability and entropy runs are interval-only.
+        Torus dimensions, singular torus pressures and entropies are closed
+        forms in the word count; stability runs are interval-only.
         """
         if self.mode == "stability":
             # fiber roots take operator products, not words; the deepest
             # walks are the conjugacy, the reference root and the growth
             # probe of ``expansivity_min_growth``
             return max(self.conj_depth, REFERENCE_DEPTH, GROWTH_DEPTH)
-        if self.mode == "entropy" or (self.mode in ("dimension", "pressure")
-                                      and mapping.dim == 1):
+        if self.mode in ("dimension", "pressure") and mapping.dim == 1:
             return self.depth
         if self.mode == "pressure" and \
                 build_potential(self.potential).kind == "additive":

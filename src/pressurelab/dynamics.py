@@ -546,29 +546,24 @@ def cylinder_point(mapping, word):
 
 
 def cocycle(mapping, x, length):
-    """Extreme singular values of the derivative of f^length at x."""
+    """Extreme singular values of the derivative of f^length at x.
+
+    On the torus every step has derivative A, so the product is A^length
+    at any point of the repeller; ``_torus_logs`` gives it without
+    overflow once the start point is found in a cell.
+    """
+    if mapping.dim == 2:
+        mapping.symbol(np.asarray(x, dtype=float))
+        _, log_hi, log_lo = _torus_logs(mapping, length)
+        return CocycleProduct(log_hi, log_lo, length)
     pts, syms = orbit(mapping, x, length)
-    if mapping.dim == 1:
-        total = 0.0
-        for p, s in zip(pts, syms):
-            slope = float(mapping.branches[s].deriv(float(p)))
-            if not slope > 0.0:
-                raise SingularMatrix("vanishing derivative along orbit")
-            total += math.log(slope)
-        return CocycleProduct(total, total, length)
-    m = np.eye(2)
-    scale = 0.0
-    for s in syms:
-        m = mapping.branches[s].matrix @ m
-        norm = float(np.linalg.norm(m))
-        if norm > 1e12:
-            m /= norm
-            scale += math.log(norm)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if not np.all(np.isfinite(sv)) or float(sv[-1]) <= 0.0:
-        raise SingularMatrix("matrix has a vanishing singular value")
-    return CocycleProduct(scale + float(np.log(sv[0])),
-                          scale + float(np.log(sv[-1])), length)
+    total = 0.0
+    for p, s in zip(pts, syms):
+        slope = float(mapping.branches[s].deriv(float(p)))
+        if not slope > 0.0:
+            raise SingularMatrix("vanishing derivative along orbit")
+        total += math.log(slope)
+    return CocycleProduct(total, total, length)
 
 
 def _torus_logs(mapping, k):

@@ -94,19 +94,17 @@ def periodic_point(mapping, word):
     return float(x) if mapping.dim == 1 else x
 
 
-def _cycle_exponents(mapping, words):
-    """Exponents of torus cycles of one period, one row per word, descending.
+def _torus_exponents(mapping):
+    """Exponents of every cycle of a torus map, descending.
 
-    Every cell of a torus map has derivative A, so every cycle of period p
-    has derivative product A^p: one matrix power and one eigvals call
-    give the row shared by all the words.
+    Every cell has derivative A, so a cycle of period p has derivative
+    A^p, and its exponents (1/p) log|eigenvalues of A^p| are the
+    log|eigenvalues of A| whatever the cycle.
     """
-    p = len(words[0])
-    m = np.linalg.matrix_power(mapping.constant_derivative, p)
-    moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
-    if moduli[-1] <= 0.0:
-        raise SingularMatrix("cycle derivative product has a zero eigenvalue")
-    return np.tile(np.log(moduli) / p, (len(words), 1))
+    moduli = np.sort(np.abs(np.linalg.eigvals(mapping.constant_derivative)))
+    if moduli[0] <= 0.0:
+        raise SingularMatrix("torus derivative has a zero eigenvalue")
+    return tuple(float(v) for v in np.log(moduli[::-1]))
 
 
 def lyapunov_exponents(mapping, source, steps=None):
@@ -114,7 +112,7 @@ def lyapunov_exponents(mapping, source, steps=None):
 
     A tuple source is read as a closable word: the cycle is exact, interval
     exponents are mean log slopes over its periodic orbit, and torus
-    exponents are the eigenvalue moduli of the cycle derivative product.
+    exponents are log|eigenvalues of A|, shared by every cycle.
     A numeric source is a starting point; exponents then come from a
     finite orbit cocycle and require at least 32 steps.
     """
@@ -128,7 +126,7 @@ def lyapunov_exponents(mapping, source, steps=None):
                 total += math.log(float(
                     mapping.branches[word[j]].deriv(orbit[j])))
             return (total / p,)
-        return tuple(float(v) for v in _cycle_exponents(mapping, [word])[0])
+        return _torus_exponents(mapping)
     steps = 64 if steps is None else int(steps)
     if steps < 32:
         raise BadSpec("orbit exponents need at least 32 steps")
@@ -148,77 +146,20 @@ def lyapunov_exponents(mapping, source, steps=None):
     return tuple(sorted((sums / steps).tolist(), reverse=True))
 
 
-def _primitive_cycles(mapping, period_cap, budget):
-    """Primitive closed words up to rotation, shortest periods first.
-
-    The periods run from 1 while they stay within the cap and their word
-    count within budget.  Torus cells form a full shift, so these words
-    are the Lyndon words on the map's symbols, which Duval's algorithm
-    generates in lexicographic order.
-    """
-    n = mapping.n_symbols
-    longest = 0
-    while longest < period_cap and mapping.count_words(longest + 1) <= budget:
-        longest += 1
-    words = []
-    word = [-1] if longest else []
-    while word:
-        word[-1] += 1
-        words.append(tuple(word))
-        word = (word * longest)[:longest]
-        while word and word[-1] == n - 1:
-            word.pop()
-    return sorted(words, key=len)
-
-
-def _random_word(mapping, length, rng):
-    n = mapping.n_symbols
-    adj = mapping.adjacency
-    s = int(rng.integers(n))
-    word = [s]
-    for _ in range(length - 1):
-        choices = [b for b in range(n) if adj[word[-1]][b]]
-        word.append(choices[int(rng.integers(len(choices)))])
-    return tuple(word)
-
-
 class ConformalityReport(NamedTuple):
     spread: float
     conformal: bool
-    periodic_orbits: int
-    sample_orbits: int
 
 
-def average_conformal_check(mapping, period_cap=8, budget=2048, samples=32,
-                            depth=16, threshold=1e-6, seed=0):
+def average_conformal_check(mapping, threshold=1e-6):
     """Screen for equality of the extreme expansion exponents.
 
-    Interval maps have a single exponent and pass by construction.  On the
-    torus the screen takes every primitive closed word up to the period cap
-    (while the word count stays within budget) plus random admissible
-    words, and reports the worst per step split between the largest and
-    smallest exponents.
+    Interval maps have a single exponent and pass by construction.  Every
+    invariant measure of a torus map has the exponents of its cycles,
+    log|eigenvalues of A|, so the spread is their difference.
     """
     if mapping.dim == 1:
-        return ConformalityReport(0.0, True, 0, 0)
-    by_period = {}
-    for word in _primitive_cycles(mapping, period_cap, budget):
-        by_period.setdefault(len(word), []).append(word)
-    spread = 0.0
-    count = 0
-    for words in by_period.values():
-        ex = _cycle_exponents(mapping, words)
-        spread = max(spread, float(np.max(ex[:, 0] - ex[:, -1])))
-        count += len(words)
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    used = 0
-    for _ in range(samples):
-        word = _random_word(mapping, depth, rng)
-        x = dyn.cylinder_point(mapping, word)
-        cp = dyn.cocycle(mapping, x, depth)
-        spread = max(spread, (cp.log_norm - cp.log_conorm) / depth)
-        used += 1
-    return ConformalityReport(spread=float(spread),
-                              conformal=bool(spread <= threshold),
-                              periodic_orbits=count,
-                              sample_orbits=used)
+        return ConformalityReport(0.0, True)
+    exponents = _torus_exponents(mapping)
+    spread = exponents[0] - exponents[-1]
+    return ConformalityReport(spread=spread, conformal=spread <= threshold)

@@ -73,6 +73,8 @@ def sample_base(seed, horizon, n_letters=2):
         raise BadSpec("need at least one letter")
     if horizon < 0:
         raise BadSpec("horizon must not be negative")
+    if seed < 0:
+        raise BadSpec("seed must not be negative")
     fwd_seq, bwd_seq = np.random.SeedSequence(int(seed)).spawn(2)
     fwd = np.random.default_rng(np.random.PCG64(fwd_seq))
     bwd = np.random.default_rng(np.random.PCG64(bwd_seq))
@@ -650,11 +652,19 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
                        per_sample=per, depth=int(depth), nodes=ops.nodes)
 
 
-def random_entropy(family, seeds, depth=12):
-    """Averaged zero potential pressure; letters never change word counts."""
-    from .pressure import Potential
+def random_entropy(family, depth=12):
+    """Fiber entropy at depth n: log N_n / n for the base map's word count.
 
-    return random_pressure(family, Potential.zero(), seeds, depth).value
+    Letters never change word counts and every family is a full shift, so
+    every fiber has the base map's N_n words of length n, and the zero
+    potential ``random_pressure`` of any seeds is this value.  No word is
+    walked.  A count past float range is a BadSpec.
+    """
+    with np.errstate(over="ignore"):
+        count = family.base_map.count_words(depth)
+    if not math.isfinite(count):
+        raise BadSpec("the word count at depth %d overflows" % depth)
+    return math.log(count) / depth
 
 
 def _min_growths(family, windows, depth=GROWTH_DEPTH):

@@ -201,6 +201,25 @@ def test_cli_error_attribution(tmp_path):
     assert "NonExpanding" in record
 
 
+@pytest.mark.parametrize("args", [
+    ("--mode", "stability", "--seed", "-1"),
+    ("--mode", "checks", "--seed", "-3"),
+    # an empty schedule has no level to run
+    ("--mode", "stability", "eps_schedule="),
+])
+def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a config that cannot run")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "verify", no_work)
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_cli_config_error_exit_code():
     assert cli.main(["mode=not_a_mode"]) == 2
     assert cli.main(["mode=dimension", "map=mystery(1)"]) == 2
@@ -212,7 +231,8 @@ def test_cli_config_error_exit_code():
 @pytest.mark.parametrize("args", [
     ("--mode", "dimension", "map=circle(3,0.05)", "depth=13"),
     ("--mode", "pressure", "map=doubling", "depth=21"),
-    ("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
+    # 2178309 golden mean words; entropies are closed forms and walk none
+    ("--mode", "dimension", "map=golden_mean", "depth=30"),
     ("--mode", "stability", "map=cookie_cutter(3,3)", "conj_depth=21"),
     # the reference root of a sweep walks to depth 12 whatever depth says
     ("--mode", "stability", "map=circle(4,0.05)", "depth=8"),
@@ -265,6 +285,8 @@ def test_default_pressure_depth_fits_the_word_cap(tmp_path):
     ("--mode", "dimension", "map=toral(2,3)", "depth=1000"),
     ("--mode", "pressure", "map=toral(2,3)", "potential=singular_upper(0.7)",
      "depth=700"),
+    # 3^13 fiber words: the entropy is log N_n / n and walks none
+    ("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
 ])
 def test_cli_closed_form_torus_runs_skip_the_word_cap(tmp_path, args):
     rc, out = run_mode(tmp_path, *args)

@@ -55,6 +55,9 @@ def test_package_import_loads_no_submodule():
     # torus roots are closed forms from dynamics, not pressure estimators
     (("--mode", "dimension", "map=toral(2,3)", "depth=20"),
      {"lyapunov", "checks", "pressure", "random_bundle"}),
+    # entropies are word counts, not zero potential pressures
+    (("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
+     {"lyapunov", "checks", "pressure"}),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
     loaded = _loaded_by_run(tmp_path / "out", *args)

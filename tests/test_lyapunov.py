@@ -55,24 +55,65 @@ def test_torus_cycle_exponents_need_no_periodic_points(monkeypatch):
 
 
 def test_conformality_screen():
-    assert pl.average_conformal_check(pl.cookie_cutter(3.0, 3.0)).conformal
+    rep = pl.average_conformal_check(pl.cookie_cutter(3.0, 3.0))
+    assert rep == (0.0, True)
 
-    rep = pl.average_conformal_check(pl.toral_conformal_map(3),
-                                     period_cap=4, samples=8)
+    # the checks battery's screen
+    rep = pl.average_conformal_check(pl.toral_conformal_map(3))
     assert rep.conformal
-    assert rep.spread <= 1e-9
-    assert rep.periodic_orbits > 0
-    # the checks battery's screen: the 9 + 36 + 240 Lyndon words on 9
-    # symbols of length 1 to 3 (9^4 words exceed the budget of 2048)
-    rep = pl.average_conformal_check(pl.toral_conformal_map(3),
-                                     period_cap=5, samples=8, depth=10)
-    assert (rep.periodic_orbits, rep.spread) == (285, 0.0)
+    assert rep.spread == 0.0
 
-    rep = pl.average_conformal_check(pl.toral_map(2, 3),
-                                     period_cap=4, samples=8)
+    rep = pl.average_conformal_check(pl.toral_map(2, 3))
     assert not rep.conformal
     assert rep.spread == pytest.approx(math.log(3.0) - math.log(2.0),
                                        abs=1e-9)
+
+
+_TORUS_PARAMS = st.one_of(
+    st.tuples(st.integers(min_value=2, max_value=6),
+              st.integers(min_value=2, max_value=6)),
+    st.tuples(st.integers(min_value=2, max_value=4)))
+
+
+def _torus_map(params):
+    """The diagonal map of two entries, the quarter turn of one."""
+    return pl.toral_map(*params) if len(params) == 2 else \
+        pl.toral_conformal_map(*params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TORUS_PARAMS, st.lists(st.integers(min_value=0, max_value=35),
+                               min_size=1, max_size=12))
+def test_torus_screen_and_cycles_match_the_oracle(params, letters):
+    mp = _torus_map(params)
+    spread = abs(math.log(params[0]) - math.log(params[-1]))
+    rep = pl.average_conformal_check(mp)
+    assert abs(rep.spread - spread) <= 1e-12
+    assert rep.conformal == (spread == 0.0)
+    # torus cells form a full shift, so every word closes up
+    word = tuple(s % mp.n_symbols for s in letters)
+    expected = torus_cycle_exponents(mp.constant_derivative.tolist())
+    got = pl.lyapunov_exponents(mp, word)
+    assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TORUS_PARAMS, st.integers(min_value=1, max_value=2000),
+       st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                 st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+def test_torus_cocycle_is_the_eigenvalue_power(params, length, point):
+    mp = _torus_map(params)
+    hi, lo = torus_cycle_exponents(mp.constant_derivative.tolist())
+    cp = pl.cocycle(mp, np.array(point), length)
+    assert math.isfinite(cp.log_norm) and math.isfinite(cp.log_conorm)
+    assert abs(cp.log_norm - length * hi) <= 1e-9 * length
+    assert abs(cp.log_conorm - length * lo) <= 1e-9 * length
+    assert cp.steps == length
+
+
+def test_torus_cocycle_checks_its_start_point():
+    with pytest.raises(pl.EscapedRepeller):
+        pl.cocycle(pl.toral_map(2, 3), np.array([1.5, 0.5]), 8)
 
 
 def test_periodic_point_cycle_consistency():
@@ -194,28 +235,13 @@ def test_newton_steps_off_the_domain_take_the_contraction_value():
                          ids=lambda mp: mp.name + str(mp.n_symbols))
 def test_stacked_cycle_exponents_match_the_matrix_power(mp):
     expected = torus_cycle_exponents(mp.constant_derivative.tolist())
+    assert np.abs(np.subtract(lyapunov._torus_exponents(mp),
+                              expected)).max() <= 1e-12
     cycles = primitive_cycles(mp.adjacency, 3)
     for p in (1, 2, 3):
         words = [w for w in cycles if len(w) == p]
-        ex = lyapunov._cycle_exponents(mp, words)
-        assert ex.shape == (len(words), 2)
-        assert np.abs(ex - np.array(expected)).max() <= 1e-12
         for w in words[:5]:
             assert pl.lyapunov_exponents(mp, w) == pytest.approx(
                 expected, abs=1e-12)
-    rep = pl.average_conformal_check(mp, period_cap=3, samples=0)
-    assert rep.periodic_orbits == len(cycles)
+    rep = pl.average_conformal_check(mp)
     assert rep.spread == pytest.approx(expected[0] - expected[1], abs=1e-12)
-
-
-@pytest.mark.parametrize("mp", [pl.doubling_map(), pl.circle_map(3),
-                                pl.toral_map(2, 2)],
-                         ids=lambda mp: "%d_symbols" % mp.n_symbols)
-def test_primitive_cycles_are_the_lyndon_words(mp):
-    full = [[1] * mp.n_symbols] * mp.n_symbols
-    expected = primitive_cycles(full, 6)
-    assert lyapunov._primitive_cycles(mp, 6, 4 ** 6) == expected
-    # the budget stops the periods at the last word count within it
-    assert lyapunov._primitive_cycles(mp, 6, mp.n_symbols ** 3) == [
-        w for w in expected if len(w) <= 3]
-    assert lyapunov._primitive_cycles(mp, 0, 4 ** 6) == []

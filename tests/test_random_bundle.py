@@ -28,6 +28,11 @@ def test_sample_base_positions_survive_horizon_growth():
         assert small.symbol(j) == large.symbol(j)
 
 
+def test_sample_base_rejects_a_negative_seed():
+    with pytest.raises(pl.BadSpec, match="seed"):
+        pl.sample_base(-1, 4)
+
+
 def test_sample_window_bounds():
     smp = pl.sample_base(0, 4)
     assert smp.horizon == 4
@@ -138,7 +143,7 @@ def test_random_pressure_zero_potential_counts_branches():
     assert est.value == pytest.approx(math.log(2.0), abs=1e-12)
     assert est.std_error == 0.0
     assert est.omega_samples == 6
-    assert pl.random_entropy(fam, range(4), depth=8) == pytest.approx(
+    assert pl.random_entropy(fam, depth=8) == pytest.approx(
         math.log(2.0), abs=1e-12)
 
 
@@ -293,6 +298,18 @@ def test_stability_experiment_shape():
         assert cert["min_growth"] > 0.0
         assert set(cert["distortion"]) == {0, 1}
     assert res.rows[0].h_sup > res.rows[1].h_sup
+
+
+def test_cookie_sweep_meets_its_gates_on_many_seeds():
+    """The default cookie sweep's output gates hold on every base seed."""
+    carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    for seed in range(24):
+        rows = pl.stability_experiment(carrier, base_seed=seed).rows
+        for r in rows:
+            gap = abs(r.t_root - expectation_root(r.epsilon))
+            assert gap <= 3.0 * r.std_error + 2e-3, (seed, r.epsilon)
+            assert r.equivariance <= r.equivariance_bound, (seed, r.epsilon)
+        assert rows[-1].gap_t < 0.02, seed
 
 
 def test_stability_experiment_records_failures():
@@ -609,3 +626,30 @@ def test_map_words_rows_equal_map_word(shape, seed, length):
         conj.map_words([[0, n_sym]])
     with pytest.raises(pl.InadmissibleWord):
         conj.map_words(np.zeros((3, 0), dtype=int))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_WALK_FAMILIES, st.integers(min_value=2, max_value=3),
+       st.integers(min_value=1, max_value=10),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1,
+                max_size=3))
+def test_random_entropy_is_the_walked_zero_pressure(shape, n_letters, depth,
+                                                     seeds):
+    """The word count closed form is the enumerated zero pressure."""
+    kind, params, eps = shape
+    fam = pl.RandomFamily(kind, params, eps, n_letters)
+    walked = pl.random_pressure(fam, pl.Potential.zero(), seeds, depth).value
+    assert abs(pl.random_entropy(fam, depth) - walked) <= 1e-12
+
+
+def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
+    from pressurelab import random_bundle
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("random_entropy walked fiber words")
+
+    monkeypatch.setattr(random_bundle, "FiberCylinders", no_walk)
+    fam = pl.RandomFamily("circle", (3.0, 0.05), 0.0)
+    assert abs(pl.random_entropy(fam, 13) - math.log(3.0)) <= 1e-12
+    with pytest.raises(pl.BadSpec, match="overflows"):
+        pl.random_entropy(fam, 700)
