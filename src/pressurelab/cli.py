@@ -3,7 +3,7 @@
 Every run leaves four files in the output directory: ``run.csv`` with the
 mode's result table, ``certificates.txt`` with the flat key=value
 certificates backing the numbers, ``gaps.svg`` for stability sweeps, and
-``record.txt`` tying the outputs to a content hash of the config.  CSV
+``record.txt`` tying the outputs to the config's canonical fields.  CSV
 bodies contain no timestamps, so identical configs reproduce them byte
 for byte.
 
@@ -35,7 +35,6 @@ _MODE_MODULES = {"dimension": ("bowen",), "pressure": ("pressure",),
 
 
 class RunRecord(NamedTuple):
-    config_hash: str
     timestamp: str
     versions: dict
     files: tuple
@@ -203,8 +202,8 @@ def _run_entropy(cfg):
     kind, params = cfg.family_shape()
     family = pl.RandomFamily(kind, params, cfg.epsilon, cfg.letters)
     value = pl.random_entropy(family, depth=cfg.depth)
-    header = ("map", "epsilon", "letters", "depth", "seeds", "entropy")
-    rows = [(cfg.map, cfg.epsilon, cfg.letters, cfg.depth, cfg.seeds, value)]
+    header = ("map", "epsilon", "letters", "depth", "entropy")
+    rows = [(cfg.map, cfg.epsilon, cfg.letters, cfg.depth, value)]
     summary = {"entropy": value}
     return header, rows, _family_certificates(family, cfg.depth), summary, None
 
@@ -256,8 +255,9 @@ def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
           error="", timings=()):
     """Write the artifacts of a run.
 
-    record.txt lists the (stage, seconds) pairs of ``timings``, the time
-    spent writing the other files and the count of modules loaded.
+    record.txt lists the config's canonical fields as ``config.*`` lines,
+    the (stage, seconds) pairs of ``timings``, the time spent writing the
+    other files and the count of modules loaded.
     """
     start = time.perf_counter()
     os.makedirs(cfg.out, exist_ok=True)
@@ -275,16 +275,14 @@ def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
         files.append("gaps.svg")
     timings = list(timings) + [("write", time.perf_counter() - start)]
     record = RunRecord(
-        config_hash=cfg.config_hash(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         versions={"package": "pressurelab %s" % pl.__version__,
                   "python": sys.version.split()[0],
                   "numpy": np.__version__},
         files=tuple(files + ["record.txt"]),
         summary=dict(summary), out_dir=cfg.out, status=status, error=error)
-    lines = ["config_hash=%s" % record.config_hash,
-             "mode=%s" % cfg.mode,
-             "status=%s" % record.status]
+    lines = ["config.%s" % item for item in cfg.canonical().split("\n")]
+    lines.append("status=%s" % record.status)
     if record.error:
         lines.append("error=%s" % record.error)
     lines += ["version.%s=%s" % kv for kv in sorted(record.versions.items())]

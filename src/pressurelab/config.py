@@ -1,13 +1,12 @@
 """Experiment configuration: flat key=value files plus flag overrides.
 
-A config is a handful of typed fields with mode dependent defaults.  The
-same dictionary shape feeds the content hash, so two configs that resolve
-to the same effective values always hash identically, regardless of which
-file, flag, or default supplied each field.
+A config is a handful of typed fields with mode dependent defaults.  Its
+canonical text form heads every run record, so two configs that resolve
+to the same effective values always record identically, regardless of
+which file, flag, or default supplied each field.
 """
 
 import argparse
-import hashlib
 import inspect
 from typing import NamedTuple
 
@@ -201,8 +200,12 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("tol must be positive")
         if self.seeds < 1:
             raise ConfigError("seeds must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must not be negative")
+        # seeds key a 64-bit hash of the letter positions
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must lie in 0 .. 2^64 - 1")
+        if self.mode == "stability" and self.seed + self.seeds > 2 ** 64:
+            raise ConfigError("the stability seeds seed .. seed + seeds - 1 "
+                              "must stay below 2^64")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
         if self.letters < 1:
@@ -257,11 +260,11 @@ class ExperimentConfig(NamedTuple):
     # -- identity ---------------------------------------------------------
 
     def canonical(self):
-        """Stable text form of the content fields; feeds the config hash.
+        """Stable text form of the content fields, one key=value per line.
 
-        The output directory only places the results, and the worker
-        count is accepted but ignored (every run is serial), so both stay
-        outside the hash.
+        ``record.txt`` lists these lines as ``config.*`` keys.  The output
+        directory only places the results, and the worker count is
+        accepted but ignored (every run is serial), so both are left out.
         """
         items = []
         for key in sorted(set(self._fields) - {"out", "workers"}):
@@ -274,9 +277,6 @@ class ExperimentConfig(NamedTuple):
                 text = str(val)
             items.append("%s=%s" % (key, text))
         return "\n".join(items)
-
-    def config_hash(self):
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     # -- builders -----------------------------------------------------------
 

@@ -113,8 +113,10 @@ def lyapunov_exponents(mapping, source, steps=None):
     A tuple source is read as a closable word: the cycle is exact, interval
     exponents are mean log slopes over its periodic orbit, and torus
     exponents are log|eigenvalues of A|, shared by every cycle.
-    A numeric source is a starting point; exponents then come from a
-    finite orbit cocycle and require at least 32 steps.
+    A numeric source is a starting point and requires at least 32 steps.
+    Interval exponents then come from a finite orbit cocycle.  On the
+    torus every step has derivative A, so once the point is found in a
+    cell the exponents are log|eigenvalues of A| again.
     """
     if isinstance(source, tuple):
         word = _check_closable(mapping, source)
@@ -133,17 +135,8 @@ def lyapunov_exponents(mapping, source, steps=None):
     if mapping.dim == 1:
         cp = dyn.cocycle(mapping, float(source), steps)
         return (cp.log_norm / steps,)
-    _, syms = dyn.orbit(mapping, np.asarray(source, dtype=float), steps)
-    q = np.eye(2)
-    sums = np.zeros(2)
-    for s in syms:
-        z = mapping.branches[s].matrix @ q
-        q, r = np.linalg.qr(z)
-        d = np.abs(np.diag(r))
-        if np.any(d <= 0.0):
-            raise SingularMatrix("derivative product collapsed along the orbit")
-        sums += np.log(d)
-    return tuple(sorted((sums / steps).tolist(), reverse=True))
+    mapping.symbol(np.asarray(source, dtype=float))
+    return _torus_exponents(mapping)
 
 
 class ConformalityReport(NamedTuple):

@@ -61,27 +61,48 @@ class BaseSample(NamedTuple):
         return len(self.symbols) - self.origin - 1
 
 
+# SplitMix64 (Steele, Lea and Flood 2014): the golden gamma and the
+# finaliser multipliers, as published
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _draw(seed, counters, n):
+    """Uniform integers in [0, n), one per integer counter, keyed on seed.
+
+    Counter p gets the SplitMix64 finaliser of seed + (p + 1) gamma mod
+    2^64, which is the p-th output of SplitMix64 seeded with ``seed``
+    (negative p run it backwards).  The high 32 bits of each output map to
+    [0, n) by multiply-shift, so n must not exceed 2^32.  No generator
+    state is kept: a draw depends on its seed and counter alone.
+    """
+    steps = np.asarray(counters, dtype=np.int64).view(np.uint64)
+    z = np.uint64(seed) + (steps + np.uint64(1)) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX[0]
+    z = (z ^ (z >> np.uint64(27))) * _MIX[1]
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
+
+
 def sample_base(seed, horizon, n_letters=2):
     """Draw i.i.d. uniform letters for positions -horizon .. horizon.
 
-    Forward and backward positions use two generator streams spawned from
-    the seed, so the letter at any fixed position never depends on the
-    requested horizon.  Operations drawing windows of different widths
-    from one seed therefore see one and the same realization.
+    Position p holds the letter ``_draw(seed, p, n_letters)``: a
+    counter-based hash of the seed and the position, so the letter at any
+    fixed position never depends on the requested horizon.  Operations
+    drawing windows of different widths from one seed therefore see one
+    and the same realization.  Seeds key a 64-bit hash and must lie in
+    0 .. 2^64 - 1.
     """
     if n_letters < 1:
         raise BadSpec("need at least one letter")
     if horizon < 0:
         raise BadSpec("horizon must not be negative")
-    if seed < 0:
-        raise BadSpec("seed must not be negative")
-    fwd_seq, bwd_seq = np.random.SeedSequence(int(seed)).spawn(2)
-    fwd = np.random.default_rng(np.random.PCG64(fwd_seq))
-    bwd = np.random.default_rng(np.random.PCG64(bwd_seq))
-    forward = fwd.integers(0, n_letters, size=int(horizon) + 1)
-    backward = bwd.integers(0, n_letters, size=int(horizon))
-    symbols = tuple(int(v) for v in backward[::-1]) + tuple(int(v) for v in forward)
-    return BaseSample(symbols, int(horizon), int(seed), int(n_letters))
+    if not 0 <= seed < 2 ** 64:
+        raise BadSpec("seed must lie in 0 .. 2^64 - 1")
+    h = int(horizon)
+    letters = _draw(seed, np.arange(-h, h + 1), n_letters)
+    return BaseSample(tuple(letters.tolist()), h, int(seed), int(n_letters))
 
 
 def constant_sample(letter, horizon, n_letters=2):
@@ -722,10 +743,10 @@ def distortion_constants(family, samples, sample_pairs=12000, depth=10,
     chain = FiberCylinders(family, windows, depth)
     leaves = chain.leaves
     m = len(leaves.first)
-    rng = np.random.default_rng(np.random.PCG64(int(seed)))
     extra = max(0, int(sample_pairs) - (m - 1))
-    i = np.concatenate([np.arange(m - 1), rng.integers(0, m, size=extra)])
-    j = np.concatenate([np.arange(1, m), rng.integers(0, m, size=extra)])
+    drawn = _draw(seed, np.arange(2 * extra), m).astype(np.intp)
+    i = np.concatenate([np.arange(m - 1), drawn[:extra]])
+    j = np.concatenate([np.arange(1, m), drawn[extra:]])
     keep = i != j
     i, j = i[keep], j[keep]
     circle = family.kind == "circle"

@@ -87,12 +87,26 @@ def test_stability_mode_rejects_markov_carriers():
         make("stability", map="golden_mean")
 
 
-def test_config_hash_ignores_execution_details():
-    a = make("dimension", out="first_dir").config_hash()
-    b = make("dimension", out="second_dir", workers="4").config_hash()
+def test_record_config_ignores_execution_details():
+    a = make("dimension", out="first_dir").canonical()
+    b = make("dimension", out="second_dir", workers="4").canonical()
     assert a == b
-    c = make("dimension", depth="9").config_hash()
+    assert "depth=12" in a.split("\n")
+    c = make("dimension", depth="9").canonical()
     assert c != a
+
+
+def test_seeds_must_fit_the_64_bit_letter_hash(tmp_path):
+    top = 2 ** 64
+    assert make("checks", seed=str(top - 1)).seed == top - 1
+    assert make("stability", seed=str(top - 16), seeds="16").seeds == 16
+    for mode, seed in (("checks", top), ("dimension", top + 5),
+                       ("stability", top - 15)):
+        with pytest.raises(pl.ConfigError, match="2\\^64"):
+            make(mode, seed=str(seed))
+    assert cli.main(["--mode", "checks", "--seed", str(top),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def run_mode(tmp_path, *args):
@@ -110,7 +124,12 @@ def test_cli_dimension_run(tmp_path):
     assert t_root == pytest.approx(math.log(2.0) / math.log(3.0), abs=1e-6)
     record = (out / "record.txt").read_text()
     assert "status=ok" in record
-    assert "config_hash=" in record
+    config = [line for line in record.split("\n")
+              if line.startswith("config.")]
+    assert "config.map=cookie_cutter(3,3)" in config
+    assert "config.depth=12" in config
+    assert not any(line.startswith(("config.out=", "config.workers="))
+                   for line in config)
     assert (out / "certificates.txt").exists()
 
 
@@ -128,6 +147,8 @@ def test_cli_runs_are_byte_identical(tmp_path):
     rc2, out2 = run_mode(tmp_path / "b", "mode=entropy",
                          "map=cookie_cutter(3,3)", "seeds=4", "depth=8")
     assert rc1 == rc2 == 0
+    assert (out1 / "run.csv").read_text().split("\n")[0] \
+        == "map,epsilon,letters,depth,entropy"
     assert (out1 / "run.csv").read_bytes() == (out2 / "run.csv").read_bytes()
     assert ((out1 / "certificates.txt").read_bytes()
             == (out2 / "certificates.txt").read_bytes())

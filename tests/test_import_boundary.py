@@ -79,3 +79,17 @@ def test_public_names_resolve_to_their_modules():
         assert name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         pl.no_such_name
+
+
+def test_runs_load_neither_numpy_random_nor_hashlib(tmp_path):
+    """Letters come from a counter hash, and records list the config."""
+    code = ("import sys\n"
+            "from pressurelab import cli\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['--mode', 'stability', 'seeds=2',\n"
+            "                 '--out', out + '/stability']) == 0\n"
+            "assert cli.main(['--mode', 'checks', '--out', out + '/checks'])"
+            " == 0\n"
+            "print(sorted({'numpy.random', 'hashlib', '_hashlib'}\n"
+            "             & set(sys.modules)))\n")
+    assert _fresh(code, str(tmp_path))[-1] == "[]"

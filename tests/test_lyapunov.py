@@ -45,6 +45,20 @@ def test_toral_cycle_exponents():
     assert ex[1] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("mp", [pl.toral_map(2, 3),
+                                pl.toral_conformal_map(3)],
+                         ids=lambda mp: mp.name)
+def test_torus_orbit_exponents_are_the_closed_form(mp):
+    expected = torus_cycle_exponents(mp.constant_derivative.tolist())
+    start = np.array([0.21, 0.34])
+    got = pl.lyapunov_exponents(mp, start, steps=2000)
+    assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+    with pytest.raises(pl.BadSpec):
+        pl.lyapunov_exponents(mp, start, steps=8)
+    with pytest.raises(pl.EscapedRepeller):
+        pl.lyapunov_exponents(mp, np.array([1.5, 0.5]))
+
+
 def test_torus_cycle_exponents_need_no_periodic_points(monkeypatch):
     def no_call(mapping, word):
         raise AssertionError("periodic_point called for a torus cycle")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import pressurelab as pl
 from conftest import expectation_root, moran_root
+from pressurelab import random_bundle
 
 
 def test_sample_base_is_deterministic():
@@ -31,6 +32,67 @@ def test_sample_base_positions_survive_horizon_growth():
 def test_sample_base_rejects_a_negative_seed():
     with pytest.raises(pl.BadSpec, match="seed"):
         pl.sample_base(-1, 4)
+
+
+def test_sample_base_rejects_seeds_past_64_bits():
+    assert pl.sample_base(2 ** 64 - 1, 4).seed == 2 ** 64 - 1
+    with pytest.raises(pl.BadSpec, match="2\\^64"):
+        pl.sample_base(2 ** 64, 4)
+
+
+def _splitmix64(seed, p):
+    """Output p of SplitMix64 seeded with seed, in Python integers."""
+    mask = 2 ** 64 - 1
+    z = (seed + (p + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_draws_are_splitmix64_outputs():
+    # the first output of SplitMix64 seeded with 1234567, as published
+    assert _splitmix64(1234567, 0) == 6457827717110365317
+    counters = list(range(-40, 41)) + [2 ** 40, -2 ** 40]
+    for seed in (0, 1234567, 2 ** 64 - 1):
+        for n in (2, 3, 5, 2 ** 32):
+            expected = [(_splitmix64(seed, p) >> 32) * n >> 32
+                        for p in counters]
+            assert random_bundle._draw(seed, counters, n).tolist() == expected
+
+
+@pytest.mark.parametrize("n_letters", [2, 3, 4, 5])
+def test_letters_are_iid_uniform_over_many_positions(n_letters):
+    """Letter and adjacent pair counts stay within 4 binomial sigmas."""
+    horizon = 2 ** 15
+    windows = {}
+    for seed in (0, 1, 2 ** 64 - 1):
+        letters = np.array(pl.sample_base(seed, horizon, n_letters).symbols)
+        windows[seed] = letters
+        m = len(letters)
+        counts = np.bincount(letters, minlength=n_letters)
+        p = 1.0 / n_letters
+        assert len(counts) == n_letters
+        assert np.abs(counts - m * p).max() <= 4.0 * math.sqrt(m * p * (1 - p))
+        pairs = np.bincount(letters[:-1] * n_letters + letters[1:],
+                            minlength=n_letters ** 2)
+        q = p * p
+        assert np.abs(pairs - (m - 1) * q).max() \
+            <= 4.0 * math.sqrt((m - 1) * q * (1 - q))
+    firsts = [tuple(w[:64]) for w in windows.values()]
+    assert len(set(firsts)) == len(firsts)
+
+
+def test_distortion_pairs_repeat_exactly():
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
+    window = pl.sample_base(6, 10)
+    first = pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
+                                    seed=4)
+    assert pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
+                                   seed=4) == first
+    assert first.pairs > 255
+    other = pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
+                                    seed=5)
+    assert other != first
 
 
 def test_sample_window_bounds():
@@ -439,7 +501,6 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
 
 
 def test_random_roots_report_their_nodes(monkeypatch):
-    from pressurelab import random_bundle
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
     # affine fibers are exact on the first node count
@@ -462,7 +523,6 @@ def test_stability_certificates_name_root_nodes():
 
 
 def test_fiber_pressure_rescaling_keeps_values(monkeypatch):
-    from pressurelab import random_bundle
     fam = pl.RandomFamily("circle", (3, 0.05), 0.1)
     ops = random_bundle.fiber_operators(fam, 32)
     window = pl.sample_base(4, 40)
@@ -503,7 +563,6 @@ def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
     inverse branches iterate Newton steps over all points of a call.  A
     small word cap splits the windows into batches of two.
     """
-    from pressurelab import random_bundle
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
     windows = [pl.sample_base(s, depth + start, n_letters)
@@ -643,7 +702,6 @@ def test_random_entropy_is_the_walked_zero_pressure(shape, n_letters, depth,
 
 
 def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
-    from pressurelab import random_bundle
 
     def no_walk(*args, **kwargs):
         raise AssertionError("random_entropy walked fiber words")
