@@ -8,6 +8,7 @@ and irreducibility of the transition matrix without rechecking.
 """
 
 import math
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -152,11 +153,32 @@ def circle_branch(degree, amplitude, index):
                     tag=tag)
 
 
+def _det2(m):
+    (a, b), (c, d) = m.tolist()
+    return a * d - b * c
+
+
+def _inv2(m):
+    """Inverse of a 2x2 matrix, adj(m) / det(m)."""
+    (a, b), (c, d) = m.tolist()
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def _sv2(m):
+    """(sigma_max, sigma_min) of a 2x2 matrix."""
+    (a, b), (c, d) = m.tolist()
+    hi = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    return hi, abs(a * d - b * c) / hi
+
+
 class Branch2D:
     """One affine cell of a linear expanding torus endomorphism.
 
     The cell with integer ``offset`` k is the preimage of the unit square
-    shifted by k, and its inverse branch is y -> A^(-1) (y + k).
+    shifted by k, and its inverse branch is y -> A^(-1) (y + k).  The
+    determinant, the inverse adj(A)/det A and the singular values come
+    from 2x2 closed forms: sigma_max is (|(a+d, b-c)| + |(a-d, b+c)|)/2
+    and sigma_min is |det A|/sigma_max.
     """
 
     __slots__ = ("matrix", "offset", "inv_matrix", "min_slope", "max_slope",
@@ -165,12 +187,10 @@ class Branch2D:
     def __init__(self, matrix, offset):
         self.matrix = np.array(matrix, dtype=float).reshape(2, 2)
         self.offset = np.array(offset, dtype=float).reshape(2)
-        if abs(float(np.linalg.det(self.matrix))) < 1e-12:
+        if abs(_det2(self.matrix)) < 1e-12:
             raise SingularMatrix("cell matrix is singular")
-        self.inv_matrix = np.linalg.inv(self.matrix)
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        self.min_slope = float(sv[-1])
-        self.max_slope = float(sv[0])
+        self.inv_matrix = _inv2(self.matrix)
+        self.max_slope, self.min_slope = _sv2(self.matrix)
         self.log_deriv_lipschitz = 0.0
         self.tag = ("cell",) + tuple(repr(float(v)) for v in self.matrix.ravel()) \
             + tuple(repr(float(v)) for v in self.offset)
@@ -250,13 +270,19 @@ class ExpandingMap:
         for br in self.branches[1:]:
             if not np.allclose(br.matrix, first, atol=1e-12):
                 raise BadSpec("torus cells must share one derivative matrix")
-        count = int(round(abs(float(np.linalg.det(first)))))
+        count = int(round(abs(_det2(first))))
         if count != self.n_symbols:
             raise BadSpec("expected %d cells for this matrix, got %d"
                           % (count, self.n_symbols))
         offsets = {tuple(int(round(v)) for v in br.offset) for br in self.branches}
         if len(offsets) != self.n_symbols:
             raise BadSpec("duplicate cell offsets")
+        # |det A| cells with distinct offsets tile the unit square exactly
+        # when every cell A^(-1)([0,1]^2 + k) lies inside it
+        corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        pulled = (self._offsets[:, None] + corners) @ self.branches[0].inv_matrix.T
+        if not np.all((pulled >= -_ALIGN_TOL) & (pulled <= 1.0 + _ALIGN_TOL)):
+            raise BadSpec("torus cells do not tile the unit square")
         if any(v != 1 for row in self.adjacency for v in row):
             raise NonMarkov("torus cells require the full transition matrix")
 
@@ -480,7 +506,10 @@ class ExpandingMap:
 
     def check_word(self, word):
         """Validate a symbol word against the transition matrix."""
-        word = tuple(int(s) for s in word)
+        try:
+            word = tuple(operator.index(s) for s in word)
+        except TypeError:
+            raise InadmissibleWord("word symbols must be integers: %r" % (word,))
         if not word:
             raise InadmissibleWord("empty word")
         n = self.n_symbols
@@ -585,9 +614,8 @@ def _torus_logs(mapping, k):
             power = a @ power
         shift = int(np.frexp(np.abs(power).max())[1])
         power, exponent = np.ldexp(power, -shift), exponent + shift
-    log_hi = exponent * math.log(2.0) + math.log(
-        float(np.linalg.svd(power, compute_uv=False)[0]))
-    log_det = math.log(abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+    log_hi = exponent * math.log(2.0) + math.log(_sv2(power)[0])
+    log_det = math.log(abs(_det2(a)))
     return k * math.log(mapping.n_symbols), log_hi, k * log_det - log_hi
 
 

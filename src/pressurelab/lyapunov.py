@@ -66,7 +66,7 @@ def periodic_orbit(mapping, word):
                                & (z <= 1.0 + dyn._ALIGN_TOL)))
 
         def newton(x, g, slope):
-            return x - np.linalg.solve(slope - unit, g - x)
+            return x - dyn._inv2(slope - unit) @ (g - x)
 
     x = first.center
     for _ in range(_ORBIT_PASSES):
@@ -94,6 +94,18 @@ def periodic_point(mapping, word):
     return float(x) if mapping.dim == 1 else x
 
 
+def _eig_moduli2(m):
+    """Eigenvalue moduli of a 2x2 matrix, descending, from trace and det."""
+    (a, b), (c, d) = m.tolist()
+    tr, det = a + d, a * d - b * c
+    disc = tr * tr - 4.0 * det
+    if disc < 0.0:
+        return math.sqrt(det), math.sqrt(det)
+    # the larger modulus needs no subtraction; the smaller is |det| over it
+    hi = 0.5 * (abs(tr) + math.sqrt(disc))
+    return hi, (abs(det) / hi if hi else 0.0)
+
+
 def _torus_exponents(mapping):
     """Exponents of every cycle of a torus map, descending.
 
@@ -101,10 +113,10 @@ def _torus_exponents(mapping):
     A^p, and its exponents (1/p) log|eigenvalues of A^p| are the
     log|eigenvalues of A| whatever the cycle.
     """
-    moduli = np.sort(np.abs(np.linalg.eigvals(mapping.constant_derivative)))
-    if moduli[0] <= 0.0:
+    moduli = _eig_moduli2(mapping.constant_derivative)
+    if moduli[1] <= 0.0:
         raise SingularMatrix("torus derivative has a zero eigenvalue")
-    return tuple(float(v) for v in np.log(moduli[::-1]))
+    return tuple(math.log(v) for v in moduli)
 
 
 def lyapunov_exponents(mapping, source, steps=None):

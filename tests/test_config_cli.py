@@ -3,6 +3,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 import pressurelab as pl
@@ -310,6 +311,24 @@ def test_default_pressure_depth_fits_the_word_cap(tmp_path):
     ("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
 ])
 def test_cli_closed_form_torus_runs_skip_the_word_cap(tmp_path, args):
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 0
+    assert "status=ok\n" in (out / "record.txt").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "checks"),
+    ("--mode", "dimension", "map=toral(2,3)", "depth=64"),
+    ("--mode", "pressure", "map=toral(2,3)", "potential=singular_upper(0.7)"),
+    ("--mode", "lyapunov", "map=toral_conformal(3)", "orbit_word=0,4,7"),
+])
+def test_cli_torus_runs_call_no_lapack(tmp_path, monkeypatch, args):
+    """Torus maps use 2x2 closed forms, so no run calls into LAPACK."""
+    def refuse(*_args, **_kw):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("det", "inv", "svd", "eigvals", "eig", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     rc, out = run_mode(tmp_path, *args)
     assert rc == 0
     assert "status=ok\n" in (out / "record.txt").read_text()

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import pressurelab as pl
 from conftest import GOLDEN, admissible_count, branch_symbol
+from pressurelab import dynamics as dyn
+from pressurelab import lyapunov
 from pressurelab.dynamics import _ALIGN_TOL
 
 
@@ -76,10 +78,58 @@ def test_toral_maps():
     assert mp.dim == 2
     assert mp.n_symbols == 6
     assert np.allclose(mp.constant_derivative, [[2.0, 0.0], [0.0, 3.0]])
+    assert (mp.min_expansion, mp.max_expansion) == (2.0, 3.0)
     conf = pl.toral_conformal_map(3)
     assert conf.n_symbols == 9
     sv = np.linalg.svd(conf.constant_derivative, compute_uv=False)
     assert sv[0] == pytest.approx(sv[1]) == pytest.approx(3.0)
+    # the closed forms are exact on a scaled quarter turn
+    assert conf.min_expansion == conf.max_expansion == 3.0
+
+
+def test_torus_cells_must_tile_the_unit_square():
+    # the Jordan block has |det A| = 9 cells, but the offsets {0,1,2}^2
+    # give parallelograms A^(-1)([0,1]^2 + k) that leave the unit square
+    jordan = [[3.0, 1.0], [0.0, 3.0]]
+    with pytest.raises(pl.BadSpec, match="tile"):
+        pl.ExpandingMap([dyn.Branch2D(jordan, (i, j))
+                         for i in range(3) for j in range(3)])
+    for a in range(2, 6):
+        assert pl.toral_conformal_map(a).n_symbols == a * a
+        for b in range(2, 6):
+            assert pl.toral_map(a, b).n_symbols == a * b
+
+
+_ENTRY = st.integers(min_value=-6, max_value=6)
+_SCALE = _ENTRY.filter(bool)
+_MATRICES = st.one_of(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    _SCALE.map(lambda s: (s, 1, 0, s)),      # Jordan blocks
+    _SCALE.map(lambda s: (0, -s, s, 0)),     # scaled quarter turns
+    st.tuples(_SCALE, st.just(0), st.just(0), _SCALE),
+).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATRICES)
+def test_2x2_closed_forms_match_linalg(entries):
+    a, b, c, d = entries
+    m = np.array([[a, b], [c, d]], dtype=float)
+    det = a * d - b * c
+    assert dyn._det2(m) == det
+    assert np.linalg.det(m) == pytest.approx(det, rel=1e-12)
+    inv = np.linalg.inv(m)
+    assert np.abs(dyn._inv2(m) - inv).max() <= 1e-12 * np.abs(inv).max()
+    assert dyn._sv2(m) == pytest.approx(
+        tuple(np.linalg.svd(m, compute_uv=False)), rel=1e-12)
+    moduli = lyapunov._eig_moduli2(m)
+    if (a + d) ** 2 == 4 * det:
+        # a double eigenvalue (a + d)/2: LAPACK resolves a defective one
+        # only to about sqrt(eps), so the exact value is the oracle
+        assert moduli == (abs(a + d) / 2,) * 2
+    else:
+        want = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
+        assert moduli == pytest.approx(tuple(want), rel=1e-12)
 
 
 def test_build_markov_map_dispatch():

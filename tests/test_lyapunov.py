@@ -59,6 +59,18 @@ def test_torus_orbit_exponents_are_the_closed_form(mp):
         pl.lyapunov_exponents(mp, np.array([1.5, 0.5]))
 
 
+def test_cycle_words_take_only_integral_symbols():
+    mp = pl.toral_map(2, 3)
+    # a start point given as a tuple of floats is not a word
+    with pytest.raises(pl.InadmissibleWord, match="integers"):
+        pl.lyapunov_exponents(mp, (0.21, 0.34), steps=2000)
+    with pytest.raises(pl.InadmissibleWord):
+        mp.check_word((0, 3.0))
+    word = (np.int64(0), np.int64(3))
+    assert mp.check_word(word) == (0, 3)
+    assert pl.lyapunov_exponents(mp, word) == pl.lyapunov_exponents(mp, (0, 3))
+
+
 def test_torus_cycle_exponents_need_no_periodic_points(monkeypatch):
     def no_call(mapping, word):
         raise AssertionError("periodic_point called for a torus cycle")
