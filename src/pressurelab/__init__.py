@@ -45,10 +45,9 @@ _PUBLIC = {
     "dynamics": "ExpandingMap build_markov_map circle_map cocycle "
                 "cookie_cutter cylinder_point doubling_map golden_mean_map "
                 "itinerary linear_markov orbit toral_conformal_map toral_map",
-    "errors": "BadSpec CheckFailed ConfigError EpsilonTooLarge "
-              "EscapedRepeller HorizonExceeded InadmissibleWord "
-              "MatrixTooLarge NoConvergence NoSignChange NonExpanding "
-              "NonMarkov NotSemiConjugate PerturbationTooLarge "
+    "errors": "BadSpec CheckFailed ConfigError EscapedRepeller "
+              "InadmissibleWord MatrixTooLarge NoConvergence NoSignChange "
+              "NonExpanding NonMarkov NotSemiConjugate PerturbationTooLarge "
               "PressureLabError SingularMatrix",
     "lyapunov": "average_conformal_check lyapunov_exponents periodic_orbit "
                 "periodic_point",

@@ -188,7 +188,7 @@ class DimensionReport(NamedTuple):
     per_depth: tuple
 
 
-def dimension_report(mapping, depth=12, tol=1e-9, epsilon=None):
+def dimension_report(mapping, depth=12, tol=1e-9):
     """Dimension bracket of the repeller at the given cylinder depth.
 
     Roots are computed at half depth and full depth; the leading finite
@@ -197,7 +197,7 @@ def dimension_report(mapping, depth=12, tol=1e-9, epsilon=None):
     When the bracket is tight the single root t_root is their mean,
     otherwise it is nan.
     """
-    eps = mapping.resolve_epsilon(epsilon)
+    eps = mapping.resolve_epsilon()
     ambient = float(mapping.dim)
     depths = [depth] if depth <= 1 else [max(1, depth // 2), depth]
     per_depth = []

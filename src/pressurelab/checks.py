@@ -137,13 +137,13 @@ def _battery(cfg):
     def check_equivariance():
         family = temper()
         measured, bound = measure_equivariance(
-            family, sample_base(cfg.seed, 12, letters), 10)
+            family, sample_base(cfg.seed, letters), 10)
         return _require(measured <= bound,
                         "residual %.3e within bound %.3e" % (measured, bound))
 
     def check_distortion():
         reports = distortion_constants(
-            temper(), [constant_sample(letter, 12, letters)
+            temper(), [constant_sample(letter, letters)
                        for letter in range(letters)], sample_pairs=12000)
         worst = min(report.worst_violation for report in reports)
         pairs = sum(report.pairs for report in reports)
@@ -152,7 +152,7 @@ def _battery(cfg):
 
     def check_transport():
         family = temper()
-        conj = build_conjugacy(family, sample_base(cfg.seed, 12, letters), 10)
+        conj = build_conjugacy(family, sample_base(cfg.seed, letters), 10)
         report = random_conjugacy_pressure_check(
             family, conj, Potential.geometric(0.6), depth=5)
         return _require(report.residual <= report.bound + 1e-12,
@@ -162,7 +162,7 @@ def _battery(cfg):
     def check_growth():
         family = temper()
         growth = expansivity_min_growth(
-            family, sample_base(cfg.seed, 10, letters), 8)
+            family, sample_base(cfg.seed, letters), 8)
         return _require(growth > 0.0,
                         "smallest per-step log expansion %.6g" % growth)
 

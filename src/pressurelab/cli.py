@@ -144,13 +144,12 @@ def _map_certificates(cfg, mapping):
     }
 
 
-def _family_certificates(family, horizon):
+def _family_certificates(family):
     cert = dict(family.certificate)
     cert.update({
         "family": family.describe(),
         "gamma_bound": family.gamma_bound,
         "holder_budget": family.holder_budget,
-        "horizon": int(horizon),
     })
     return cert
 
@@ -171,11 +170,7 @@ def _run_dimension(cfg):
 def _run_pressure(cfg):
     mapping = cfg.build_map()
     potential = cfg.build_potential()
-    if potential.kind == "additive":
-        value = pl.pressure_additive(mapping, potential, cfg.depth)
-    else:
-        value = pl.pressure_subadditive(mapping, potential,
-                                        depth=cfg.depth).value
+    value = pl.pressure_additive(mapping, potential, cfg.depth)
     header = ("map", "potential", "depth", "value")
     rows = [(cfg.map, cfg.potential, cfg.depth, value)]
     summary = {"pressure": value}
@@ -205,7 +200,7 @@ def _run_entropy(cfg):
     header = ("map", "epsilon", "letters", "depth", "entropy")
     rows = [(cfg.map, cfg.epsilon, cfg.letters, cfg.depth, value)]
     summary = {"entropy": value}
-    return header, rows, _family_certificates(family, cfg.depth), summary, None
+    return header, rows, _family_certificates(family), summary, None
 
 
 def _run_stability(cfg):
@@ -213,10 +208,10 @@ def _run_stability(cfg):
     carrier = pl.RandomFamily(kind, params, 0.0, cfg.letters)
     result = pl.stability_experiment(
         carrier, cfg.eps_schedule, depth=cfg.depth, seeds=cfg.seeds,
-        conj_depth=cfg.conj_depth or None, base_seed=cfg.seed, tol=cfg.tol)
+        conj_depth=cfg.conj_depth or None, base_seed=cfg.seed)
     rows = [(r.epsilon, r.t_root, r.t_reference, r.gap_t, r.std_error,
              r.depth, r.seeds) for r in result.rows]
-    cert = {"reference_root": result.t_reference, "tol": cfg.tol}
+    cert = {"reference_root": result.t_reference}
     for eps, entry in result.certificates["per_epsilon"].items():
         cert["eps_%g" % eps] = entry
     finite = [r for r in result.rows if not math.isnan(r.gap_t)]

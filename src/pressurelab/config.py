@@ -208,8 +208,9 @@ class ExperimentConfig(NamedTuple):
                               "must stay below 2^64")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-        if self.letters < 1:
-            raise ConfigError("letters must be positive")
+        # letters are drawn by a multiply-shift of 32 hash bits
+        if not 1 <= self.letters <= 2 ** 32:
+            raise ConfigError("letters must lie in 1 .. 2^32")
         if self.epsilon < 0.0:
             raise ConfigError("epsilon must not be negative")
         if self.conj_depth < 0:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadSpec,
-    EpsilonTooLarge,
     EscapedRepeller,
     InadmissibleWord,
     NonExpanding,
@@ -401,23 +400,15 @@ class ExpandingMap:
                         best = min(best, float(np.min(disp)))
         return best
 
-    def resolve_epsilon(self, epsilon=None):
-        """Separation scale of a pressure estimate; None picks the default.
+    def resolve_epsilon(self):
+        """Separation scale reported with a pressure estimate.
 
-        The default is half the smaller of the threshold and the diameter;
-        a given scale must be positive and below the threshold.
+        It is half the smaller of the separation threshold and the
+        diameter; cylinder representatives are separated at every scale
+        below the threshold, so the scale never changes an estimate.
         """
-        delta = self.separation_threshold
-        if epsilon is None:
-            scale = min(delta, self.diam)
-            return 0.5 * scale if math.isfinite(scale) else 0.5 * self.diam
-        eps = float(epsilon)
-        if eps <= 0.0:
-            raise BadSpec("separation scale must be positive")
-        if eps >= delta:
-            raise EpsilonTooLarge("scale %g is not below the separation "
-                                  "threshold %g" % (eps, delta))
-        return eps
+        scale = min(self.separation_threshold, self.diam)
+        return 0.5 * scale if math.isfinite(scale) else 0.5 * self.diam
 
     # -- pointwise dynamics -------------------------------------------
 

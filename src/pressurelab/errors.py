@@ -29,10 +29,6 @@ class InadmissibleWord(PressureLabError):
     """A symbol sequence violates the transition matrix."""
 
 
-class EpsilonTooLarge(PressureLabError):
-    """Requested separation scale exceeds the map's safe threshold."""
-
-
 class MatrixTooLarge(PressureLabError):
     """A cylinder enumeration or transfer matrix would exceed its cap."""
 
@@ -58,10 +54,6 @@ class NoConvergence(PressureLabError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-class HorizonExceeded(PressureLabError):
-    """A base-sample shift or symbol lookup left the sampled window."""
 
 
 class PerturbationTooLarge(PressureLabError):

@@ -4,8 +4,8 @@ Finite depth pressure is the normalized log of a weighted orbit count: sum
 exp of the accumulated potential over one representative per cylinder.
 Representatives of distinct cylinders of depth n form an (n, eps) separated
 set for every eps below the map's separation threshold, and this canonical
-family is the single systematic approximation used throughout: the scale
-eps only gates validity, it never changes the returned numbers.
+family is the single systematic approximation used throughout, so no
+scale is an input: estimates only report the default scale.
 """
 
 import math
@@ -162,15 +162,15 @@ class SeparatedSet(NamedTuple):
         return len(self.points)
 
 
-def separated_set(mapping, depth, epsilon=None):
+def separated_set(mapping, depth):
     """Representatives of all depth n cylinders, one per word.
 
-    Any two of them are (depth, eps) separated for the resolved eps: the
+    Any two of them are (depth, eps) separated for the reported eps: the
     orbits of two representatives disagreeing last at position i either end
     on two distinct branch centers or pass through two different inverse
     branches applied to one common point.
     """
-    eps = mapping.resolve_epsilon(epsilon)
+    eps = mapping.resolve_epsilon()
     cyl = CylinderSet(mapping, depth)
     return SeparatedSet(points=cyl.leaves.points.copy(), epsilon=eps, depth=depth)
 
@@ -199,30 +199,30 @@ def _pressure_at(mapping, potential, depths, walk=None):
     return [logsumexp(sums[k - 1]) / k for k in depths]
 
 
-def pressure_additive(mapping, potential, depth, epsilon=None, walk=None):
+def pressure_additive(mapping, potential, depth, walk=None):
     """Finite depth pressure over the canonical separated set.
 
-    ``walk`` may pass a CylinderSet of the map at this depth, so several
-    potentials read one walk.
+    Singular potentials give the final depth value of
+    ``pressure_subadditive``.  ``walk`` may pass a CylinderSet of the map
+    at this depth, so several potentials read one walk.
     """
-    mapping.resolve_epsilon(epsilon)
     return _pressure_at(mapping, potential, [depth], walk)[0]
 
 
-def pressure_limit(mapping, potential, tol=1e-3, max_depth=16, epsilon=None):
+def pressure_limit(mapping, potential, tol=1e-3, max_depth=16):
     """Depth refined pressure with Richardson extrapolation.
 
     Depth doubles until either the raw increment or the change of the
     extrapolated value drops below tol.  The leading finite depth error is
     of order 1/depth, so 2 P(2n) - P(n) cancels it.
     """
-    eps = mapping.resolve_epsilon(epsilon)
+    eps = mapping.resolve_epsilon()
     history = []
     extraps = []
     depth = 2
     prev = None
     while depth <= max_depth:
-        value = pressure_additive(mapping, potential, depth, epsilon)
+        value = pressure_additive(mapping, potential, depth)
         history.append((depth, value))
         if prev is not None:
             extraps.append(2.0 * value - prev)
@@ -249,7 +249,7 @@ def pressure_limit(mapping, potential, tol=1e-3, max_depth=16, epsilon=None):
                         estimate=partial)
 
 
-def pressure_subadditive(mapping, potential, depth=8, epsilon=None):
+def pressure_subadditive(mapping, potential, depth=8):
     """Pressure of a singular value potential at doubling depths.
 
     The weight of a word is the extreme singular value of the derivative
@@ -261,7 +261,7 @@ def pressure_subadditive(mapping, potential, depth=8, epsilon=None):
         raise BadSpec("use pressure_additive for additive potentials")
     if depth < 1:
         raise BadSpec("pressure depth must be positive")
-    eps = mapping.resolve_epsilon(epsilon)
+    eps = mapping.resolve_epsilon()
     depths = []
     d = 1
     while d <= depth:
@@ -360,7 +360,7 @@ def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500)
                         % (lam_lo, lam_hi), estimate=estimate)
 
 
-def variational_gaps(mapping, potential, words, depth=12, epsilon=None):
+def variational_gaps(mapping, potential, words, depth=12):
     """Pressure minus the orbit average of the potential on closed words.
 
     One array entry per word of ``words``.  The orbit measure of a periodic
@@ -389,14 +389,12 @@ def variational_gaps(mapping, potential, words, depth=12, epsilon=None):
         averages = np.array([-potential.weight
                              * dyn._torus_logs(mapping, len(word))[side]
                              / len(word) for word in words])
-    value = pressure_additive(mapping, potential, depth, epsilon)
-    return value - averages
+    return pressure_additive(mapping, potential, depth) - averages
 
 
-def variational_gap(mapping, potential, word, depth=12, epsilon=None):
+def variational_gap(mapping, potential, word, depth=12):
     """The variational gap of one closed word; see ``variational_gaps``."""
-    return float(variational_gaps(mapping, potential, [word], depth,
-                                  epsilon)[0])
+    return float(variational_gaps(mapping, potential, [word], depth)[0])
 
 
 class ConjugacyReport(NamedTuple):

@@ -21,8 +21,8 @@ from . import dynamics as dyn
 from .bowen import _newton_solve, dimension_report
 from .cylinders import (GROWTH_DEPTH, REFERENCE_DEPTH, WORD_CAP, CylinderSet,
                         MapColumn)
-from .errors import (BadSpec, HorizonExceeded, InadmissibleWord,
-                     NoConvergence, PerturbationTooLarge, PressureLabError)
+from .errors import (BadSpec, InadmissibleWord, NoConvergence,
+                     PerturbationTooLarge, PressureLabError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,35 +30,31 @@ TWO_PI = 2.0 * math.pi
 # -- base process ---------------------------------------------------------
 
 class BaseSample(NamedTuple):
-    """One sampled window of the driving letter sequence.
+    """One realization of the two sided driving letter sequence.
 
-    ``symbols`` covers positions -horizon .. horizon of the realization;
-    ``origin`` is the index of position 0 inside the tuple.  Lookups past
-    either end raise HorizonExceeded rather than wrapping or padding, so
-    every operation must request a window at least as wide as the depth
-    it consumes.
+    The letter at position p is ``_draw(seed, origin + p, n_letters)``,
+    read on demand, so every position of the realization exists and no
+    window has to be drawn in advance.  A ``constant`` letter, when set,
+    stands at every position instead (see ``constant_sample``).
     """
 
-    symbols: tuple
-    origin: int
-    seed: int = -1
-    n_letters: int = 0
+    seed: int
+    n_letters: int
+    origin: int = 0
+    constant: int | None = None
+
+    def letters(self, start, stop):
+        """Letters at positions start .. stop - 1, in one draw."""
+        counters = np.arange(self.origin + start, self.origin + stop)
+        if self.constant is not None:
+            return np.full(len(counters), self.constant, dtype=np.intp)
+        return _draw(self.seed, counters, self.n_letters).astype(np.intp)
 
     def symbol(self, j):
-        idx = self.origin + int(j)
-        if not 0 <= idx < len(self.symbols):
-            raise HorizonExceeded("position %d is outside the sampled window" % j)
-        return self.symbols[idx]
+        return int(self.letters(j, j + 1)[0])
 
     def shifted(self, k=1):
-        new = self.origin + int(k)
-        if not 0 <= new < len(self.symbols):
-            raise HorizonExceeded("shift by %d leaves the sampled window" % k)
-        return BaseSample(self.symbols, new, self.seed, self.n_letters)
-
-    @property
-    def horizon(self):
-        return len(self.symbols) - self.origin - 1
+        return self._replace(origin=self.origin + int(k))
 
 
 # SplitMix64 (Steele, Lea and Flood 2014): the golden gamma and the
@@ -84,31 +80,29 @@ def _draw(seed, counters, n):
     return ((z >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
 
 
-def sample_base(seed, horizon, n_letters=2):
-    """Draw i.i.d. uniform letters for positions -horizon .. horizon.
+def _check_letter_count(n_letters):
+    # the multiply-shift of ``_draw`` reaches at most 2^32 letters
+    if not 1 <= n_letters <= 2 ** 32:
+        raise BadSpec("the letter count must lie in 1 .. 2^32")
+
+
+def sample_base(seed, n_letters=2):
+    """The realization of i.i.d. uniform letters keyed on ``seed``.
 
     Position p holds the letter ``_draw(seed, p, n_letters)``: a
-    counter-based hash of the seed and the position, so the letter at any
-    fixed position never depends on the requested horizon.  Operations
-    drawing windows of different widths from one seed therefore see one
-    and the same realization.  Seeds key a 64-bit hash and must lie in
-    0 .. 2^64 - 1.
+    counter-based hash of the seed and the position, so every operation
+    reading any range of positions from one seed sees one and the same
+    realization.  Seeds key a 64-bit hash and must lie in 0 .. 2^64 - 1.
     """
-    if n_letters < 1:
-        raise BadSpec("need at least one letter")
-    if horizon < 0:
-        raise BadSpec("horizon must not be negative")
+    _check_letter_count(n_letters)
     if not 0 <= seed < 2 ** 64:
         raise BadSpec("seed must lie in 0 .. 2^64 - 1")
-    h = int(horizon)
-    letters = _draw(seed, np.arange(-h, h + 1), n_letters)
-    return BaseSample(tuple(letters.tolist()), h, int(seed), int(n_letters))
+    return BaseSample(int(seed), int(n_letters))
 
 
-def constant_sample(letter, horizon, n_letters=2):
-    """Window holding one letter everywhere; handy for worst case probes."""
-    return BaseSample((int(letter),) * (2 * int(horizon) + 1), int(horizon),
-                      -1, int(n_letters))
+def constant_sample(letter, n_letters=2):
+    """Realization holding one letter everywhere; handy for worst case probes."""
+    return BaseSample(-1, int(n_letters), constant=int(letter))
 
 
 # -- perturbation families ------------------------------------------------
@@ -132,8 +126,7 @@ class RandomFamily:
         self.n_letters = int(n_letters)
         if self.epsilon < 0.0:
             raise BadSpec("perturbation size must not be negative")
-        if self.n_letters < 1:
-            raise BadSpec("need at least one letter")
+        _check_letter_count(self.n_letters)
         if self.n_letters == 1:
             self.coefficients = (0.0,)
         else:
@@ -257,12 +250,14 @@ class FiberCylinders(CylinderSet):
         self.family = family
         self.samples = samples
         self.start = int(start)
-        positions = range(self.start, self.start + int(depth))
+        stop = self.start + int(depth)
         if isinstance(samples, BaseSample):
-            maps = [family.fiber_map(samples.symbol(i)) for i in positions]
+            maps = [family.fiber_map(a)
+                    for a in samples.letters(self.start, stop)]
         else:
-            maps = [MapColumn(family.fiber_map(smp.symbol(i))
-                              for smp in samples) for i in positions]
+            rows = [smp.letters(self.start, stop) for smp in samples]
+            maps = [MapColumn(family.fiber_map(a) for a in column)
+                    for column in zip(*rows)]
         super().__init__(maps, depth, cap)
 
 
@@ -319,11 +314,10 @@ class FiberConjugacy:
             raise InadmissibleWord("symbol out of range")
         if not base.adjacency_matrix[words[:, :-1], words[:, 1:]].all():
             raise InadmissibleWord("forbidden transition in a word")
-        length = words.shape[1]
-        maps = [self.family.fiber_map(self.sample.symbol(i))
-                for i in range(length)]
+        maps = [self.family.fiber_map(a)
+                for a in self.sample.letters(0, words.shape[1])]
         z = maps[-1].centers[words[:, -1]]
-        for i in range(length - 2, -1, -1):
+        for i in range(len(maps) - 2, -1, -1):
             for s in range(base.n_symbols):
                 rows = words[:, i] == s
                 if rows.any():
@@ -600,12 +594,12 @@ def _family_epsilon_sep(family):
                for a in range(family.n_letters))
 
 
-def _seed_windows(family, seeds, horizon):
-    """Base windows of the seeds; windows already drawn pass through."""
+def _seed_windows(family, seeds):
+    """Base realizations of the seeds; realizations pass through."""
     if not seeds:
         raise BadSpec("need at least one base seed")
     return [seed if isinstance(seed, BaseSample)
-            else sample_base(seed, horizon, family.n_letters)
+            else sample_base(seed, family.n_letters)
             for seed in seeds]
 
 
@@ -620,7 +614,7 @@ def random_pressure(family, potential, seeds, depth=12):
     from .pressure import logsumexp
 
     vals = []
-    for smp in _seed_windows(family, seeds, depth):
+    for smp in _seed_windows(family, seeds):
         chain = FiberCylinders(family, smp, depth)
         vals.append(logsumexp(chain.birkhoff(potential.step_values)[-1])
                     / depth)
@@ -652,8 +646,8 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
     """
     if depth < 1:
         raise BadSpec("cylinder depth must be positive")
-    letters = np.array([[smp.symbol(i) for i in range(depth)]
-                        for smp in _seed_windows(family, seeds, depth)])
+    letters = np.array([smp.letters(0, depth)
+                        for smp in _seed_windows(family, seeds)])
     ops, probes = _root_operators(family, letters, tol)
 
     def per_window(t):
@@ -838,9 +832,9 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
     for pos in range(depth - 1, -1, -1):
         digits[:, pos] = rem % n_sym
         rem //= n_sym
-    for pos in range(depth):
+    for pos, letter in enumerate(conj.sample.letters(0, depth)):
         points = conj.shifted(pos).map_words(digits[:, pos:])
-        fiber = family.fiber_map(conj.sample.symbol(pos))
+        fiber = family.fiber_map(letter)
         for s in range(n_sym):
             rows = digits[:, pos] == s
             s_pulled[rows] += potential.step_values(fiber, s, points[rows])
@@ -860,6 +854,10 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
 
 
 # -- shrinking noise experiment ----------------------------------------------
+
+# largest truncation error of the conjugacy evaluator a sweep aims for
+CONJ_TOL = 1e-4
+
 
 class StabilityRow(NamedTuple):
     epsilon: float
@@ -890,20 +888,19 @@ def _cap_depth(family):
     return depth
 
 
-def _conjugacy_depth_for(family, conj_tol):
-    """Truncation depth matching the evaluator error to the tolerance.
+def _conjugacy_depth_for(family):
+    """Truncation depth matching the evaluator error to ``CONJ_TOL``.
 
     The depth is capped where its words still fit under ``WORD_CAP``; the
     certificates then carry the bounds of the capped depth.
     """
-    depth = max(2, math.ceil(math.log(conj_tol)
+    depth = max(2, math.ceil(math.log(CONJ_TOL)
                              / math.log(family.gamma_bound)))
     return min(depth, _cap_depth(family))
 
 
 def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
-                         seeds=16, conj_depth=None, base_seed=0, tol=0.02,
-                         conj_tol=1e-4):
+                         seeds=16, conj_depth=None, base_seed=0):
     """Root convergence of randomly perturbed repellers as noise shrinks.
 
     ``family`` fixes the perturbation shape; its own noise level is
@@ -915,40 +912,36 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     certified bound.  The roots come from products of collocated fiber
     operators (``random_bowen_roots``), not from enumerated fiber words;
     only the conjugacy, the reference root, the growth and the
-    distortion probes walk cylinders.  Each seed's window is drawn once
-    per sweep, and each level certifies all windows together: batched
-    fiber walks from positions 0 and 1 at the conjugacy depth, one
-    batched growth walk, one walk of the constant windows of all letters
-    for distortion, and one vectorised Newton pass for the per-seed
-    roots.  The base map is walked once per distinct conjugacy depth.
-    Certificates collect per noise level the expansion margin, the node
-    count of the root operators (``root_nodes``), displacement and
-    equivariance budgets, the smallest fiber growth rate and distortion
-    constants per letter.  A noise level that fails certification
-    produces a row holding the failure message instead of aborting the
-    experiment.  When conj_depth is omitted it is
-    chosen per level so the truncation error stays below conj_tol, or as
-    deep as ``WORD_CAP`` allows when that is not deep enough.
+    distortion probes walk cylinders.  Each seed's realization is made
+    once per sweep and read on demand, and each level certifies all
+    realizations together: batched fiber walks from positions 0 and 1 at
+    the conjugacy depth, one batched growth walk, one walk of the
+    constant realizations of all letters for distortion, and one
+    vectorised Newton pass for the per-seed roots.  The base map is
+    walked once per distinct conjugacy depth.  Certificates collect per
+    noise level the expansion margin, the node count of the root
+    operators (``root_nodes``), displacement and equivariance budgets,
+    the smallest fiber growth rate and distortion constants per letter.
+    A noise level that fails certification produces a row holding the
+    failure message instead of aborting the experiment.  When conj_depth
+    is omitted it is chosen per level so the truncation error stays below
+    ``CONJ_TOL``, or as deep as ``WORD_CAP`` allows when that is not deep
+    enough.
     """
     t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root
     seed_list = [base_seed + k for k in range(seeds)]
-    # letters never depend on the horizon, so one window per seed, as wide
-    # as the deepest level can ask for, serves every level
-    widest = max(depth, (conj_depth or _cap_depth(family)) + 1)
-    windows = _seed_windows(family, seed_list, widest)
-    probes = [constant_sample(letter, 10, family.n_letters)
+    windows = _seed_windows(family, seed_list)
+    probes = [constant_sample(letter, family.n_letters)
               for letter in range(family.n_letters)]
     # base map leaves per conjugacy depth, shared by levels of one depth
     base_walks = {}
     rows = []
-    certificates = {"reference_root": float(t_reference), "tol": float(tol),
-                    "per_epsilon": {}}
+    certificates = {"reference_root": float(t_reference), "per_epsilon": {}}
     for eps in schedule:
         try:
             fam = RandomFamily(family.kind, family.params, eps,
                                family.n_letters)
-            cd = conj_depth or _conjugacy_depth_for(fam, conj_tol)
-            horizon = max(depth, cd + 1)
+            cd = conj_depth or _conjugacy_depth_for(fam)
             roots = random_bowen_roots(fam, windows, depth=depth)
             if cd not in base_walks:
                 base_walks[cd] = CylinderSet(family.base_map,
@@ -973,7 +966,6 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
             certificates["per_epsilon"][float(eps)] = {
                 "expansion_margin": fam.certified_expansion - 1.0,
                 "conj_depth": int(cd),
-                "horizon": int(horizon),
                 "root_nodes": roots.nodes,
                 "h_sup": h_sup,
                 "h_sup_analytic": fam.displacement_bound,

@@ -110,6 +110,13 @@ def test_seeds_must_fit_the_64_bit_letter_hash(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_letters_must_fit_the_32_bit_letter_draw():
+    assert make("stability", letters=str(2 ** 32)).letters == 2 ** 32
+    for mode in ("stability", "entropy", "checks"):
+        with pytest.raises(pl.ConfigError, match="2\\^32"):
+            make(mode, letters=str(2 ** 32 + 1))
+
+
 def run_mode(tmp_path, *args):
     out = tmp_path / "out"
     rc = cli.main(list(args) + [f"out={out}"])
@@ -228,6 +235,8 @@ def test_cli_error_attribution(tmp_path):
     ("--mode", "checks", "--seed", "-3"),
     # an empty schedule has no level to run
     ("--mode", "stability", "eps_schedule="),
+    # letters are drawn from 32 hash bits
+    ("--mode", "stability", "letters=4294967297"),
 ])
 def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
                                                        monkeypatch, args):

@@ -45,14 +45,6 @@ def test_separated_set_counts_and_spacing():
     assert orbit_gap >= sep.epsilon
 
 
-def test_epsilon_validation():
-    mp = pl.doubling_map()
-    with pytest.raises(pl.BadSpec):
-        pl.separated_set(mp, 3, epsilon=0.0)
-    with pytest.raises(pl.EpsilonTooLarge):
-        pl.separated_set(mp, 3, epsilon=10.0)
-
-
 def test_zero_potential_pressure_is_log_branch_count():
     for mp, n in ((pl.doubling_map(), 2), (pl.cookie_cutter(3.0, 3.0), 2),
                   (pl.circle_map(3, 0.05), 3), (pl.toral_map(2, 2), 4)):
@@ -143,6 +135,23 @@ def test_subadditive_history_matches_additive_on_intervals(build, t, depth):
     for k, value in est.per_depth:
         expect = pl.pressure_additive(mp, pl.Potential.geometric(t), k)
         assert value == pytest.approx(expect, rel=0.0, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([lambda: pl.toral_map(2, 3), pl.golden_mean_map,
+                        lambda: pl.toral_conformal_map(3),
+                        lambda: pl.cookie_cutter(2.0, 4.0),
+                        lambda: pl.circle_map(3, 0.05)]),
+       st.sampled_from(["singular_upper", "singular_lower"]),
+       st.floats(min_value=0.0, max_value=2.0),
+       st.integers(min_value=1, max_value=10))
+def test_singular_pressure_is_the_final_subadditive_value(build, kind, t,
+                                                          depth):
+    """Both routes read the same closed form or walk at the final depth."""
+    mp = build()
+    potential = getattr(pl.Potential, kind)(t)
+    assert pl.pressure_additive(mp, potential, depth) == \
+        pl.pressure_subadditive(mp, potential, depth).value
 
 
 def test_iterated_pressure_telescopes():

@@ -14,30 +14,41 @@ from pressurelab import random_bundle
 
 
 def test_sample_base_is_deterministic():
-    a = pl.sample_base(7, 10)
-    b = pl.sample_base(7, 10)
-    assert a.symbols == b.symbols
+    a = pl.sample_base(7)
+    b = pl.sample_base(7)
+    assert a.letters(-10, 11).tolist() == b.letters(-10, 11).tolist()
     assert a.seed == 7
-    assert pl.sample_base(8, 10).symbols != a.symbols
+    assert pl.sample_base(8).letters(-10, 11).tolist() \
+        != a.letters(-10, 11).tolist()
 
 
 def test_sample_base_positions_survive_horizon_growth():
-    """Letters at fixed positions never depend on how far we sampled."""
-    small = pl.sample_base(3, 5)
-    large = pl.sample_base(3, 40)
+    """Letters at fixed positions never depend on how far we read."""
+    smp = pl.sample_base(3)
+    small = smp.letters(-5, 6)
+    large = smp.letters(-40, 41)
+    assert small.tolist() == large[35:46].tolist()
     for j in range(-5, 6):
-        assert small.symbol(j) == large.symbol(j)
+        assert small[j + 5] == smp.symbol(j)
 
 
 def test_sample_base_rejects_a_negative_seed():
     with pytest.raises(pl.BadSpec, match="seed"):
-        pl.sample_base(-1, 4)
+        pl.sample_base(-1)
 
 
 def test_sample_base_rejects_seeds_past_64_bits():
-    assert pl.sample_base(2 ** 64 - 1, 4).seed == 2 ** 64 - 1
+    assert pl.sample_base(2 ** 64 - 1).seed == 2 ** 64 - 1
     with pytest.raises(pl.BadSpec, match="2\\^64"):
-        pl.sample_base(2 ** 64, 4)
+        pl.sample_base(2 ** 64)
+
+
+def test_sample_base_rejects_letter_counts_past_32_bits():
+    """The draw maps 32 hash bits to a letter, so 2^32 letters at most."""
+    assert pl.sample_base(0, 2 ** 32).n_letters == 2 ** 32
+    for n_letters in (0, 2 ** 32 + 1, 2 ** 33):
+        with pytest.raises(pl.BadSpec, match="2\\^32"):
+            pl.sample_base(0, n_letters)
 
 
 def _splitmix64(seed, p):
@@ -66,7 +77,8 @@ def test_letters_are_iid_uniform_over_many_positions(n_letters):
     horizon = 2 ** 15
     windows = {}
     for seed in (0, 1, 2 ** 64 - 1):
-        letters = np.array(pl.sample_base(seed, horizon, n_letters).symbols)
+        letters = pl.sample_base(seed, n_letters).letters(-horizon,
+                                                          horizon + 1)
         windows[seed] = letters
         m = len(letters)
         counts = np.bincount(letters, minlength=n_letters)
@@ -84,7 +96,7 @@ def test_letters_are_iid_uniform_over_many_positions(n_letters):
 
 def test_distortion_pairs_repeat_exactly():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
-    window = pl.sample_base(6, 10)
+    window = pl.sample_base(6)
     first = pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
                                     seed=4)
     assert pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
@@ -95,37 +107,51 @@ def test_distortion_pairs_repeat_exactly():
     assert other != first
 
 
-def test_sample_window_bounds():
-    smp = pl.sample_base(0, 4)
-    assert smp.horizon == 4
-    smp.symbol(4)
-    smp.symbol(-4)
-    with pytest.raises(pl.HorizonExceeded):
-        smp.symbol(5)
-    with pytest.raises(pl.HorizonExceeded):
-        smp.symbol(-5)
-
-
 def test_shifted_window_relabels_positions():
-    smp = pl.sample_base(11, 20)
+    smp = pl.sample_base(11)
     moved = smp.shifted(3)
     for j in range(-10, 11):
         assert moved.symbol(j) == smp.symbol(j + 3)
-    with pytest.raises(pl.HorizonExceeded):
-        smp.shifted(25)
+
+
+_POSITIONS = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=1, max_value=7), _POSITIONS, _POSITIONS,
+       st.integers(min_value=0, max_value=12))
+def test_realization_reads_any_range(seed, n_letters, k, a, length):
+    """Shifted ranges, shifted lookups and the reference hash all agree."""
+    smp = pl.sample_base(seed, n_letters)
+    b = a + length
+    shifted = smp.shifted(k).letters(a, b).tolist()
+    assert shifted == smp.letters(a + k, b + k).tolist()
+    assert shifted == [smp.symbol(j) for j in range(a + k, b + k)]
+    assert shifted == [(_splitmix64(seed, j) >> 32) * n_letters >> 32
+                       for j in range(a + k, b + k)]
+
+
+def test_fiber_chain_starts_anywhere_in_the_realization():
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 3)
+    smp = pl.sample_base(8, 3)
+    far = pl.FiberCylinders(fam, smp, 6, start=10 ** 6)
+    moved = pl.FiberCylinders(fam, smp.shifted(10 ** 6), 6)
+    assert np.array_equal(far.leaves.points, moved.leaves.points)
 
 
 def test_constant_sample():
-    smp = pl.constant_sample(1, 6, n_letters=3)
-    assert all(smp.symbol(j) == 1 for j in range(-6, 7))
+    smp = pl.constant_sample(1, n_letters=3)
+    assert smp.letters(-6, 7).tolist() == [1] * 13
+    assert all(smp.shifted(k).symbol(0) == 1 for k in (-2 ** 40, 0, 2 ** 40))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.integers(min_value=2, max_value=5))
 def test_sample_letters_in_range(seed, n_letters):
-    smp = pl.sample_base(seed, 8, n_letters)
-    assert all(0 <= smp.symbol(j) < n_letters for j in range(-8, 9))
+    letters = pl.sample_base(seed, n_letters).letters(-8, 9)
+    assert ((0 <= letters) & (letters < n_letters)).all()
 
 
 def test_family_certification_cookie():
@@ -151,7 +177,7 @@ def test_family_rejects_large_noise():
 
 def test_perturbed_map_reads_origin_letter():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(5, 8)
+    smp = pl.sample_base(5)
     mp = pl.perturbed_map(fam, smp)
     expect = 3.0 * (1.0 + 0.1 * fam.coefficients[smp.symbol(0)])
     assert mp.min_expansion == pytest.approx(expect)
@@ -159,7 +185,7 @@ def test_perturbed_map_reads_origin_letter():
 
 def test_zero_noise_fibers_are_bit_identical():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
-    smp = pl.sample_base(2, 12)
+    smp = pl.sample_base(2)
     chain = pl.FiberCylinders(fam, smp, 9)
     base = pl.CylinderSet(fam.base_map, 9)
     assert np.array_equal(chain.leaves.points, base.leaves.points)
@@ -184,7 +210,7 @@ def test_fiber_chain_reads_the_window_from_start(seed, depth, start, eps,
     position of each map in the chain.
     """
     fam = pl.RandomFamily("cookie", (r1, r2), eps, n_letters)
-    smp = pl.sample_base(seed, depth + 3, n_letters)
+    smp = pl.sample_base(seed, n_letters)
     chain = pl.FiberCylinders(fam, smp, depth, start=start)
     logd = chain.log_derivative_sums()
     scale = [1.0 + eps * (-1.0 + 2.0 * smp.symbol(start + i) / (n_letters - 1))
@@ -213,7 +239,7 @@ def test_constant_window_roots_hit_closed_form():
     eps = 0.1
     fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
     for letter, coeff in ((0, -1.0), (1, 1.0)):
-        smp = pl.constant_sample(letter, 20)
+        smp = pl.constant_sample(letter)
         # frozen letters make every fiber the same map with slope s
         s = 3.0 * (1.0 + eps * coeff)
         chain = pl.FiberCylinders(fam, smp, 14)
@@ -232,7 +258,7 @@ def test_random_roots_zero_noise_recover_moran():
 
 def test_expansivity_min_growth_constant_window():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.constant_sample(0, 10)
+    smp = pl.constant_sample(0)
     got = pl.expansivity_min_growth(fam, smp, depth=8)
     assert got == pytest.approx(math.log(2.7), abs=1e-12)
 
@@ -241,16 +267,16 @@ def test_equivariance_within_certified_bound():
     for eps in (0.0, 0.1):
         fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
         for seed in range(3):
-            smp = pl.sample_base(seed, 14)
+            smp = pl.sample_base(seed)
             residual, bound = pl.measure_equivariance(fam, smp, 10)
             assert residual <= bound
     with pytest.raises(pl.BadSpec):
-        pl.measure_equivariance(fam, pl.sample_base(0, 10), 1)
+        pl.measure_equivariance(fam, pl.sample_base(0), 1)
 
 
 def test_conjugacy_error_bound_and_identity():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
-    smp = pl.sample_base(4, 16)
+    smp = pl.sample_base(4)
     conj = pl.build_conjugacy(fam, smp, 12)
     assert conj.error_bound == pytest.approx(fam.gamma_bound ** 12
                                              * fam.base_map.diam)
@@ -265,14 +291,14 @@ def test_conjugacy_displacement_under_analytic_bound():
     eps = 0.1
     fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
     for seed in range(3):
-        smp = pl.sample_base(seed, 14)
+        smp = pl.sample_base(seed)
         disp = pl.conjugacy_displacement(fam, smp, 10)
         assert 0.0 < disp <= fam.displacement_bound
 
 
 def test_fiber_repeller_depths():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(9, 20)
+    smp = pl.sample_base(9)
     conj = pl.build_conjugacy(fam, smp, 10)
     exact = pl.fiber_repeller(conj, 8)
     chain = pl.FiberCylinders(fam, smp, 8)
@@ -286,7 +312,7 @@ def test_fiber_repeller_depths():
 def test_fiber_repeller_invariance():
     """The origin fiber map sends the depth n set onto the shifted set."""
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(1, 16)
+    smp = pl.sample_base(1)
     conj = pl.build_conjugacy(fam, smp, 12)
     depth = 7
     pts = pl.fiber_repeller(conj, depth)
@@ -300,25 +326,25 @@ def test_fiber_repeller_invariance():
 
 def test_distortion_certificate_families():
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    rep = pl.distortion_constants(cookie, pl.constant_sample(0, 12))
+    rep = pl.distortion_constants(cookie, pl.constant_sample(0))
     assert rep.worst_violation >= -1e-10
     assert rep.slope_variation == 0.0
     assert rep.k0 == pytest.approx(0.0, abs=1e-12)
     assert rep.pairs >= 10000
 
     circle = pl.RandomFamily("circle", (3, 0.05), 0.02)
-    rep = pl.distortion_constants(circle, pl.constant_sample(1, 12))
+    rep = pl.distortion_constants(circle, pl.constant_sample(1))
     assert rep.worst_violation >= -1e-10
     # empirical Holder constant stays below the analytic slope variation
     assert rep.k0 <= circle.slope_variation + 1e-9
     with pytest.raises(pl.BadSpec):
-        pl.distortion_constants(cookie, pl.constant_sample(0, 12),
+        pl.distortion_constants(cookie, pl.constant_sample(0),
                                 sample_pairs=10)
 
 
 def test_transport_residual_within_bound():
     fam = pl.RandomFamily("circle", (3, 0.05), 0.05)
-    smp = pl.sample_base(3, 16)
+    smp = pl.sample_base(3)
     conj = pl.build_conjugacy(fam, smp, 10)
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.7),
@@ -336,7 +362,7 @@ def test_transport_residual_within_bound():
 
 def test_transport_affine_fibers_are_exact():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(5, 14)
+    smp = pl.sample_base(5)
     conj = pl.build_conjugacy(fam, smp, 9)
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.5),
@@ -384,17 +410,19 @@ def test_stability_experiment_records_failures():
     assert "failure" in res.certificates["per_epsilon"][0.9]
 
 
-def test_automatic_conjugacy_depth_fits_the_word_cap():
-    from pressurelab.random_bundle import _conjugacy_depth_for
+def test_automatic_conjugacy_depth_fits_the_word_cap(monkeypatch):
+    from pressurelab.random_bundle import CONJ_TOL, _conjugacy_depth_for
+    assert CONJ_TOL == 1e-4
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
     wanted = math.ceil(math.log(1e-4) / math.log(cookie.gamma_bound))
-    assert _conjugacy_depth_for(cookie, 1e-4) == wanted < 20
+    assert _conjugacy_depth_for(cookie) == wanted < 20
     # circle(2, 0.05) at noise 0.05 wants depth 30 for 1e-4
     circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
     assert math.log(1e-4) / math.log(circle.gamma_bound) > 20
-    assert _conjugacy_depth_for(circle, 1e-4) == 20
+    assert _conjugacy_depth_for(circle) == 20
+    monkeypatch.setattr(random_bundle, "CONJ_TOL", 1e-12)
     for fam in (cookie, circle):
-        depth = _conjugacy_depth_for(fam, 1e-12)
+        depth = _conjugacy_depth_for(fam)
         assert 2 ** depth <= pl.WORD_CAP < 2 ** (depth + 1)
 
 
@@ -442,7 +470,7 @@ def test_newton_roots_match_bisection_on_fiber_sums(shape, seed, n_seeds,
     fam = pl.RandomFamily(kind, params, eps)
     seeds = range(seed, seed + n_seeds)
     roots = pl.random_bowen_roots(fam, seeds, depth=depth)
-    logds = [pl.FiberCylinders(fam, pl.sample_base(s, depth),
+    logds = [pl.FiberCylinders(fam, pl.sample_base(s),
                                depth).log_derivative_sums()[-1]
              for s in seeds]
     for got, sd in zip(roots.per_sample, logds):
@@ -483,7 +511,7 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
     from pressurelab.random_bundle import _root_operators, fiber_pressures
     kind, params, eps, tol = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
-    windows = [pl.sample_base(s, depth + start, n_letters)
+    windows = [pl.sample_base(s, n_letters)
                for s in range(seed, seed + n_seeds)]
     letters = np.array([[w.symbol(start + i) for i in range(depth)]
                         for w in windows])
@@ -525,7 +553,7 @@ def test_stability_certificates_name_root_nodes():
 def test_fiber_pressure_rescaling_keeps_values(monkeypatch):
     fam = pl.RandomFamily("circle", (3, 0.05), 0.1)
     ops = random_bundle.fiber_operators(fam, 32)
-    window = pl.sample_base(4, 40)
+    window = pl.sample_base(4)
     letters = np.array([[window.symbol(i) for i in range(40)]])
     monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 10 ** 9)
     never = random_bundle.fiber_pressures(ops, letters, 0.7)
@@ -565,7 +593,7 @@ def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
     """
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
-    windows = [pl.sample_base(s, depth + start, n_letters)
+    windows = [pl.sample_base(s, n_letters)
                for s in range(seed, seed + n_windows)]
     words = int(fam.base_map.count_words(depth))
     cap = 2 * words if small_cap else random_bundle.WORD_CAP
@@ -595,7 +623,7 @@ def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
 
 def test_batched_walk_counts_every_window_against_the_cap():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    windows = [pl.sample_base(s, 8) for s in range(4)]
+    windows = [pl.sample_base(s) for s in range(4)]
     assert pl.FiberCylinders(fam, windows, 6, cap=4 * 64).windows == 4
     with pytest.raises(pl.MatrixTooLarge, match="x 4 windows"):
         pl.FiberCylinders(fam, windows, 6, cap=4 * 64 - 1)
@@ -613,7 +641,7 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
     kind, params, eps, _ = shape
     fam = pl.RandomFamily(kind, params, eps)
     seeds = range(seed, seed + n_seeds)
-    letters = np.array([[pl.sample_base(s, depth).symbol(i)
+    letters = np.array([[pl.sample_base(s).symbol(i)
                          for i in range(depth)] for s in seeds])
     ops, _ = _root_operators(fam, letters, 1e-10)
     roots = pl.random_bowen_roots(fam, seeds, depth=depth)
@@ -674,7 +702,7 @@ def test_map_words_rows_equal_map_word(shape, seed, length):
     """The batched pulled route is the single-word one, row by row."""
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps)
-    conj = pl.build_conjugacy(fam, pl.sample_base(seed, 8), 8)
+    conj = pl.build_conjugacy(fam, pl.sample_base(seed), 8)
     n_sym = fam.base_map.n_symbols
     words = np.array(list(np.ndindex(*(n_sym,) * length)))
     got = conj.map_words(words)
