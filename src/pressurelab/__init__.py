@@ -42,9 +42,9 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "bowen": "DimensionReport bowen_root dimension_report",
     "cylinders": "WORD_CAP CylinderSet MapColumn build_levels",
-    "dynamics": "ExpandingMap build_markov_map circle_map cocycle "
-                "cookie_cutter cylinder_point doubling_map golden_mean_map "
-                "itinerary linear_markov orbit toral_conformal_map toral_map",
+    "dynamics": "ExpandingMap circle_map cocycle cookie_cutter "
+                "cylinder_point doubling_map golden_mean_map itinerary "
+                "linear_markov orbit toral_conformal_map toral_map",
     "errors": "BadSpec CheckFailed ConfigError EscapedRepeller "
               "InadmissibleWord MatrixTooLarge NoConvergence NoSignChange "
               "NonExpanding NonMarkov NotSemiConjugate PerturbationTooLarge "

@@ -1,9 +1,9 @@
 """Experiment configuration: flat key=value files plus flag overrides.
 
-A config is a handful of typed fields with mode dependent defaults.  Its
-canonical text form heads every run record, so two configs that resolve
-to the same effective values always record identically, regardless of
-which file, flag, or default supplied each field.
+A config is a handful of typed fields, of which each mode reads its own.
+Its canonical text form heads every run record, so two configs that
+resolve to the same effective values always record identically,
+regardless of which file, flag, or default supplied each field.
 """
 
 import argparse
@@ -12,15 +12,22 @@ from typing import NamedTuple
 
 from . import dynamics as dyn
 from .cylinders import GROWTH_DEPTH, REFERENCE_DEPTH, WORD_CAP
-from .errors import ConfigError, PressureLabError
+from .errors import ConfigError, InadmissibleWord, PressureLabError
 
-MODES = ("dimension", "pressure", "lyapunov", "stability", "entropy",
-         "checks")
+# the keys each mode reads; setting any other is a config error
+_MODE_KEYS = {
+    "dimension": ("map", "depth", "tol"),
+    "pressure": ("map", "potential", "depth"),
+    "lyapunov": ("map", "orbit_word"),
+    "stability": ("map", "eps_schedule", "depth", "seeds", "seed", "letters",
+                  "conj_depth"),
+    "entropy": ("map", "epsilon", "letters", "depth"),
+    "checks": ("map", "seed", "epsilon", "letters"),
+}
+MODES = tuple(_MODE_KEYS)
 
-_MODE_DEPTH = {"dimension": 12, "pressure": 10, "lyapunov": 12,
-               "stability": 16, "entropy": 12, "checks": 10}
-_MODE_TOL = {"dimension": 1e-9, "pressure": 1e-9, "lyapunov": 1e-9,
-             "stability": 0.02, "entropy": 1e-9, "checks": 1e-9}
+_MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16,
+               "entropy": 12}
 
 # potential spec names, each a constructor of ``pressure.Potential``
 _POTENTIALS = ("zero", "constant", "geometric", "singular_upper",
@@ -150,10 +157,11 @@ def _coerce(key, raw):
 class ExperimentConfig(NamedTuple):
     """One experiment: what to compute, at what budget, and where to put it.
 
-    depth and tol of 0 mean "use the mode default"; a pressure run
-    defaults to the deepest depth up to 10 whose cylinder walk fits under
-    ``WORD_CAP`` (7 on ``toral(2,3)``).  epsilon applies to the
-    single noise level modes (entropy), while eps_schedule drives the
+    Each mode reads only its row of ``_MODE_KEYS``.  depth of 0 means
+    "use the mode default"; a pressure run defaults to the deepest depth
+    up to 10 whose cylinder walk fits under ``WORD_CAP`` (7 on
+    ``toral(2,3)``).  epsilon is the noise level of entropy runs and of
+    the checks battery (0 there means 0.1), while eps_schedule drives the
     stability sweep.  conj_depth of 0 lets the experiment match the
     conjugacy truncation error to its tolerance, as far as the word cap
     allows.
@@ -163,7 +171,7 @@ class ExperimentConfig(NamedTuple):
     map: str = "cookie_cutter(3,3)"
     potential: str = "zero"
     depth: int = 0
-    tol: float = 0.0
+    tol: float = 1e-9
     eps_schedule: tuple = (0.2, 0.1, 0.05, 0.025)
     seeds: int = 16
     seed: int = 0
@@ -175,26 +183,24 @@ class ExperimentConfig(NamedTuple):
     orbit_word: tuple = (0, 1)
 
     def resolved(self):
-        """Concrete copy with mode defaults substituted for 0 sentinels."""
+        """Concrete copy with the mode's default depth for a depth of 0."""
         cfg = self
         if cfg.mode not in MODES:
             raise ConfigError("unknown mode %r; known: %s"
                               % (cfg.mode, ", ".join(MODES)))
-        if cfg.depth == 0:
+        if cfg.depth == 0 and cfg.mode in _MODE_DEPTH:
             cfg = cfg._replace(depth=_MODE_DEPTH[cfg.mode])
             if cfg.mode == "pressure":
                 # the deepest default walk that fits under the word cap
                 mapping = _map_or_none(cfg.map)
                 while cfg.depth > 1 and cfg._walk_words(mapping) > WORD_CAP:
                     cfg = cfg._replace(depth=cfg.depth - 1)
-        if cfg.tol == 0.0:
-            cfg = cfg._replace(tol=_MODE_TOL[cfg.mode])
         cfg.validate()
         return cfg
 
     def validate(self):
         """Raise ConfigError unless this resolved config can run."""
-        if self.depth < 1:
+        if "depth" in _MODE_KEYS[self.mode] and self.depth < 1:
             raise ConfigError("depth must be positive")
         if self.tol <= 0.0:
             raise ConfigError("tol must be positive")
@@ -226,8 +232,15 @@ class ExperimentConfig(NamedTuple):
             build_potential(self.potential)
         if self.mode in ("stability", "entropy"):
             family_shape(self.map)
-        if self.mode == "lyapunov" and not self.orbit_word:
-            raise ConfigError("lyapunov mode needs an orbit_word")
+        if self.mode == "lyapunov" and mapping is not None:
+            # the lyapunov layer loads only with the mode that runs it
+            from .lyapunov import _check_closable
+
+            try:
+                _check_closable(mapping, self.orbit_word)
+            except InadmissibleWord as exc:
+                raise ConfigError("orbit_word %r on %s: %s"
+                                  % (self.orbit_word, self.map, exc))
         words = self._walk_words(mapping)
         if words > WORD_CAP:
             raise ConfigError("%s mode on %s enumerates %.0f words of length "
@@ -261,14 +274,12 @@ class ExperimentConfig(NamedTuple):
     # -- identity ---------------------------------------------------------
 
     def canonical(self):
-        """Stable text form of the content fields, one key=value per line.
+        """Stable text form of the mode and its keys, one key=value per line.
 
-        ``record.txt`` lists these lines as ``config.*`` keys.  The output
-        directory only places the results, and the worker count is
-        accepted but ignored (every run is serial), so both are left out.
+        ``record.txt`` lists these lines as ``config.*`` keys.
         """
         items = []
-        for key in sorted(set(self._fields) - {"out", "workers"}):
+        for key in sorted(("mode",) + _MODE_KEYS[self.mode]):
             val = getattr(self, key)
             if isinstance(val, tuple):
                 text = ",".join("%r" % v for v in val)
@@ -327,7 +338,8 @@ def _build_parser():
     parser.add_argument("--seed", type=int, metavar="N", help="base seed")
     parser.add_argument("--workers", type=int, metavar="K",
                         help="accepted and ignored; every run is serial")
-    parser.add_argument("--tol", type=float, metavar="X", help="tolerance")
+    parser.add_argument("--tol", type=float, metavar="X",
+                        help="root tolerance of dimension runs")
     parser.add_argument("--eps-schedule", metavar="LIST",
                         help="comma separated noise levels, largest first")
     parser.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
@@ -352,4 +364,13 @@ def parse_args(argv=None):
     for key in ("mode", "out", "seed", "workers", "tol", "eps_schedule"):
         if getattr(args, key) is not None:
             values[key] = _coerce(key, getattr(args, key))
+    mode = values.get("mode", ExperimentConfig._field_defaults["mode"])
+    reads = _MODE_KEYS.get(mode)
+    # every mode takes an output directory and a worker count (accepted
+    # and ignored: every run is serial); resolved() rejects unknown modes
+    unread = sorted(set(values) - {"mode", "out", "workers"}
+                    - set(reads or ()))
+    if reads and unread:
+        raise ConfigError("%s mode does not read %s; it reads %s"
+                          % (mode, ", ".join(unread), ", ".join(reads)))
     return ExperimentConfig(**values).resolved()

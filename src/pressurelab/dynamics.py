@@ -693,8 +693,7 @@ def golden_mean_map():
     return m
 
 
-# Named families and their aliases; config map specs and build_markov_map
-# both look names up here.
+# Named families and their aliases; config map specs look names up here.
 _FAMILIES = {
     "doubling": doubling_map,
     "cookie_cutter": cookie_cutter,
@@ -711,7 +710,11 @@ _FAMILIES = {
 
 
 def build_markov_map(kind, **params):
-    """Build a named map family; raises BadSpec for unknown kinds."""
+    """Build a named map family; raises BadSpec for unknown kinds.
+
+    Not exported (``config.build_map`` is the entry point); it stays while
+    ``perfbench/tracer.py`` wraps it by name.
+    """
     try:
         factory = _FAMILIES[str(kind)]
     except KeyError:

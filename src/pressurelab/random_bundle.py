@@ -576,7 +576,6 @@ class RandomEstimate(NamedTuple):
     std_error: float
     per_sample: tuple
     depth: int
-    epsilon_sep: float
 
     @property
     def omega_samples(self):
@@ -587,11 +586,6 @@ def _std_error(values):
     if len(values) < 2:
         return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def _family_epsilon_sep(family):
-    return min(family.fiber_map(a).resolve_epsilon()
-               for a in range(family.n_letters))
 
 
 def _seed_windows(family, seeds):
@@ -619,8 +613,7 @@ def random_pressure(family, potential, seeds, depth=12):
         vals.append(logsumexp(chain.birkhoff(potential.step_values)[-1])
                     / depth)
     return RandomEstimate(value=float(np.mean(vals)), std_error=_std_error(vals),
-                          per_sample=tuple(vals), depth=int(depth),
-                          epsilon_sep=_family_epsilon_sep(family))
+                          per_sample=tuple(vals), depth=int(depth))
 
 
 class RandomRoots(NamedTuple):

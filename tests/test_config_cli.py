@@ -23,14 +23,13 @@ def test_mode_defaults_fill_depth_and_tol():
     assert cfg.tol == 1e-9
     cfg = make("stability")
     assert cfg.depth == 16
-    assert cfg.tol == 0.02
 
 
 def test_flag_precedence_over_file_and_positional(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("mode = dimension\ndepth = 6\nseed = 3\n# comment\n")
+    path.write_text("mode = stability\ndepth = 6\nseed = 3\n# comment\n")
     cfg = cfgmod.parse_args(["--config", str(path)])
-    assert (cfg.mode, cfg.depth, cfg.seed) == ("dimension", 6, 3)
+    assert (cfg.mode, cfg.depth, cfg.seed) == ("stability", 6, 3)
     cfg = cfgmod.parse_args(["--config", str(path), "depth=8"])
     assert cfg.depth == 8
     cfg = cfgmod.parse_args(["--config", str(path), "seed=9", "--seed", "4"])
@@ -68,8 +67,6 @@ def test_map_aliases_share_one_registry():
              ("toral_map(2,3)", "toral(2,3)"), ("golden", "golden_mean"))
     for alias, name in pairs:
         assert build_map(alias).describe() == build_map(name).describe()
-    assert pl.build_markov_map("cookie", r1=2.0, r2=4.0).describe() \
-        == build_map("cookie_cutter(2,4)").describe()
     with pytest.raises(pl.ConfigError):
         build_map("toral(2,3,4)")
     with pytest.raises(pl.BadSpec):
@@ -101,13 +98,80 @@ def test_seeds_must_fit_the_64_bit_letter_hash(tmp_path):
     top = 2 ** 64
     assert make("checks", seed=str(top - 1)).seed == top - 1
     assert make("stability", seed=str(top - 16), seeds="16").seeds == 16
-    for mode, seed in (("checks", top), ("dimension", top + 5),
-                       ("stability", top - 15)):
+    for mode, seed in (("checks", top), ("stability", top - 15)):
         with pytest.raises(pl.ConfigError, match="2\\^64"):
             make(mode, seed=str(seed))
+    with pytest.raises(pl.ConfigError, match="dimension mode does not read"):
+        make("dimension", seed=str(top + 5))
     assert cli.main(["--mode", "checks", "--seed", str(top),
                      "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+# the keys each mode reads, besides mode, out and workers
+MODE_READS = {
+    "dimension": {"map", "depth", "tol"},
+    "pressure": {"map", "potential", "depth"},
+    "lyapunov": {"map", "orbit_word"},
+    "stability": {"map", "eps_schedule", "depth", "seeds", "seed", "letters",
+                  "conj_depth"},
+    "entropy": {"map", "epsilon", "letters", "depth"},
+    "checks": {"map", "seed", "epsilon", "letters"},
+}
+# a value every mode would accept for each key
+KEY_VALUES = {"map": "cookie_cutter(3,3)", "potential": "geometric(0.5)",
+              "depth": "8", "tol": "1e-12", "eps_schedule": "0.1",
+              "seeds": "4", "seed": "3", "epsilon": "0.1", "letters": "3",
+              "conj_depth": "8", "orbit_word": "0,1"}
+KEY_FLAGS = {"seed": "--seed", "tol": "--tol", "eps_schedule": "--eps-schedule"}
+
+
+@pytest.mark.parametrize("mode, key", [
+    (mode, key) for mode, reads in MODE_READS.items()
+    for key in sorted(set(KEY_VALUES) - reads)])
+def test_unread_keys_are_config_errors(tmp_path, capsys, monkeypatch, mode,
+                                       key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a key the mode does not read")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "verify", no_work)
+    path = tmp_path / "exp.cfg"
+    path.write_text("mode = %s\n%s = %s\n" % (mode, key, KEY_VALUES[key]))
+    routes = [["--mode", mode, "%s=%s" % (key, KEY_VALUES[key])],
+              ["--config", str(path)]]
+    if key in KEY_FLAGS:
+        routes.append(["--mode", mode, KEY_FLAGS[key], KEY_VALUES[key]])
+    for argv in routes:
+        rc, out = run_mode(tmp_path, *argv)
+        assert rc == 2
+        assert not out.exists()
+        assert "%s mode does not read %s;" % (mode, key) \
+            in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_READS))
+def test_each_mode_records_the_keys_it_reads(tmp_path, mode):
+    assert set(KEY_VALUES) | {"mode", "out", "workers"} \
+        == set(cfgmod.ExperimentConfig._fields)
+    cfg = cfgmod.parse_args(["--mode", mode, "--workers", "1",
+                             "out=%s" % (tmp_path / "out")])
+    lines = cfg.canonical().split("\n")
+    assert [line.split("=", 1)[0] for line in lines] \
+        == sorted(MODE_READS[mode] | {"mode"})
+    assert "mode=%s" % mode in lines
+
+
+@pytest.mark.parametrize("args", [
+    ("map=golden_mean", "orbit_word=1,1"),
+    ("map=cookie_cutter(3,3)", "orbit_word=0,2"),
+    ("orbit_word=-1",),
+])
+def test_lyapunov_rejects_inadmissible_orbit_words(tmp_path, capsys, args):
+    rc, out = run_mode(tmp_path, "--mode", "lyapunov", *args)
+    assert rc == 2
+    assert not out.exists()
+    assert "config error: orbit_word" in capsys.readouterr().err
 
 
 def test_letters_must_fit_the_32_bit_letter_draw():
@@ -151,9 +215,9 @@ def test_cli_record_names_the_package_version(tmp_path):
 
 def test_cli_runs_are_byte_identical(tmp_path):
     rc1, out1 = run_mode(tmp_path / "a", "mode=entropy",
-                         "map=cookie_cutter(3,3)", "seeds=4", "depth=8")
+                         "map=cookie_cutter(3,3)", "depth=8")
     rc2, out2 = run_mode(tmp_path / "b", "mode=entropy",
-                         "map=cookie_cutter(3,3)", "seeds=4", "depth=8")
+                         "map=cookie_cutter(3,3)", "depth=8")
     assert rc1 == rc2 == 0
     assert (out1 / "run.csv").read_text().split("\n")[0] \
         == "map,epsilon,letters,depth,entropy"

@@ -133,12 +133,12 @@ def test_2x2_closed_forms_match_linalg(entries):
 
 
 def test_build_markov_map_dispatch():
-    mp = pl.build_markov_map("cookie_cutter", r1=3.0, r2=3.0)
+    mp = dyn.build_markov_map("cookie_cutter", r1=3.0, r2=3.0)
     assert mp.n_symbols == 2
     with pytest.raises(pl.BadSpec):
-        pl.build_markov_map("no_such_kind")
+        dyn.build_markov_map("no_such_kind")
     with pytest.raises(pl.BadSpec):
-        pl.build_markov_map("doubling", bogus=1)
+        dyn.build_markov_map("doubling", bogus=1)
 
 
 def test_orbit_and_itinerary_round_trip():

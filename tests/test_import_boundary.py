@@ -71,7 +71,7 @@ def test_checks_run_loads_every_module(tmp_path):
 
 
 def test_public_names_resolve_to_their_modules():
-    assert len(pl.__all__) == len(set(pl.__all__)) == 72
+    assert len(pl.__all__) == len(set(pl.__all__)) == 71
     listed = dir(pl)
     for name in pl.__all__:
         home = importlib.import_module("pressurelab." + pl._HOME[name])
