@@ -57,10 +57,9 @@ _PUBLIC = {
                 "transfer_pressure variational_gap variational_gaps",
     "random_bundle": "BaseSample FiberConjugacy FiberCylinders "
                      "RandomEstimate RandomFamily RandomRoots "
-                     "StabilityResult StabilityRow build_conjugacy "
-                     "conjugacy_displacement constant_sample "
+                     "StabilityResult StabilityRow conjugacy_displacement "
                      "distortion_constants expansivity_min_growth "
-                     "fiber_repeller measure_equivariance perturbed_map "
+                     "fiber_repeller measure_equivariance "
                      "random_bowen_roots random_conjugacy_pressure_check "
                      "random_entropy random_pressure sample_base "
                      "stability_experiment",

@@ -6,15 +6,16 @@ the torus: weighing words by the largest stretch of the derivative product
 gives the lower root, the smallest stretch gives the upper root.  On
 interval maps the two coincide.
 
-Every root is found by Newton steps from t = 0, each step one evaluation
-of both P and P'; bisection (``bowen_root``) then certifies the sign
-change in a bracket of width tol around the Newton iterate, and takes
-over the whole bracket when a step stalls, leaves the bracket, or the
-certificate fails.  On interval maps P is a log-sum-exp of Birkhoff sums
-S of log |f'|, P(t) = log sum exp(-t S) / n, convex and decreasing.  On
-linear torus maps every word of length k has derivative A^k, so P is the
-closed form (log N_k - t log sigma(A^k)) / k at any depth.  Random fiber
-roots (``random_bundle``) hand the solver transfer-operator pressures.
+Every walked root is found by Newton steps from t = 0, each step one
+evaluation of both P and P'; bisection (``bowen_root``) then certifies
+the sign change in a bracket of width tol around the Newton iterate, and
+takes over the whole bracket when a step stalls, leaves the bracket, or
+the certificate fails.  On interval maps P is a log-sum-exp of Birkhoff
+sums S of log |f'|, P(t) = log sum exp(-t S) / n, convex and decreasing.
+On linear torus maps every word of length k has derivative A^k, so P is
+the closed form (log N_k - t log sigma(A^k)) / k at any depth, and its
+root log N_k / log sigma(A^k) needs no solve.  Random fiber roots
+(``random_bundle``) hand the solver transfer-operator pressures.
 """
 
 import math
@@ -160,21 +161,15 @@ def _roots_at_depth(mapping, depth, ambient, tol):
     if mapping.dim == 1:
         pressure = _logsumexp_pressure(
             [CylinderSet(mapping, depth).log_derivative_sums()[-1]], depth)
-        # one solve per side, as on the torus, so solve counts per depth
-        # do not depend on the dimension of the map
+        # one solve per side, so every depth counts a lower and an upper
+        # solve
         return (_newton_solve(pressure, ambient, tol),
                 _newton_solve(pressure, ambient, tol))
+    # P_k(t) = (log N_k - t l_k) / k vanishes at log N_k / l_k, clamped
+    # into [0, ambient] as every root is
     log_count, log_hi, log_lo = dyn._torus_logs(mapping, depth)
-
-    def closed_form(log_sigma):
-        # P_k(t) = (log N_k - t l_k) / k times the positive k / l_k: the
-        # same root and signs, and the Newton step from any t lands on
-        # log N_k / l_k exactly
-        root = log_count / log_sigma
-        return lambda t: (root - t, -1.0)
-
-    return (_newton_solve(closed_form(log_hi), ambient, tol),
-            _newton_solve(closed_form(log_lo), ambient, tol))
+    return tuple(min(max(float(log_count / log_sigma), 0.0), ambient)
+                 for log_sigma in (log_hi, log_lo))
 
 
 class DimensionReport(NamedTuple):

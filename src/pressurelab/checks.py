@@ -12,12 +12,12 @@ import numpy as np
 
 from . import dynamics as dyn
 from .bowen import dimension_report
-from .cylinders import CylinderSet
-from .errors import CheckFailed, ConfigError
+from .cylinders import DISTORTION_DEPTH, CylinderSet
+from .errors import CheckFailed
 from .lyapunov import average_conformal_check
 from .pressure import (Potential, conjugate_pressure_check, logsumexp,
                        pressure_additive, variational_gaps)
-from .random_bundle import (RandomFamily, build_conjugacy, constant_sample,
+from .random_bundle import (FiberConjugacy, RandomFamily,
                             distortion_constants, expansivity_min_growth,
                             measure_equivariance,
                             random_conjugacy_pressure_check, sample_base)
@@ -112,13 +112,15 @@ def _check_conjugacy_transport():
 
 
 def _battery(cfg):
-    """Ordered check list; every item is independent of the others."""
-    try:
-        kind, params = cfg.family_shape()
-        letters = cfg.letters
-    except ConfigError:
-        kind, params, letters = "cookie", (3.0, 3.0), 2
+    """Ordered check list; every item is independent of the others.
+
+    The random_bundle items perturb the configured map, whose family
+    ``ExperimentConfig.validate`` has already checked.
+    """
+    kind, params = cfg.family_shape()
+    letters = cfg.letters
     eps = cfg.epsilon if cfg.epsilon > 0.0 else 0.1
+    sample = sample_base(cfg.seed, letters)
 
     def temper():
         return RandomFamily(kind, params, eps, letters)
@@ -136,15 +138,13 @@ def _battery(cfg):
 
     def check_equivariance():
         family = temper()
-        measured, bound = measure_equivariance(
-            family, sample_base(cfg.seed, letters), 10)
+        measured, bound = measure_equivariance(family, sample.letters(0, 11))
         return _require(measured <= bound,
                         "residual %.3e within bound %.3e" % (measured, bound))
 
     def check_distortion():
-        reports = distortion_constants(
-            temper(), [constant_sample(letter, letters)
-                       for letter in range(letters)], sample_pairs=12000)
+        probes = np.tile(np.arange(letters)[:, None], (1, DISTORTION_DEPTH))
+        reports = distortion_constants(temper(), probes, sample_pairs=12000)
         worst = min(report.worst_violation for report in reports)
         pairs = sum(report.pairs for report in reports)
         return _require(worst >= -1e-10,
@@ -152,7 +152,7 @@ def _battery(cfg):
 
     def check_transport():
         family = temper()
-        conj = build_conjugacy(family, sample_base(cfg.seed, letters), 10)
+        conj = FiberConjugacy(family, sample, 10)
         report = random_conjugacy_pressure_check(
             family, conj, Potential.geometric(0.6), depth=5)
         return _require(report.residual <= report.bound + 1e-12,
@@ -161,8 +161,7 @@ def _battery(cfg):
 
     def check_growth():
         family = temper()
-        growth = expansivity_min_growth(
-            family, sample_base(cfg.seed, letters), 8)
+        growth = expansivity_min_growth(family, sample.letters(0, 8))
         return _require(growth > 0.0,
                         "smallest per-step log expansion %.6g" % growth)
 

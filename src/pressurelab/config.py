@@ -230,7 +230,7 @@ class ExperimentConfig(NamedTuple):
         mapping = _map_or_none(self.map)
         if self.mode == "pressure":
             build_potential(self.potential)
-        if self.mode in ("stability", "entropy"):
+        if self.mode in ("stability", "entropy", "checks"):
             family_shape(self.map)
         if self.mode == "lyapunov" and mapping is not None:
             # the lyapunov layer loads only with the mode that runs it

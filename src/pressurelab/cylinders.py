@@ -29,6 +29,8 @@ WORD_CAP = 1 << 20
 REFERENCE_DEPTH = 12
 # cylinder depth of the smallest fiber growth rate in every certificate
 GROWTH_DEPTH = 8
+# cylinder depth of the constant-letter distortion probes
+DISTORTION_DEPTH = 10
 
 
 class MapColumn:

@@ -3,7 +3,10 @@
 A realization is a two sided sequence of letters sampled independently
 from a finite alphabet.  Each letter names one perturbed map from a fixed
 family, and time n composes the maps read off the sequence from position
-0 to n - 1.  Perturbed maps keep the branch combinatorics of the
+0 to n - 1.  Only ``sample_base`` turns seeds into letters: every fiber
+walk and operator product takes a letter array instead, one window as a
+1-D array or one window per row of a 2-D table, and reads its depth from
+the array's width.  Perturbed maps keep the branch combinatorics of the
 unperturbed map, so cylinder words mean the same thing in every fiber and
 symbolic conjugacies exist by construction.
 
@@ -19,8 +22,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from .bowen import _newton_solve, dimension_report
-from .cylinders import (GROWTH_DEPTH, REFERENCE_DEPTH, WORD_CAP, CylinderSet,
-                        MapColumn)
+from .cylinders import (DISTORTION_DEPTH, GROWTH_DEPTH, REFERENCE_DEPTH,
+                        WORD_CAP, CylinderSet, MapColumn)
 from .errors import (BadSpec, InadmissibleWord, NoConvergence,
                      PerturbationTooLarge, PressureLabError)
 
@@ -34,20 +37,16 @@ class BaseSample(NamedTuple):
 
     The letter at position p is ``_draw(seed, origin + p, n_letters)``,
     read on demand, so every position of the realization exists and no
-    window has to be drawn in advance.  A ``constant`` letter, when set,
-    stands at every position instead (see ``constant_sample``).
+    window has to be drawn in advance.
     """
 
     seed: int
     n_letters: int
     origin: int = 0
-    constant: int | None = None
 
     def letters(self, start, stop):
         """Letters at positions start .. stop - 1, in one draw."""
         counters = np.arange(self.origin + start, self.origin + stop)
-        if self.constant is not None:
-            return np.full(len(counters), self.constant, dtype=np.intp)
         return _draw(self.seed, counters, self.n_letters).astype(np.intp)
 
     def symbol(self, j):
@@ -98,11 +97,6 @@ def sample_base(seed, n_letters=2):
     if not 0 <= seed < 2 ** 64:
         raise BadSpec("seed must lie in 0 .. 2^64 - 1")
     return BaseSample(int(seed), int(n_letters))
-
-
-def constant_sample(letter, n_letters=2):
-    """Realization holding one letter everywhere; handy for worst case probes."""
-    return BaseSample(-1, int(n_letters), constant=int(letter))
 
 
 # -- perturbation families ------------------------------------------------
@@ -227,38 +221,39 @@ class RandomFamily:
             self.epsilon, self.n_letters)
 
 
-def perturbed_map(family, sample):
-    """The fiber map acting at position 0 of the realization."""
-    return family.fiber_map(sample.symbol(0))
-
-
 # -- fiber cylinder chains -------------------------------------------------
 
 class FiberCylinders(CylinderSet):
     """Cylinder walker through the position dependent fiber maps.
 
-    The chain holds the fiber map of every position in the window
-    ``start .. start + depth - 1``.  Leaves are the depth n fiber cylinder
-    representatives for that window, enumerated in the same lexicographic
-    order as the walker of the base map.  ``samples`` is one window, or a
-    sequence of windows walked at once: every position then holds a
-    ``MapColumn`` and the level points one row per window (see
-    ``_window_chunks`` for how many windows fit one walk).
+    Word position i reads the fiber map of ``letters[..., i]``, so the
+    depth is the width of ``letters``.  Leaves are the depth n fiber
+    cylinder representatives of that window, enumerated in the same
+    lexicographic order as the walker of the base map.  ``letters`` is
+    one window, or a 2-D table walked at once, one window per row: every
+    position then holds a ``MapColumn`` and the level points one row per
+    window (see ``_window_chunks`` for how many windows fit one walk).
     """
 
-    def __init__(self, family, samples, depth, start=0, cap=WORD_CAP):
-        self.family = family
-        self.samples = samples
-        self.start = int(start)
-        stop = self.start + int(depth)
-        if isinstance(samples, BaseSample):
-            maps = [family.fiber_map(a)
-                    for a in samples.letters(self.start, stop)]
-        else:
-            rows = [smp.letters(self.start, stop) for smp in samples]
+    def __init__(self, family, letters, cap=WORD_CAP):
+        letters = np.asarray(letters, dtype=np.intp)
+        if letters.ndim == 1:
+            maps = [family.fiber_map(a) for a in letters]
+        elif letters.ndim == 2:
             maps = [MapColumn(family.fiber_map(a) for a in column)
-                    for column in zip(*rows)]
-        super().__init__(maps, depth, cap)
+                    for column in letters.T]
+        else:
+            raise BadSpec("fiber letters are one window or a table of them")
+        self.family = family
+        super().__init__(maps, letters.shape[-1], cap)
+
+
+def _letter_table(letters):
+    """``letters`` as a table with one window per row; 1-D is one window."""
+    table = np.atleast_2d(np.asarray(letters, dtype=np.intp))
+    if table.ndim != 2 or table.size == 0:
+        raise BadSpec("need a nonempty letter table, one window per row")
+    return table
 
 
 def _window_chunks(family, count, depth):
@@ -335,11 +330,6 @@ class FiberConjugacy:
         return FiberConjugacy(self.family, self.sample.shifted(k), self.depth)
 
 
-def build_conjugacy(family, sample, depth):
-    """Depth m symbolic conjugacy for the realization in the sample."""
-    return FiberConjugacy(family, sample, depth)
-
-
 def fiber_repeller(conj, depth):
     """Conjugacy images of the depth n cylinder representatives.
 
@@ -347,48 +337,46 @@ def fiber_repeller(conj, depth):
     points; deeper words are mapped through the truncated evaluator, so
     several words can share one image.
     """
-    family, sample = conj.family, conj.sample
+    family = conj.family
+    letters = conj.sample.letters(0, min(depth, conj.depth))
+    pts = FiberCylinders(family, letters).leaves.points
     if depth <= conj.depth:
-        return FiberCylinders(family, sample, depth).leaves.points.copy()
+        return pts.copy()
     _require_full_shift(family.base_map)
     n_sym = family.base_map.n_symbols
-    pts = FiberCylinders(family, sample, conj.depth).leaves.points
     idx = np.arange(n_sym ** depth, dtype=np.int64)
     return pts[idx // n_sym ** (depth - conj.depth)].copy()
 
 
-def _conjugacy_defects(family, windows, depth, equivariance=True, base=None):
-    """Conjugacy displacement and equivariance defect per window.
+def _conjugacy_defects(family, letters, base=None):
+    """Conjugacy displacement and equivariance defect per row of ``letters``.
 
-    Base and fiber walkers enumerate the same words in the same order, so
-    the depth n conjugacy image of every base representative is the fiber
-    representative at the same index; the displacement is their largest
-    distance.  Level n - 2 of that start 0 walk holds the words at
-    positions 1 .. n - 1 (conjugate then shift), and the leaves of a
-    start 1 walk at depth n map them (map then conjugate); the defect is
-    their largest mismatch over the prefix relation.  The base map is
-    walked once for all windows, unless ``base`` already holds the leaf
-    points of that walk.  Returns two arrays, the second all nan when
-    ``equivariance`` is off.
+    Each row holds n + 1 letters.  Base and fiber walkers enumerate the
+    same words in the same order, so the depth n conjugacy image of every
+    base representative is the fiber representative at the same index of
+    the walk of columns 0 .. n - 1; the displacement is their largest
+    distance.  Level n - 2 of that walk holds the words at positions
+    1 .. n - 1 (conjugate then shift), and the leaves of the walk of
+    columns 1 .. n map them (map then conjugate); the defect is their
+    largest mismatch over the prefix relation.  The base map is walked
+    once for all rows, unless ``base`` already holds the leaf points of
+    that walk.  Returns two arrays.
     """
-    if equivariance:
-        _require_full_shift(family.base_map)
+    _require_full_shift(family.base_map)
     n_sym = family.base_map.n_symbols
+    depth = letters.shape[1] - 1
     if base is None:
         base = CylinderSet(family.base_map, depth).leaves.points
-    moved = np.empty(len(windows))
-    defect = np.full(len(windows), np.nan)
-    for rows in _window_chunks(family, len(windows), depth):
-        levels = FiberCylinders(family, windows[rows], depth).levels
+    moved = np.empty(len(letters))
+    defect = np.empty(len(letters))
+    for rows in _window_chunks(family, len(letters), depth):
+        levels = FiberCylinders(family, letters[rows, :-1]).levels
         moved[rows] = _largest_gap(levels[-1].points, base)
-        if not equivariance:
-            continue
         shifted = levels[-2].points[..., None]
-        # free the start 0 walk before the start 1 walk is built
+        # free the first walk before the shifted walk is built
         del levels
-        mapped = FiberCylinders(family, windows[rows], depth,
-                                start=1).leaves.points
-        # leaf i of the start 1 walk extends word i // n_sym of ``shifted``
+        mapped = FiberCylinders(family, letters[rows, 1:]).leaves.points
+        # leaf i of the shifted walk extends word i // n_sym of ``shifted``
         defect[rows] = _largest_gap(
             mapped.reshape(len(mapped), -1, n_sym), shifted)
     return moved, defect
@@ -404,24 +392,32 @@ def _equivariance_bound(family, depth):
     return 2.0 * family.gamma_bound ** depth * family.base_map.diam
 
 
-def conjugacy_displacement(family, sample, depth):
-    """Largest distance the depth n conjugacy moves a cylinder point."""
-    moved, _ = _conjugacy_defects(family, [sample], depth, equivariance=False)
-    return float(moved[0])
+def conjugacy_displacement(family, letters):
+    """Largest distance the depth n conjugacy moves a cylinder point.
+
+    ``letters`` is one window of n letters, or a table of them measured
+    by its worst row.
+    """
+    chain = FiberCylinders(family, letters)
+    base = CylinderSet(family.base_map, chain.depth).leaves.points
+    return float(np.abs(chain.leaves.points - base).max())
 
 
-def measure_equivariance(family, sample, depth):
+def measure_equivariance(family, letters):
     """Worst defect of (map then conjugate) against (conjugate then shift).
 
-    Both sides are evaluated on every word of length depth + 1 with the
-    depth m = depth conjugacy.  The mismatch comes only from the
-    truncation seeds, so it must stay below 2 gamma^depth times the
+    ``letters`` is one window of n + 1 letters, or a table of them
+    measured by its worst row.  Both sides are evaluated on every word of
+    length n + 1 with the depth m = n conjugacy.  The mismatch comes only
+    from the truncation seeds, so it must stay below 2 gamma^n times the
     diameter.  Returns (measured, bound).
     """
-    if depth < 2:
-        raise BadSpec("equivariance needs depth at least 2")
-    _, defect = _conjugacy_defects(family, [sample], depth)
-    return float(defect[0]), float(_equivariance_bound(family, depth))
+    letters = _letter_table(letters)
+    if letters.shape[1] < 3:
+        raise BadSpec("equivariance needs windows of at least 3 letters")
+    _, defect = _conjugacy_defects(family, letters)
+    return float(defect.max()), float(_equivariance_bound(
+        family, letters.shape[1] - 1))
 
 
 # -- fiber transfer operators --------------------------------------------------
@@ -588,30 +584,21 @@ def _std_error(values):
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _seed_windows(family, seeds):
-    """Base realizations of the seeds; realizations pass through."""
-    if not seeds:
-        raise BadSpec("need at least one base seed")
-    return [seed if isinstance(seed, BaseSample)
-            else sample_base(seed, family.n_letters)
-            for seed in seeds]
+def random_pressure(family, potential, letters):
+    """Finite depth fiber pressure averaged over windows.
 
-
-def random_pressure(family, potential, seeds, depth=12):
-    """Finite depth fiber pressure averaged over base realizations.
-
-    Per realization the value is (1/n) log of the summed exponential of
-    the accumulated potential over depth n fiber cylinders; the estimate
-    is the mean over the seeded realizations with its sampling spread.
+    Per row of ``letters`` (one window of n letters) the value is (1/n)
+    log of the summed exponential of the accumulated potential over depth
+    n fiber cylinders; the estimate is the mean over the rows with its
+    sampling spread.
     """
     # the pressure layer loads only with the modes that fold potentials
     from .pressure import logsumexp
 
-    vals = []
-    for smp in _seed_windows(family, seeds):
-        chain = FiberCylinders(family, smp, depth)
-        vals.append(logsumexp(chain.birkhoff(potential.step_values)[-1])
-                    / depth)
+    table = _letter_table(letters)
+    depth = table.shape[1]
+    vals = [logsumexp(FiberCylinders(family, row).birkhoff(
+        potential.step_values)[-1]) / depth for row in table]
     return RandomEstimate(value=float(np.mean(vals)), std_error=_std_error(vals),
                           per_sample=tuple(vals), depth=int(depth))
 
@@ -624,8 +611,8 @@ class RandomRoots(NamedTuple):
     nodes: int
 
 
-def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
-    """Root of the averaged fiber pressure, with per realization spread.
+def random_bowen_roots(family, letters, tol=1e-10):
+    """Root of the averaged fiber pressure, with per window spread.
 
     t_root solves mean pressure = 0 for the potential -t log |f'| along
     fibers.  Interval fibers are conformal, so the derivative norm and
@@ -633,14 +620,11 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
     pressures are those of the cylinder walker, computed as products of
     collocated fiber operators (``fiber_pressures``) on the ``nodes``
     that ``_root_operators`` picks, so no word is enumerated.  The mean
-    root is one Newton solve; the per realization roots are one more,
-    vectorised over windows with one t per window.  ``seeds`` are base
-    seeds, or windows already drawn from them.
+    root is one Newton solve; the per window roots are one more,
+    vectorised over windows with one t per window.  ``letters`` holds
+    one window of n letters per row, so n is its width.
     """
-    if depth < 1:
-        raise BadSpec("cylinder depth must be positive")
-    letters = np.array([smp.letters(0, depth)
-                        for smp in _seed_windows(family, seeds)])
+    letters = _letter_table(letters)
     ops, probes = _root_operators(family, letters, tol)
 
     def per_window(t):
@@ -657,7 +641,8 @@ def random_bowen_roots(family, seeds, depth=16, tol=1e-10):
     root = _newton_solve(mean, 1.0, tol)
     per = tuple(float(r) for r in _newton_solve(per_window, 1.0, tol))
     return RandomRoots(t_root=float(root), std_error=_std_error(per),
-                       per_sample=per, depth=int(depth), nodes=ops.nodes)
+                       per_sample=per, depth=letters.shape[1],
+                       nodes=ops.nodes)
 
 
 def random_entropy(family, depth=12):
@@ -675,18 +660,26 @@ def random_entropy(family, depth=12):
     return math.log(count) / depth
 
 
-def _min_growths(family, windows, depth=GROWTH_DEPTH):
-    """Smallest per step log expansion over depth n fiber words, per window."""
-    growth = np.empty(len(windows))
-    for rows in _window_chunks(family, len(windows), depth):
-        chain = FiberCylinders(family, windows[rows], depth)
+def _min_growths(family, letters):
+    """Smallest per step log expansion over depth n fiber words, per row.
+
+    Each row of ``letters`` is one window of n letters.
+    """
+    depth = letters.shape[1]
+    growth = np.empty(len(letters))
+    for rows in _window_chunks(family, len(letters), depth):
+        chain = FiberCylinders(family, letters[rows])
         growth[rows] = chain.log_derivative_sums()[-1].min(axis=1) / depth
     return growth
 
 
-def expansivity_min_growth(family, sample, depth=GROWTH_DEPTH):
-    """Smallest per step log expansion over depth n fiber words."""
-    return float(_min_growths(family, [sample], depth)[0])
+def expansivity_min_growth(family, letters):
+    """Smallest per step log expansion over depth n fiber words.
+
+    ``letters`` is one window of n letters, or a table of them measured
+    by its worst row.
+    """
+    return float(_min_growths(family, _letter_table(letters)).min())
 
 
 # -- distortion --------------------------------------------------------------
@@ -701,8 +694,8 @@ class DistortionReport(NamedTuple):
     pairs: int
 
 
-def distortion_constants(family, samples, sample_pairs=12000, depth=10,
-                         alpha=1.0, seed=0):
+def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
+                         seed=0):
     """Uniform two sided distortion inequality for the origin fiber map.
 
     Sampled pairs x, y of depth n fiber cylinder points must satisfy, in
@@ -717,17 +710,17 @@ def distortion_constants(family, samples, sample_pairs=12000, depth=10,
     Circle families use circle distance, so the inequality also covers
     pairs straddling a branch boundary.  worst_violation is the smallest
     slack over all sampled pairs; the inequality holds when it is not
-    negative.  ``samples`` is one window, or a sequence of windows walked
-    at once with one report each; windows share the word count, so they
-    share the pairs drawn from ``seed``.
+    negative.  ``letters`` is one window of n letters or a table of them,
+    walked at once, and the reports come one per window; windows share
+    the word count, so they share the pairs drawn from ``seed``.
+    ``DISTORTION_DEPTH`` copies of one letter probe that letter's map.
     """
-    if depth < 2:
+    windows = _letter_table(letters)
+    if windows.shape[1] < 2:
         raise BadSpec("distortion sampling needs depth at least 2")
     if sample_pairs < 100:
         raise BadSpec("need at least 100 sample pairs")
-    single = isinstance(samples, BaseSample)
-    windows = [samples] if single else list(samples)
-    chain = FiberCylinders(family, windows, depth)
+    chain = FiberCylinders(family, windows)
     leaves = chain.leaves
     m = len(leaves.first)
     extra = max(0, int(sample_pairs) - (m - 1))
@@ -746,7 +739,7 @@ def distortion_constants(family, samples, sample_pairs=12000, depth=10,
     for w, window in enumerate(windows):
         pts = leaves.points[w]
         images = chain.levels[-2].points[w][leaves.parent]
-        mp = family.fiber_map(window.symbol(0))
+        mp = family.fiber_map(window[0])
         derivs = np.empty(m, dtype=float)
         for s, a, b in leaves.blocks:
             derivs[a:b] = mp.branches[s].deriv(pts[a:b])
@@ -765,7 +758,7 @@ def distortion_constants(family, samples, sample_pairs=12000, depth=10,
             k0=k0, k_value=float(k_val), worst_violation=float(slack.min()),
             slope_variation=float(family.slope_variation), radius=float(r0),
             alpha=float(alpha), pairs=int(len(i))))
-    return reports[0] if single else reports
+    return reports
 
 
 # -- pressure transport through the conjugacy --------------------------------
@@ -809,7 +802,8 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
         raise BadSpec("conjugacy depth must exceed the word depth")
     n_sym = base.n_symbols
     total = conj.depth
-    chain = FiberCylinders(family, conj.sample, total)
+    letters = conj.sample.letters(0, total)
+    chain = FiberCylinders(family, letters)
     sums = chain.birkhoff(potential.step_values)
 
     sel = np.arange(n_sym ** depth, dtype=np.int64) * (n_sym ** margin)
@@ -825,7 +819,7 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
     for pos in range(depth - 1, -1, -1):
         digits[:, pos] = rem % n_sym
         rem //= n_sym
-    for pos, letter in enumerate(conj.sample.letters(0, depth)):
+    for pos, letter in enumerate(letters[:depth]):
         points = conj.shifted(pos).map_words(digits[:, pos:])
         fiber = family.fiber_map(letter)
         for s in range(n_sym):
@@ -905,16 +899,19 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     certified bound.  The roots come from products of collocated fiber
     operators (``random_bowen_roots``), not from enumerated fiber words;
     only the conjugacy, the reference root, the growth and the
-    distortion probes walk cylinders.  Each seed's realization is made
-    once per sweep and read on demand, and each level certifies all
-    realizations together: batched fiber walks from positions 0 and 1 at
-    the conjugacy depth, one batched growth walk, one walk of the
-    constant realizations of all letters for distortion, and one
-    vectorised Newton pass for the per-seed roots.  The base map is
-    walked once per distinct conjugacy depth.  Certificates collect per
-    noise level the expansion margin, the node count of the root
-    operators (``root_nodes``), displacement and equivariance budgets,
-    the smallest fiber growth rate and distortion constants per letter.
+    distortion probes walk cylinders.  One letter table, a row per seed
+    and as wide as the deepest walk of any level, is drawn once per sweep,
+    and every level slices it: columns 0 .. m - 1 and 1 .. m for the
+    depth m conjugacy, the first ``GROWTH_DEPTH`` for the growth and the
+    first ``depth`` for the roots.  Each level certifies all rows
+    together: batched fiber walks of both conjugacy slices, one batched
+    growth walk, one walk of the constant windows of all letters for
+    distortion, and one vectorised Newton pass for the per-seed roots.
+    The base map is walked once per distinct conjugacy depth.
+    Certificates collect per noise level the expansion margin, the node
+    count of the root operators (``root_nodes``), displacement and
+    equivariance budgets, the smallest fiber growth rate and distortion
+    constants per letter.
     A noise level that fails certification produces a row holding the
     failure message instead of aborting the experiment.  When conj_depth
     is omitted it is chosen per level so the truncation error stays below
@@ -922,10 +919,14 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     enough.
     """
     t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root
-    seed_list = [base_seed + k for k in range(seeds)]
-    windows = _seed_windows(family, seed_list)
-    probes = [constant_sample(letter, family.n_letters)
-              for letter in range(family.n_letters)]
+    if seeds < 1:
+        raise BadSpec("need at least one base seed")
+    # the automatic conjugacy depth never passes the capped one
+    width = max(depth, GROWTH_DEPTH, (conj_depth or _cap_depth(family)) + 1)
+    table = np.array([sample_base(base_seed + k, family.n_letters).letters(
+        0, width) for k in range(seeds)])
+    probes = np.tile(np.arange(family.n_letters)[:, None],
+                     (1, DISTORTION_DEPTH))
     # base map leaves per conjugacy depth, shared by levels of one depth
     base_walks = {}
     rows = []
@@ -935,13 +936,13 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
             fam = RandomFamily(family.kind, family.params, eps,
                                family.n_letters)
             cd = conj_depth or _conjugacy_depth_for(fam)
-            roots = random_bowen_roots(fam, windows, depth=depth)
+            roots = random_bowen_roots(fam, table[:, :depth])
             if cd not in base_walks:
                 base_walks[cd] = CylinderSet(family.base_map,
                                              cd).leaves.points
-            h_vals, eq_vals = _conjugacy_defects(fam, windows, cd,
+            h_vals, eq_vals = _conjugacy_defects(fam, table[:, :cd + 1],
                                                  base=base_walks[cd])
-            growth = float(_min_growths(fam, windows).min())
+            growth = float(_min_growths(fam, table[:, :GROWTH_DEPTH]).min())
             h_sup = float(h_vals.max())
             eq_meas = float(eq_vals.max())
             eq_bound = _equivariance_bound(fam, cd)
@@ -954,7 +955,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                 t_reference=float(t_reference),
                 gap_t=abs(roots.t_root - t_reference),
                 std_error=roots.std_error, depth=int(depth),
-                seeds=len(seed_list), h_sup=h_sup,
+                seeds=int(seeds), h_sup=h_sup,
                 equivariance=eq_meas, equivariance_bound=eq_bound))
             certificates["per_epsilon"][float(eps)] = {
                 "expansion_margin": fam.certified_expansion - 1.0,
@@ -972,7 +973,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
             rows.append(StabilityRow(
                 epsilon=float(eps), t_root=nan,
                 t_reference=float(t_reference), gap_t=nan,
-                std_error=nan, depth=int(depth), seeds=len(seed_list),
+                std_error=nan, depth=int(depth), seeds=int(seeds),
                 h_sup=nan, equivariance=nan, equivariance_bound=nan,
                 failure=str(exc)))
             certificates["per_epsilon"][float(eps)] = {"failure": str(exc)}

@@ -185,7 +185,7 @@ def test_criterion_6_conjugacy_invariance():
                               ("cookie", (2.0, 4.0), 0.05),
                               ("circle", (3, 0.05), 0.05)):
         fam = pl.RandomFamily(kind, params, eps)
-        conj = pl.build_conjugacy(fam, pl.sample_base(3), 10)
+        conj = pl.FiberConjugacy(fam, pl.sample_base(3), 10)
         for pot in (pl.Potential.geometric(0.5), pl.Potential.zero()):
             rep = pl.random_conjugacy_pressure_check(fam, conj, pot, depth=6)
             random_ok = random_ok and rep.residual <= rep.bound + 1e-12
@@ -250,16 +250,15 @@ def test_criterion_8_distortion_and_expansivity(stability_run):
     for eps in (0.1, 0.05):
         fam = pl.RandomFamily("circle", (3, 0.05), eps)
         for letter in range(fam.n_letters):
-            rep = pl.distortion_constants(fam,
-                                          pl.constant_sample(letter))
+            [rep] = pl.distortion_constants(
+                fam, np.full(pl.random_bundle.DISTORTION_DEPTH, letter))
             dist_ok = dist_ok and rep.worst_violation >= -1e-10
             pair_floor = min(pair_floor, rep.pairs)
             worst_violation = min(worst_violation, rep.worst_violation)
         for seed in range(4):
-            window = pl.sample_base(seed, fam.n_letters)
+            window = pl.sample_base(seed, fam.n_letters).letters(0, 8)
             growth_ok = (growth_ok
-                         and pl.expansivity_min_growth(fam, window,
-                                                       depth=8) > 0.0)
+                         and pl.expansivity_min_growth(fam, window) > 0.0)
     ok = dist_ok and growth_ok and pair_floor >= 10 ** 4
     report(8, "distortion certificate and expansion positivity", ok,
            "worst slack %.2e >= -1e-10 on >= %d pairs per fiber, growth "

@@ -248,6 +248,43 @@ def test_cli_checks_battery(tmp_path):
     assert all(line.endswith("=pass") for line in statuses)
 
 
+@pytest.mark.parametrize("spec", ["golden_mean", "toral(2,3)",
+                                  "toral_conformal(3)"])
+def test_checks_reject_maps_without_a_perturbation_family(tmp_path, capsys,
+                                                          spec):
+    """The random_bundle checks perturb the configured map, or none."""
+    rc, out = run_mode(tmp_path, "--mode", "checks", "map=%s" % spec)
+    assert rc == 2
+    assert not out.exists()
+    assert "has no random perturbation family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["golden_mean", "cookie_cutter(2,4)",
+                                  "circle(3,0.05)"])
+def test_checks_perturb_with_the_configured_letters(monkeypatch, spec):
+    """A checks config either fails or builds every family on its letters."""
+    from pressurelab import checks
+
+    built = []
+    family = checks.RandomFamily
+
+    def recorded(kind, params, eps, n_letters):
+        built.append((kind, n_letters))
+        return family(kind, params, eps, n_letters)
+
+    monkeypatch.setattr(checks, "RandomFamily", recorded)
+    try:
+        cfg = make("checks", map=spec, letters="3")
+    except pl.ConfigError:
+        assert spec == "golden_mean"
+        return
+    for module, _, check in checks._battery(cfg):
+        if module == "random_bundle":
+            check()
+    kind = cfgmod.family_shape(spec)[0]
+    assert len(built) == 5 and set(built) == {(kind, 3)}
+
+
 def test_cli_checks_record_times_every_check(tmp_path):
     rc, out = run_mode(tmp_path, "mode=checks")
     assert rc == 0

@@ -13,6 +13,12 @@ from conftest import expectation_root, moran_root
 from pressurelab import random_bundle
 
 
+def _table(seeds, depth, n_letters=2):
+    """Letters 0 .. depth - 1 of each seed's realization, one row per seed."""
+    return np.array([pl.sample_base(s, n_letters).letters(0, depth)
+                     for s in seeds])
+
+
 def test_sample_base_is_deterministic():
     a = pl.sample_base(7)
     b = pl.sample_base(7)
@@ -96,14 +102,12 @@ def test_letters_are_iid_uniform_over_many_positions(n_letters):
 
 def test_distortion_pairs_repeat_exactly():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
-    window = pl.sample_base(6)
-    first = pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
-                                    seed=4)
-    assert pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
-                                   seed=4) == first
+    window = pl.sample_base(6).letters(0, 8)
+    [first] = pl.distortion_constants(fam, window, sample_pairs=3000, seed=4)
+    assert pl.distortion_constants(fam, window, sample_pairs=3000,
+                                   seed=4) == [first]
     assert first.pairs > 255
-    other = pl.distortion_constants(fam, window, sample_pairs=3000, depth=8,
-                                    seed=5)
+    [other] = pl.distortion_constants(fam, window, sample_pairs=3000, seed=5)
     assert other != first
 
 
@@ -135,15 +139,19 @@ def test_realization_reads_any_range(seed, n_letters, k, a, length):
 def test_fiber_chain_starts_anywhere_in_the_realization():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 3)
     smp = pl.sample_base(8, 3)
-    far = pl.FiberCylinders(fam, smp, 6, start=10 ** 6)
-    moved = pl.FiberCylinders(fam, smp.shifted(10 ** 6), 6)
+    far = pl.FiberCylinders(fam, smp.letters(10 ** 6, 10 ** 6 + 6))
+    moved = pl.FiberCylinders(fam, smp.shifted(10 ** 6).letters(0, 6))
     assert np.array_equal(far.leaves.points, moved.leaves.points)
 
 
-def test_constant_sample():
-    smp = pl.constant_sample(1, n_letters=3)
-    assert smp.letters(-6, 7).tolist() == [1] * 13
-    assert all(smp.shifted(k).symbol(0) == 1 for k in (-2 ** 40, 0, 2 ** 40))
+def test_constant_letters_walk_one_fiber_map():
+    """A constant chain np.full(n, a) is the walk of fiber a alone."""
+    fam = pl.RandomFamily("circle", (3, 0.05), 0.02, 3)
+    for letter in range(3):
+        chain = pl.FiberCylinders(fam, np.full(7, letter))
+        alone = pl.CylinderSet(fam.fiber_map(letter), 7)
+        for lc, la in zip(chain.levels, alone.levels):
+            assert np.array_equal(lc.points, la.points)
 
 
 @settings(max_examples=50, deadline=None)
@@ -175,10 +183,10 @@ def test_family_rejects_large_noise():
         pl.RandomFamily("unknown", (3.0,), 0.1)
 
 
-def test_perturbed_map_reads_origin_letter():
+def test_fiber_chain_reads_the_origin_letter_first():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(5)
-    mp = pl.perturbed_map(fam, smp)
+    mp = pl.FiberCylinders(fam, smp.letters(0, 3)).maps[0]
     expect = 3.0 * (1.0 + 0.1 * fam.coefficients[smp.symbol(0)])
     assert mp.min_expansion == pytest.approx(expect)
 
@@ -186,7 +194,7 @@ def test_perturbed_map_reads_origin_letter():
 def test_zero_noise_fibers_are_bit_identical():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
     smp = pl.sample_base(2)
-    chain = pl.FiberCylinders(fam, smp, 9)
+    chain = pl.FiberCylinders(fam, smp.letters(0, 9))
     base = pl.CylinderSet(fam.base_map, 9)
     assert np.array_equal(chain.leaves.points, base.leaves.points)
 
@@ -211,7 +219,7 @@ def test_fiber_chain_reads_the_window_from_start(seed, depth, start, eps,
     """
     fam = pl.RandomFamily("cookie", (r1, r2), eps, n_letters)
     smp = pl.sample_base(seed, n_letters)
-    chain = pl.FiberCylinders(fam, smp, depth, start=start)
+    chain = pl.FiberCylinders(fam, smp.letters(start, start + depth))
     logd = chain.log_derivative_sums()
     scale = [1.0 + eps * (-1.0 + 2.0 * smp.symbol(start + i) / (n_letters - 1))
              for i in range(depth)]
@@ -227,7 +235,7 @@ def test_fiber_chain_reads_the_window_from_start(seed, depth, start, eps,
 
 def test_random_pressure_zero_potential_counts_branches():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.15)
-    est = pl.random_pressure(fam, pl.Potential.zero(), range(6), depth=8)
+    est = pl.random_pressure(fam, pl.Potential.zero(), _table(range(6), 8))
     assert est.value == pytest.approx(math.log(2.0), abs=1e-12)
     assert est.std_error == 0.0
     assert est.omega_samples == 6
@@ -239,10 +247,9 @@ def test_constant_window_roots_hit_closed_form():
     eps = 0.1
     fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
     for letter, coeff in ((0, -1.0), (1, 1.0)):
-        smp = pl.constant_sample(letter)
         # frozen letters make every fiber the same map with slope s
         s = 3.0 * (1.0 + eps * coeff)
-        chain = pl.FiberCylinders(fam, smp, 14)
+        chain = pl.FiberCylinders(fam, np.full(14, letter))
         logd = chain.log_derivative_sums()[-1]
         root = pl.bowen_root(lambda t: pl.logsumexp(-t * logd) / 14.0,
                              0.0, 1.0)
@@ -251,15 +258,14 @@ def test_constant_window_roots_hit_closed_form():
 
 def test_random_roots_zero_noise_recover_moran():
     fam = pl.RandomFamily("cookie", (2.0, 4.0), 0.0)
-    roots = pl.random_bowen_roots(fam, range(3), depth=12)
+    roots = pl.random_bowen_roots(fam, _table(range(3), 12))
     assert roots.t_root == pytest.approx(moran_root((2.0, 4.0)), abs=1e-9)
     assert roots.std_error == 0.0
 
 
 def test_expansivity_min_growth_constant_window():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.constant_sample(0)
-    got = pl.expansivity_min_growth(fam, smp, depth=8)
+    got = pl.expansivity_min_growth(fam, np.full(8, 0))
     assert got == pytest.approx(math.log(2.7), abs=1e-12)
 
 
@@ -267,17 +273,21 @@ def test_equivariance_within_certified_bound():
     for eps in (0.0, 0.1):
         fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
         for seed in range(3):
-            smp = pl.sample_base(seed)
-            residual, bound = pl.measure_equivariance(fam, smp, 10)
+            window = pl.sample_base(seed).letters(0, 11)
+            residual, bound = pl.measure_equivariance(fam, window)
             assert residual <= bound
+        # a table measures its worst row
+        table = _table(range(3), 11)
+        assert pl.measure_equivariance(fam, table) == max(
+            pl.measure_equivariance(fam, row) for row in table)
     with pytest.raises(pl.BadSpec):
-        pl.measure_equivariance(fam, pl.sample_base(0), 1)
+        pl.measure_equivariance(fam, pl.sample_base(0).letters(0, 2))
 
 
 def test_conjugacy_error_bound_and_identity():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
     smp = pl.sample_base(4)
-    conj = pl.build_conjugacy(fam, smp, 12)
+    conj = pl.FiberConjugacy(fam, smp, 12)
     assert conj.error_bound == pytest.approx(fam.gamma_bound ** 12
                                              * fam.base_map.diam)
     # with no noise the conjugacy is the identity on the repeller up to
@@ -291,17 +301,17 @@ def test_conjugacy_displacement_under_analytic_bound():
     eps = 0.1
     fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
     for seed in range(3):
-        smp = pl.sample_base(seed)
-        disp = pl.conjugacy_displacement(fam, smp, 10)
+        disp = pl.conjugacy_displacement(fam,
+                                         pl.sample_base(seed).letters(0, 10))
         assert 0.0 < disp <= fam.displacement_bound
 
 
 def test_fiber_repeller_depths():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(9)
-    conj = pl.build_conjugacy(fam, smp, 10)
+    conj = pl.FiberConjugacy(fam, smp, 10)
     exact = pl.fiber_repeller(conj, 8)
-    chain = pl.FiberCylinders(fam, smp, 8)
+    chain = pl.FiberCylinders(fam, smp.letters(0, 8))
     assert np.array_equal(exact, chain.leaves.points)
     # deeper words share truncated images
     deep = pl.fiber_repeller(conj, 12)
@@ -313,10 +323,10 @@ def test_fiber_repeller_invariance():
     """The origin fiber map sends the depth n set onto the shifted set."""
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(1)
-    conj = pl.build_conjugacy(fam, smp, 12)
+    conj = pl.FiberConjugacy(fam, smp, 12)
     depth = 7
     pts = pl.fiber_repeller(conj, depth)
-    mp = pl.perturbed_map(fam, smp)
+    mp = fam.fiber_map(smp.symbol(0))
     images = np.sort([mp.apply(p) for p in pts])
     target = np.sort(pl.fiber_repeller(conj.shifted(1), depth - 1))
     # both leading symbols land on the same shifted point, so the sorted
@@ -325,27 +335,29 @@ def test_fiber_repeller_invariance():
 
 
 def test_distortion_certificate_families():
+    probe = random_bundle.DISTORTION_DEPTH
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    rep = pl.distortion_constants(cookie, pl.constant_sample(0))
+    [rep] = pl.distortion_constants(cookie, np.full(probe, 0))
     assert rep.worst_violation >= -1e-10
     assert rep.slope_variation == 0.0
     assert rep.k0 == pytest.approx(0.0, abs=1e-12)
     assert rep.pairs >= 10000
 
     circle = pl.RandomFamily("circle", (3, 0.05), 0.02)
-    rep = pl.distortion_constants(circle, pl.constant_sample(1))
+    [rep] = pl.distortion_constants(circle, np.full(probe, 1))
     assert rep.worst_violation >= -1e-10
     # empirical Holder constant stays below the analytic slope variation
     assert rep.k0 <= circle.slope_variation + 1e-9
     with pytest.raises(pl.BadSpec):
-        pl.distortion_constants(cookie, pl.constant_sample(0),
-                                sample_pairs=10)
+        pl.distortion_constants(cookie, np.full(probe, 0), sample_pairs=10)
+    with pytest.raises(pl.BadSpec):
+        pl.distortion_constants(cookie, np.full(1, 0))
 
 
 def test_transport_residual_within_bound():
     fam = pl.RandomFamily("circle", (3, 0.05), 0.05)
     smp = pl.sample_base(3)
-    conj = pl.build_conjugacy(fam, smp, 10)
+    conj = pl.FiberConjugacy(fam, smp, 10)
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.7),
                                              depth=6)
@@ -363,7 +375,7 @@ def test_transport_residual_within_bound():
 def test_transport_affine_fibers_are_exact():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(5)
-    conj = pl.build_conjugacy(fam, smp, 9)
+    conj = pl.FiberConjugacy(fam, smp, 9)
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.5),
                                              depth=5)
@@ -430,7 +442,7 @@ def test_expectation_root_oracle_tracks_experiment():
     """Sampled roots approach the letter-averaged analytic root."""
     eps = 0.1
     fam = pl.RandomFamily("cookie", (3.0, 3.0), eps)
-    roots = pl.random_bowen_roots(fam, range(24), depth=12)
+    roots = pl.random_bowen_roots(fam, _table(range(24), 12))
     oracle = expectation_root(eps)
     assert abs(roots.t_root - oracle) <= 3.0 * roots.std_error + 2e-3
 
@@ -468,11 +480,10 @@ def test_newton_roots_match_bisection_on_fiber_sums(shape, seed, n_seeds,
     """
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps)
-    seeds = range(seed, seed + n_seeds)
-    roots = pl.random_bowen_roots(fam, seeds, depth=depth)
-    logds = [pl.FiberCylinders(fam, pl.sample_base(s),
-                               depth).log_derivative_sums()[-1]
-             for s in seeds]
+    letters = _table(range(seed, seed + n_seeds), depth)
+    roots = pl.random_bowen_roots(fam, letters)
+    logds = [pl.FiberCylinders(fam, row).log_derivative_sums()[-1]
+             for row in letters]
     for got, sd in zip(roots.per_sample, logds):
         expect = _bisected_root(lambda t, sd=sd: pl.logsumexp(-t * sd) / depth)
         assert got == pytest.approx(expect, abs=1e-9)
@@ -517,9 +528,8 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
                         for w in windows])
     ops, _ = _root_operators(fam, letters, 1e-10)
     value, slope = fiber_pressures(ops, letters, t)
-    for k, window in enumerate(windows):
-        sums = pl.FiberCylinders(fam, window, depth,
-                                 start=start).log_derivative_sums()[-1]
+    for k in range(n_seeds):
+        sums = pl.FiberCylinders(fam, letters[k]).log_derivative_sums()[-1]
         weights = np.exp(-t * sums - (-t * sums).max())
         weights /= weights.sum()
         assert value[k] == pytest.approx(pl.logsumexp(-t * sums) / depth,
@@ -532,13 +542,14 @@ def test_random_roots_report_their_nodes(monkeypatch):
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
     # affine fibers are exact on the first node count
-    assert pl.random_bowen_roots(cookie, range(3), depth=10).nodes == 8
-    assert pl.random_bowen_roots(circle, range(3), depth=10).nodes > 8
+    letters = _table(range(3), 10)
+    assert pl.random_bowen_roots(cookie, letters).nodes == 8
+    assert pl.random_bowen_roots(circle, letters).nodes > 8
     # unresolved pressures fail the root, and the sweep records the level
     monkeypatch.setattr(random_bundle, "MAX_ROOT_NODES", 8)
-    assert pl.random_bowen_roots(cookie, range(3), depth=10).nodes == 8
+    assert pl.random_bowen_roots(cookie, letters).nodes == 8
     with pytest.raises(pl.NoConvergence):
-        pl.random_bowen_roots(circle, range(3), depth=10)
+        pl.random_bowen_roots(circle, letters)
     res = pl.stability_experiment(circle, schedule=(0.05,), depth=10,
                                   seeds=2, conj_depth=8)
     assert "unresolved on 8 nodes" in res.rows[0].failure
@@ -575,26 +586,25 @@ _WALK_FAMILIES = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(_WALK_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=1, max_value=5),
+@given(_WALK_FAMILIES, st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=10),
-       st.integers(min_value=0, max_value=3),
-       st.integers(min_value=2, max_value=3),
-       st.booleans())
-def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
-                                                  depth, start, n_letters,
-                                                  small_cap):
-    """Every window row of a batched walk is that window's own walk.
+       st.integers(min_value=2, max_value=3), st.booleans(), st.data())
+def test_batched_walk_rows_equal_one_window_walks(shape, n_windows, depth,
+                                                  n_letters, small_cap, data):
+    """Every row of a 2-D letter table walks as that row's 1-D walk.
 
-    Words, parents and blocks are shared; points and log-derivative sums
-    are exact on affine fibers and agree to 1e-12 on circle fibers, whose
-    inverse branches iterate Newton steps over all points of a call.  A
-    small word cap splits the windows into batches of two.
+    The table is any n_windows x depth array of letters.  Words, parents
+    and blocks are shared; points and log-derivative sums are exact on
+    affine fibers and agree to 1e-12 on circle fibers, whose inverse
+    branches iterate Newton steps over all points of a call.  A small
+    word cap splits the rows into batches of two.
     """
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
-    windows = [pl.sample_base(s, n_letters)
-               for s in range(seed, seed + n_windows)]
+    row = st.lists(st.integers(min_value=0, max_value=n_letters - 1),
+                   min_size=depth, max_size=depth)
+    windows = np.array(data.draw(st.lists(row, min_size=n_windows,
+                                          max_size=n_windows)))
     words = int(fam.base_map.count_words(depth))
     cap = 2 * words if small_cap else random_bundle.WORD_CAP
     with mock.patch.object(random_bundle, "WORD_CAP", cap):
@@ -604,10 +614,10 @@ def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
             [2] * (n_windows // 2) + [1] * (n_windows % 2)
     tol = 0.0 if kind == "cookie" else 1e-12
     for rows in chunks:
-        batch = pl.FiberCylinders(fam, windows[rows], depth, start=start)
+        batch = pl.FiberCylinders(fam, windows[rows])
         assert batch.windows == len(windows[rows])
         for k, window in enumerate(windows[rows]):
-            one = pl.FiberCylinders(fam, window, depth, start=start)
+            one = pl.FiberCylinders(fam, window)
             assert one.windows is None
             for lb, lo in zip(batch.levels, one.levels):
                 for field in ("first", "last", "parent"):
@@ -623,10 +633,12 @@ def test_batched_walk_rows_equal_one_window_walks(shape, seed, n_windows,
 
 def test_batched_walk_counts_every_window_against_the_cap():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    windows = [pl.sample_base(s) for s in range(4)]
-    assert pl.FiberCylinders(fam, windows, 6, cap=4 * 64).windows == 4
+    windows = _table(range(4), 6)
+    assert pl.FiberCylinders(fam, windows, cap=4 * 64).windows == 4
     with pytest.raises(pl.MatrixTooLarge, match="x 4 windows"):
-        pl.FiberCylinders(fam, windows, 6, cap=4 * 64 - 1)
+        pl.FiberCylinders(fam, windows, cap=4 * 64 - 1)
+    with pytest.raises(pl.BadSpec, match="table"):
+        pl.FiberCylinders(fam, windows[None])
 
 
 @settings(max_examples=30, deadline=None)
@@ -640,11 +652,11 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
     from pressurelab.random_bundle import _root_operators, fiber_pressures
     kind, params, eps, _ = shape
     fam = pl.RandomFamily(kind, params, eps)
-    seeds = range(seed, seed + n_seeds)
     letters = np.array([[pl.sample_base(s).symbol(i)
-                         for i in range(depth)] for s in seeds])
+                         for i in range(depth)]
+                        for s in range(seed, seed + n_seeds)])
     ops, _ = _root_operators(fam, letters, 1e-10)
-    roots = pl.random_bowen_roots(fam, seeds, depth=depth)
+    roots = pl.random_bowen_roots(fam, letters)
     assert roots.nodes == ops.nodes
     for k, got in enumerate(roots.per_sample):
         def one(t, k=k):
@@ -655,12 +667,13 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
 
 
 def test_default_cookie_sweep_traffic(monkeypatch):
-    """One window draw per seed, and one base walk per conjugacy depth.
+    """One letter row per seed, and one base walk per conjugacy depth.
 
-    Per level the sweep walks the batched fibers at start 0, start 1 and
-    the growth depth once each, and the constant windows of all letters
-    once for distortion.  The base map is walked once per distinct
-    conjugacy depth, and at half and full depth for the reference root.
+    Per level the sweep walks the batched fibers of both conjugacy slices
+    of the letter table and its growth slice once each, and the constant
+    windows of all letters once for distortion.  The base map is walked
+    once per distinct conjugacy depth, and at half and full depth for the
+    reference root.
     """
     from pressurelab import cylinders, random_bundle
     draws = []
@@ -695,6 +708,45 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     assert len(walks) == len(base_depths) + 4 * len(levels)
 
 
+def test_default_sweep_hashes_letters_at_most_20_times(monkeypatch):
+    """The sweep draws one letter table, not one window per walk.
+
+    Sixteen seed rows plus one distortion pair draw per level make 20
+    calls of the letter hash on the default four-level sweep.
+    """
+    calls = []
+    draw = random_bundle._draw
+
+    def counted(*args):
+        calls.append(args[0])
+        return draw(*args)
+
+    monkeypatch.setattr(random_bundle, "_draw", counted)
+    carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    rows = pl.stability_experiment(carrier, seeds=16).rows
+    assert len(rows) == 4 and all(r.failure == "" for r in rows)
+    assert len(calls) <= 20
+
+
+def test_sweep_levels_read_slices_of_one_letter_table():
+    """A level's numbers are the one-window measures of its table slices."""
+    carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    res = pl.stability_experiment(carrier, schedule=(0.1,), depth=10,
+                                  seeds=3, base_seed=7)
+    row = res.rows[0]
+    cert = res.certificates["per_epsilon"][0.1]
+    cd = cert["conj_depth"]
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    table = _table(range(7, 10), cd + 1)
+    assert row.t_root == pl.random_bowen_roots(fam, table[:, :10]).t_root
+    assert row.h_sup == max(pl.conjugacy_displacement(fam, r[:cd])
+                            for r in table)
+    assert row.equivariance == pl.measure_equivariance(
+        fam, table[:, :cd + 1])[0]
+    assert cert["min_growth"] == pl.expansivity_min_growth(
+        fam, table[:, :random_bundle.GROWTH_DEPTH])
+
+
 @settings(max_examples=20, deadline=None)
 @given(_WALK_FAMILIES, st.integers(min_value=0, max_value=10 ** 6),
        st.integers(min_value=1, max_value=7))
@@ -702,7 +754,7 @@ def test_map_words_rows_equal_map_word(shape, seed, length):
     """The batched pulled route is the single-word one, row by row."""
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps)
-    conj = pl.build_conjugacy(fam, pl.sample_base(seed), 8)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(seed), 8)
     n_sym = fam.base_map.n_symbols
     words = np.array(list(np.ndindex(*(n_sym,) * length)))
     got = conj.map_words(words)
@@ -725,7 +777,8 @@ def test_random_entropy_is_the_walked_zero_pressure(shape, n_letters, depth,
     """The word count closed form is the enumerated zero pressure."""
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
-    walked = pl.random_pressure(fam, pl.Potential.zero(), seeds, depth).value
+    walked = pl.random_pressure(fam, pl.Potential.zero(),
+                                _table(seeds, depth, n_letters)).value
     assert abs(pl.random_entropy(fam, depth) - walked) <= 1e-12
 
 
