@@ -119,7 +119,7 @@ def _battery(cfg):
     """
     kind, params = cfg.family_shape()
     letters = cfg.letters
-    eps = cfg.epsilon if cfg.epsilon > 0.0 else 0.1
+    eps = cfg.noise()
     sample = sample_base(cfg.seed, letters)
 
     def temper():

@@ -6,8 +6,8 @@ resolve to the same effective values always record identically,
 regardless of which file, flag, or default supplied each field.
 """
 
-import argparse
 import inspect
+import sys
 from typing import NamedTuple
 
 from . import dynamics as dyn
@@ -28,6 +28,8 @@ MODES = tuple(_MODE_KEYS)
 
 _MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16,
                "entropy": 12}
+# noise level of the checks battery when epsilon is 0
+CHECKS_EPSILON = 0.1
 
 # potential spec names, each a constructor of ``pressure.Potential``
 _POTENTIALS = ("zero", "constant", "geometric", "singular_upper",
@@ -161,7 +163,8 @@ class ExperimentConfig(NamedTuple):
     "use the mode default"; a pressure run defaults to the deepest depth
     up to 10 whose cylinder walk fits under ``WORD_CAP`` (7 on
     ``toral(2,3)``).  epsilon is the noise level of entropy runs and of
-    the checks battery (0 there means 0.1), while eps_schedule drives the
+    the checks battery (0 there means ``CHECKS_EPSILON``; see
+    ``noise``), while eps_schedule drives the
     stability sweep.  conj_depth of 0 lets the experiment match the
     conjugacy truncation error to its tolerance, as far as the word cap
     allows.
@@ -231,7 +234,9 @@ class ExperimentConfig(NamedTuple):
         if self.mode == "pressure":
             build_potential(self.potential)
         if self.mode in ("stability", "entropy", "checks"):
-            family_shape(self.map)
+            kind, params = family_shape(self.map)
+            if self.mode != "stability" and mapping is not None:
+                self._certify_family(kind, params)
         if self.mode == "lyapunov" and mapping is not None:
             # the lyapunov layer loads only with the mode that runs it
             from .lyapunov import _check_closable
@@ -247,6 +252,28 @@ class ExperimentConfig(NamedTuple):
                               "%d, cap is %d" % (self.mode, self.map, words,
                                                  self._deepest_walk(mapping),
                                                  WORD_CAP))
+
+    def noise(self):
+        """Noise level of an entropy run or of the checks battery."""
+        if self.mode == "checks" and self.epsilon == 0.0:
+            return CHECKS_EPSILON
+        return self.epsilon
+
+    def _certify_family(self, kind, params):
+        """ConfigError unless the family of one-level runs certifies.
+
+        Stability sweeps certify each level and record its failure; entropy
+        runs and the checks battery perturb at ``noise()`` alone.  The
+        certificate reads only the extreme letter coefficients -1 and 1,
+        which two letters already have, so no larger family is built.
+        """
+        from .random_bundle import RandomFamily
+
+        try:
+            RandomFamily(kind, params, self.noise(), min(self.letters, 2))
+        except PressureLabError as exc:
+            raise ConfigError("%s mode cannot perturb %s at epsilon %g: %s"
+                              % (self.mode, self.map, self.noise(), exc))
 
     def _walk_words(self, mapping):
         """Words in the deepest cylinder walk of a run; 0 for none."""
@@ -302,6 +329,14 @@ class ExperimentConfig(NamedTuple):
         return family_shape(self.map)
 
 
+def _config_key(key, unknown):
+    """A config field name from its text; ``unknown`` names a bad one."""
+    key = key.strip().replace("-", "_")
+    if key not in ExperimentConfig._fields:
+        raise ConfigError(unknown)
+    return key
+
+
 def read_config_file(path):
     """Parse a flat key=value file; # starts a comment, blanks ignored."""
     values = {}
@@ -318,52 +353,72 @@ def read_config_file(path):
             raise ConfigError("%s:%d: expected key=value, got %r"
                               % (path, lineno, text))
         key, raw = text.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in ExperimentConfig._fields:
-            raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        key = _config_key(key, "%s:%d: unknown key %r"
+                          % (path, lineno, key.strip()))
         values[key] = _coerce(key, raw.strip())
     return values
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pressurelab",
-        description="Batch experiments on expanding repellers: dimension "
-                    "and pressure computations, Lyapunov exponents, random "
-                    "perturbation stability sweeps, and invariant checks.")
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key=value config file")
-    parser.add_argument("--mode", choices=MODES, help="experiment mode")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--seed", type=int, metavar="N", help="base seed")
-    parser.add_argument("--workers", type=int, metavar="K",
-                        help="accepted and ignored; every run is serial")
-    parser.add_argument("--tol", type=float, metavar="X",
-                        help="root tolerance of dimension runs")
-    parser.add_argument("--eps-schedule", metavar="LIST",
-                        help="comma separated noise levels, largest first")
-    parser.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
-                        help="extra config overrides, e.g. map=doubling")
-    return parser
+_USAGE = """\
+usage: pressurelab [--config PATH] [--KEY VALUE ...] [KEY=VALUE ...]
+
+Batch experiments on expanding repellers: dimension and pressure
+computations, Lyapunov exponents, random perturbation stability sweeps,
+and invariant checks.
+
+Every config key is a --KEY VALUE flag (dashes read as underscores) and a
+KEY=VALUE override.  Flags beat overrides, and overrides beat the
+key=value file that --config PATH names.  Every mode takes out, the
+output directory, and workers, which is accepted and ignored because
+every run is serial.
+
+mode        keys it reads
+"""
+
+
+def _usage():
+    """The help text: how keys are passed, and the keys of every mode."""
+    return _USAGE + "\n".join("%-11s %s" % (mode, " ".join(keys))
+                              for mode, keys in _MODE_KEYS.items())
 
 
 def parse_args(argv=None):
-    """Config from defaults, file, key=value overrides, then flags."""
-    args = _build_parser().parse_args(argv)
-    values = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-    for item in args.overrides:
-        if "=" not in item:
-            raise ConfigError("override %r is not KEY=VALUE" % item)
-        key, raw = item.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in ExperimentConfig._fields:
-            raise ConfigError("unknown config key %r" % key)
+    """Config from defaults, file, KEY=VALUE overrides, then --KEY flags.
+
+    ``argv`` defaults to the process arguments.  ``--KEY VALUE`` and
+    ``--KEY=VALUE`` set a key as ``KEY=VALUE`` does, ``--config PATH``
+    names a key=value file, and ``-h`` or ``--help`` prints ``_usage()``
+    and exits 0.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    path, overrides, flags = None, [], []
+    items = iter(argv)
+    for item in items:
+        if item in ("-h", "--help"):
+            print(_usage())
+            raise SystemExit(0)
+        if not item.startswith("-"):
+            if "=" not in item:
+                raise ConfigError("override %r is not KEY=VALUE" % item)
+            key, raw = item.split("=", 1)
+            overrides.append((_config_key(
+                key, "unknown config key %r" % key.strip()), raw))
+            continue
+        name, eq, raw = item.partition("=")
+        if not name.startswith("--"):
+            raise ConfigError("unknown flag %s" % name)
+        if not eq:
+            raw = next(items, None)
+            if raw is None or raw.startswith("--"):
+                raise ConfigError("flag %s needs a value" % name)
+        if name == "--config":
+            path = raw
+        else:
+            flags.append((_config_key(name[2:], "unknown flag %s" % name),
+                          raw))
+    values = read_config_file(path) if path is not None else {}
+    for key, raw in overrides + flags:
         values[key] = _coerce(key, raw.strip())
-    for key in ("mode", "out", "seed", "workers", "tol", "eps_schedule"):
-        if getattr(args, key) is not None:
-            values[key] = _coerce(key, getattr(args, key))
     mode = values.get("mode", ExperimentConfig._field_defaults["mode"])
     reads = _MODE_KEYS.get(mode)
     # every mode takes an output directory and a worker count (accepted

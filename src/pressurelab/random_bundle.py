@@ -16,6 +16,7 @@ through any computation coincide by construction.
 """
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,9 +58,10 @@ class BaseSample(NamedTuple):
 
 
 # SplitMix64 (Steele, Lea and Flood 2014): the golden gamma and the
-# finaliser multipliers, as published
+# finaliser multipliers and shifts, as published
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 
 def _draw(seed, counters, n):
@@ -71,12 +73,20 @@ def _draw(seed, counters, n):
     [0, n) by multiply-shift, so n must not exceed 2^32.  No generator
     state is kept: a draw depends on its seed and counter alone.
     """
-    steps = np.asarray(counters, dtype=np.int64).view(np.uint64)
-    z = np.uint64(seed) + (steps + np.uint64(1)) * _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX[0]
-    z = (z ^ (z >> np.uint64(27))) * _MIX[1]
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
+    # every step runs in place on one copy of the counters and one scratch
+    z = np.array(counters, dtype=np.int64).view(np.uint64)
+    scratch = np.empty_like(z)
+    z += np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(seed)
+    for shift, mix in zip(_SHIFTS, _MIX):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= mix
+    z ^= np.right_shift(z, _SHIFTS[2], out=scratch)
+    z >>= np.uint64(32)
+    z *= np.uint64(n)
+    z >>= np.uint64(32)
+    return z
 
 
 def _check_letter_count(n_letters):
@@ -383,9 +393,9 @@ def _conjugacy_defects(family, letters, base=None):
 
 
 def _largest_gap(points, targets):
-    """Largest |points - targets| per leading row, in one scratch array."""
-    gap = points - targets
-    return np.abs(gap, out=gap).reshape(len(gap), -1).max(axis=1)
+    """Largest |points - targets| per leading row; overwrites ``points``."""
+    points -= targets
+    return np.abs(points, out=points).reshape(len(points), -1).max(axis=1)
 
 
 def _equivariance_bound(family, depth):
@@ -694,6 +704,44 @@ class DistortionReport(NamedTuple):
     pairs: int
 
 
+# sampled pairs per block of the distortion scan
+_PAIR_BLOCK = 2048
+
+
+@lru_cache(maxsize=8)
+def _distortion_pairs(seed, leaves, sample_pairs):
+    """Leaf index pairs (i, j), i != j, of ``distortion_constants``.
+
+    Every neighbouring pair of the ``leaves`` leaves comes first, then
+    ``sample_pairs - (leaves - 1)`` pairs drawn from ``seed``.  The arrays
+    are read-only int32, so every call on one key shares them.
+    """
+    extra = max(0, sample_pairs - (leaves - 1))
+    drawn = _draw(seed, np.arange(2 * extra), leaves)
+    i = np.empty(leaves - 1 + extra, dtype=np.int32)
+    j = np.empty_like(i)
+    i[:leaves - 1] = np.arange(leaves - 1)
+    j[:leaves - 1] = np.arange(1, leaves)
+    i[leaves - 1:] = drawn[:extra]
+    j[leaves - 1:] = drawn[extra:]
+    keep = i != j
+    i, j = i[keep], j[keep]
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _pair_blocks(pairs):
+    """The (i, j) index arrays of ``pairs`` in blocks of ``_PAIR_BLOCK``.
+
+    Each block is cast to ``np.intp`` once, since every gather would
+    cast narrower indices again.
+    """
+    i, j = pairs
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        yield (i[lo:lo + _PAIR_BLOCK].astype(np.intp),
+               j[lo:lo + _PAIR_BLOCK].astype(np.intp))
+
+
 def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
                          seed=0):
     """Uniform two sided distortion inequality for the origin fiber map.
@@ -711,24 +759,17 @@ def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
     pairs straddling a branch boundary.  worst_violation is the smallest
     slack over all sampled pairs; the inequality holds when it is not
     negative.  ``letters`` is one window of n letters or a table of them,
-    walked at once, and the reports come one per window; windows share
-    the word count, so they share the pairs drawn from ``seed``.
-    ``DISTORTION_DEPTH`` copies of one letter probe that letter's map.
+    walked in batches of ``_window_chunks``, and the reports come one per
+    window; windows share the word count, so they share the pairs drawn
+    from ``seed``.  k0 and then the slack are scanned over blocks of
+    ``_PAIR_BLOCK`` pairs.  ``DISTORTION_DEPTH`` copies of one letter
+    probe that letter's map.
     """
     windows = _letter_table(letters)
     if windows.shape[1] < 2:
         raise BadSpec("distortion sampling needs depth at least 2")
     if sample_pairs < 100:
         raise BadSpec("need at least 100 sample pairs")
-    chain = FiberCylinders(family, windows)
-    leaves = chain.leaves
-    m = len(leaves.first)
-    extra = max(0, int(sample_pairs) - (m - 1))
-    drawn = _draw(seed, np.arange(2 * extra), m).astype(np.intp)
-    i = np.concatenate([np.arange(m - 1), drawn[:extra]])
-    j = np.concatenate([np.arange(1, m), drawn[extra:]])
-    keep = i != j
-    i, j = i[keep], j[keep]
     circle = family.kind == "circle"
 
     def metric(u, v):
@@ -736,29 +777,44 @@ def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
         return np.minimum(d, 1.0 - d) if circle else d
 
     reports = []
-    for w, window in enumerate(windows):
-        pts = leaves.points[w]
-        images = chain.levels[-2].points[w][leaves.parent]
-        mp = family.fiber_map(window[0])
-        derivs = np.empty(m, dtype=float)
-        for s, a, b in leaves.blocks:
-            derivs[a:b] = mp.branches[s].deriv(pts[a:b])
-        r0 = 0.25 * mp.diam
-        if mp.domain_gaps:
-            r0 = min(r0, 0.5 * min(mp.domain_gaps))
-        dx = metric(pts[i], pts[j])
-        k0 = float((np.abs(derivs[i] - derivs[j]) / dx ** alpha).max())
-        k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
-        ratio = metric(images[i], images[j]) / dx
-        pad = k_val * dx ** alpha
-        slack = np.minimum(
-            np.minimum(derivs[i] + pad - ratio, ratio - derivs[i] + pad),
-            np.minimum(derivs[j] + pad - ratio, ratio - derivs[j] + pad))
-        reports.append(DistortionReport(
-            k0=k0, k_value=float(k_val), worst_violation=float(slack.min()),
-            slope_variation=float(family.slope_variation), radius=float(r0),
-            alpha=float(alpha), pairs=int(len(i))))
+    for rows in _window_chunks(family, len(windows), windows.shape[1]):
+        chain = FiberCylinders(family, windows[rows])
+        leaves = chain.leaves
+        m = len(leaves.first)
+        pairs = _distortion_pairs(int(seed), m, int(sample_pairs))
+        for w, window in enumerate(windows[rows]):
+            pts = leaves.points[w]
+            images = chain.levels[-2].points[w][leaves.parent]
+            mp = family.fiber_map(window[0])
+            derivs = np.empty(m, dtype=float)
+            for s, a, b in leaves.blocks:
+                derivs[a:b] = mp.branches[s].deriv(pts[a:b])
+            r0 = 0.25 * mp.diam
+            if mp.domain_gaps:
+                r0 = min(r0, 0.5 * min(mp.domain_gaps))
+            # a max or min of block extremes is the extreme of all pairs
+            k0 = float(np.max([(np.abs(derivs[i] - derivs[j])
+                                / metric(pts[i], pts[j]) ** alpha).max()
+                               for i, j in _pair_blocks(pairs)]))
+            k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
+            worst = float(np.min([
+                _pair_slack(derivs[i], derivs[j], metric(pts[i], pts[j]),
+                            metric(images[i], images[j]), k_val, alpha)
+                for i, j in _pair_blocks(pairs)]))
+            reports.append(DistortionReport(
+                k0=k0, k_value=float(k_val), worst_violation=worst,
+                slope_variation=float(family.slope_variation),
+                radius=float(r0), alpha=float(alpha), pairs=len(pairs[0])))
     return reports
+
+
+def _pair_slack(deriv_i, deriv_j, dx, dy, k_val, alpha):
+    """Smallest slack of the distortion inequality over one block of pairs."""
+    ratio = dy / dx
+    pad = k_val * dx ** alpha
+    return np.minimum(
+        np.minimum(deriv_i + pad - ratio, ratio - deriv_i + pad),
+        np.minimum(deriv_j + pad - ratio, ratio - deriv_j + pad)).min()
 
 
 # -- pressure transport through the conjugacy --------------------------------
@@ -905,8 +961,9 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     depth m conjugacy, the first ``GROWTH_DEPTH`` for the growth and the
     first ``depth`` for the roots.  Each level certifies all rows
     together: batched fiber walks of both conjugacy slices, one batched
-    growth walk, one walk of the constant windows of all letters for
-    distortion, and one vectorised Newton pass for the per-seed roots.
+    growth walk, batched walks (``_window_chunks``) of the constant
+    windows of all letters for distortion, whose sampled pairs are drawn
+    once per sweep, and one vectorised Newton pass for the per-seed roots.
     The base map is walked once per distinct conjugacy depth.
     Certificates collect per noise level the expansion margin, the node
     count of the root operators (``root_nodes``), displacement and

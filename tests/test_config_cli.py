@@ -2,9 +2,14 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pressurelab as pl
 from pressurelab import cli
@@ -123,7 +128,6 @@ KEY_VALUES = {"map": "cookie_cutter(3,3)", "potential": "geometric(0.5)",
               "depth": "8", "tol": "1e-12", "eps_schedule": "0.1",
               "seeds": "4", "seed": "3", "epsilon": "0.1", "letters": "3",
               "conj_depth": "8", "orbit_word": "0,1"}
-KEY_FLAGS = {"seed": "--seed", "tol": "--tol", "eps_schedule": "--eps-schedule"}
 
 
 @pytest.mark.parametrize("mode, key", [
@@ -139,15 +143,113 @@ def test_unread_keys_are_config_errors(tmp_path, capsys, monkeypatch, mode,
     path = tmp_path / "exp.cfg"
     path.write_text("mode = %s\n%s = %s\n" % (mode, key, KEY_VALUES[key]))
     routes = [["--mode", mode, "%s=%s" % (key, KEY_VALUES[key])],
-              ["--config", str(path)]]
-    if key in KEY_FLAGS:
-        routes.append(["--mode", mode, KEY_FLAGS[key], KEY_VALUES[key]])
+              ["--config", str(path)],
+              ["--mode", mode, "--" + key.replace("_", "-"), KEY_VALUES[key]]]
     for argv in routes:
         rc, out = run_mode(tmp_path, *argv)
         assert rc == 2
         assert not out.exists()
         assert "%s mode does not read %s;" % (mode, key) \
             in capsys.readouterr().err
+
+
+def test_flags_beat_overrides_and_overrides_beat_the_file(tmp_path):
+    """Precedence is by source, whatever the order on the command line."""
+    path = tmp_path / "exp.cfg"
+    path.write_text("mode = stability\ndepth = 6\nseeds = 3\nletters = 4\n")
+    cfg = cfgmod.parse_args(["--depth", "9", "depth=7", "seeds=5",
+                             "--config", str(path)])
+    assert (cfg.mode, cfg.depth, cfg.seeds, cfg.letters) \
+        == ("stability", 9, 5, 4)
+    # among flags, and among overrides, the last one wins
+    cfg = cfgmod.parse_args(["--config", str(path), "--depth", "9",
+                             "--depth=11", "seeds=5", "seeds=2",
+                             "--conj-depth", "7", "--conj_depth", "8"])
+    assert (cfg.depth, cfg.seeds, cfg.conj_depth) == (11, 2, 8)
+
+
+# text for every key a mode reads, values the mode rejects included
+KEY_TEXTS = {
+    "map": st.sampled_from(["cookie_cutter(3,3)", "cookie(2,4)", "doubling",
+                            "circle(3,0.05)", "golden_mean", "mystery(1)"]),
+    "potential": st.sampled_from(["zero", "geometric(0.5)", "bogus",
+                                  "singular_upper(0.7)"]),
+    "depth": st.integers(min_value=-1, max_value=9).map(str),
+    "tol": st.sampled_from(["1e-9", "0.5", "-1", "x"]),
+    "eps_schedule": st.sampled_from(["0.1", "0.2,0.05", "0.1;0.01", "", "a"]),
+    "seeds": st.integers(min_value=0, max_value=20).map(str),
+    "seed": st.integers(min_value=-2, max_value=2 ** 64 + 1).map(str),
+    "epsilon": st.sampled_from(["0", "0.05", "0.1", "0.3", "-0.1"]),
+    "letters": st.integers(min_value=0, max_value=5).map(str),
+    "conj_depth": st.integers(min_value=0, max_value=12).map(str),
+    "orbit_word": st.sampled_from(["0,1", "0", "1,1", "0,3", "-1"]),
+}
+
+
+def _parsed(argv):
+    """The config ``argv`` resolves to, or the text of its config error."""
+    try:
+        return cfgmod.parse_args(argv)
+    except pl.ConfigError as exc:
+        return "config error: %s" % exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(mode, key) for mode in sorted(MODE_READS)
+                        for key in sorted(MODE_READS[mode])]),
+       st.booleans(), st.data())
+def test_a_flag_sets_a_key_as_its_override_does(mode_key, dashes, data):
+    mode, key = mode_key
+    text = data.draw(KEY_TEXTS[key])
+    flag = "--" + (key.replace("_", "-") if dashes else key)
+    expected = _parsed(["mode=%s" % mode, "%s=%s" % (key, text)])
+    assert _parsed(["--mode", mode, flag, text]) == expected
+    assert _parsed(["--mode=%s" % mode, "%s=%s" % (flag, text)]) == expected
+
+
+def test_help_lists_every_mode_and_the_keys_it_reads(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--mode", "stability", flag, "--no-such-flag"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: pressurelab")
+        table = text.split("keys it reads\n", 1)[1].splitlines()
+        assert {row.split()[0]: set(row.split()[1:]) for row in table} \
+            == MODE_READS
+
+
+@pytest.mark.parametrize("args", [
+    ("--no-such-key", "1"),
+    ("--mode", "checks", "--seed"),
+    ("--seed", "--mode", "checks"),
+    ("--config",),
+    ("-x", "1"),
+    ("stray",),
+])
+def test_bad_flags_are_config_errors(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), *args]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_runs_load_no_argument_parsing_library(tmp_path):
+    code = ("import sys\n"
+            "from pressurelab import cli\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['--mode', 'stability', '--seeds', '2',\n"
+            "                 '--out', out + '/stability']) == 0\n"
+            "assert cli.main(['--mode', 'checks', '--out', out + '/checks'])"
+            " == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_READS))
@@ -257,6 +359,22 @@ def test_checks_reject_maps_without_a_perturbation_family(tmp_path, capsys,
     assert rc == 2
     assert not out.exists()
     assert "has no random perturbation family" in capsys.readouterr().err
+
+
+def test_checks_certify_the_battery_family_before_any_work(tmp_path,
+                                                           capsys):
+    """A degree 2 circle family cannot carry the battery's default noise."""
+    rc, out = run_mode(tmp_path, "--mode", "checks", "map=doubling")
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: checks mode cannot perturb doubling")
+    assert "epsilon %g" % cfgmod.CHECKS_EPSILON in err
+    assert make("checks", map="doubling", epsilon="0.05").noise() == 0.05
+    assert make("checks").noise() == cfgmod.CHECKS_EPSILON
+    for mode in ("checks", "entropy"):
+        with pytest.raises(pl.ConfigError, match="cannot perturb"):
+            make(mode, epsilon="0.5", letters="3")
 
 
 @pytest.mark.parametrize("spec", ["golden_mean", "cookie_cutter(2,4)",

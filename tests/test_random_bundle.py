@@ -111,6 +111,21 @@ def test_distortion_pairs_repeat_exactly():
     assert other != first
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=1, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_draws_match_splitmix64_on_large_counter_arrays(seed, n, key):
+    """The in-place draw is the pure-Python SplitMix64, counter by counter."""
+    spread = [_splitmix64(key, p) - 2 ** 63 for p in range(2000)]
+    counters = np.array(spread + list(range(key - 2000, key + 2000)))
+    before = counters.copy()
+    got = random_bundle._draw(seed, counters, n)
+    assert np.array_equal(counters, before)
+    assert got.tolist() == [(_splitmix64(seed, int(p)) >> 32) * n >> 32
+                            for p in counters]
+
+
 def test_shifted_window_relabels_positions():
     smp = pl.sample_base(11)
     moved = smp.shifted(3)
@@ -708,11 +723,12 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     assert len(walks) == len(base_depths) + 4 * len(levels)
 
 
-def test_default_sweep_hashes_letters_at_most_20_times(monkeypatch):
+def test_default_sweep_hashes_letters_at_most_17_times(monkeypatch):
     """The sweep draws one letter table, not one window per walk.
 
-    Sixteen seed rows plus one distortion pair draw per level make 20
-    calls of the letter hash on the default four-level sweep.
+    Sixteen seed rows plus one distortion pair draw for the whole sweep,
+    shared by its levels, make 17 calls of the letter hash on the default
+    four-level sweep.
     """
     calls = []
     draw = random_bundle._draw
@@ -722,10 +738,11 @@ def test_default_sweep_hashes_letters_at_most_20_times(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(random_bundle, "_draw", counted)
+    random_bundle._distortion_pairs.cache_clear()
     carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
     rows = pl.stability_experiment(carrier, seeds=16).rows
     assert len(rows) == 4 and all(r.failure == "" for r in rows)
-    assert len(calls) <= 20
+    assert len(calls) <= 17
 
 
 def test_sweep_levels_read_slices_of_one_letter_table():
@@ -792,3 +809,103 @@ def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
     assert abs(pl.random_entropy(fam, 13) - math.log(3.0)) <= 1e-12
     with pytest.raises(pl.BadSpec, match="overflows"):
         pl.random_entropy(fam, 700)
+
+
+def _direct_distortion(family, window, sample_pairs, seed, alpha):
+    """``distortion_constants`` of one window over whole pair arrays.
+
+    Every pair quantity is one array over all sampled pairs, as the scan
+    was written before it ran over blocks of pairs.
+    """
+    chain = pl.FiberCylinders(family, np.asarray(window)[None, :])
+    leaves = chain.leaves
+    m = len(leaves.first)
+    extra = max(0, sample_pairs - (m - 1))
+    drawn = random_bundle._draw(seed, np.arange(2 * extra), m).astype(np.intp)
+    i = np.concatenate([np.arange(m - 1), drawn[:extra]])
+    j = np.concatenate([np.arange(1, m), drawn[extra:]])
+    keep = i != j
+    i, j = i[keep], j[keep]
+
+    def metric(u, v):
+        d = np.abs(u - v)
+        return np.minimum(d, 1.0 - d) if family.kind == "circle" else d
+
+    pts = leaves.points[0]
+    images = chain.levels[-2].points[0][leaves.parent]
+    mp = family.fiber_map(window[0])
+    derivs = np.empty(m)
+    for s, a, b in leaves.blocks:
+        derivs[a:b] = mp.branches[s].deriv(pts[a:b])
+    r0 = 0.25 * mp.diam
+    if mp.domain_gaps:
+        r0 = min(r0, 0.5 * min(mp.domain_gaps))
+    dx = metric(pts[i], pts[j])
+    k0 = float((np.abs(derivs[i] - derivs[j]) / dx ** alpha).max())
+    k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
+    ratio = metric(images[i], images[j]) / dx
+    pad = k_val * dx ** alpha
+    slack = np.minimum(
+        np.minimum(derivs[i] + pad - ratio, ratio - derivs[i] + pad),
+        np.minimum(derivs[j] + pad - ratio, ratio - derivs[j] + pad))
+    return k0, float(k_val), float(slack.min()), len(i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WALK_FAMILIES, st.integers(min_value=2, max_value=3),
+       st.integers(min_value=2, max_value=10),
+       st.integers(min_value=100, max_value=5000),
+       st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([7, 100, 2048]))
+def test_blocked_distortion_scan_is_the_whole_array_scan(
+        shape, n_letters, depth, sample_pairs, seed, letter_seed, alpha,
+        block):
+    """Block extremes of the pair scan are the whole-array extremes, bit
+    for bit, on every window of a table, at any block size and whether K
+    is its locality floor or k0."""
+    kind, params, eps = shape
+    fam = pl.RandomFamily(kind, params, eps, n_letters)
+    table = _table([letter_seed, letter_seed + 1], depth, n_letters)
+    with mock.patch.object(random_bundle, "_PAIR_BLOCK", block):
+        reports = pl.distortion_constants(
+            fam, table, sample_pairs=sample_pairs, alpha=alpha, seed=seed)
+    for window, rep in zip(table, reports):
+        assert (rep.k0, rep.k_value, rep.worst_violation, rep.pairs) \
+            == _direct_distortion(fam, window, sample_pairs, seed, alpha)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2047, 2048, 2049, 6000])
+def test_pair_blocks_cover_every_pair_once_in_order(n_pairs):
+    i = np.arange(n_pairs)
+    blocks = list(random_bundle._pair_blocks((i.astype(np.int32),
+                                               (i + 1).astype(np.int32))))
+    assert max(len(bi) for bi, _ in blocks) <= random_bundle._PAIR_BLOCK
+    assert all(b.dtype == np.intp for block in blocks for b in block)
+    assert np.concatenate([bi for bi, _ in blocks]).tolist() == i.tolist()
+    assert np.concatenate([bj for _, bj in blocks]).tolist() \
+        == (i + 1).tolist()
+
+
+def test_distortion_pairs_are_shared_read_only_int32():
+    i, j = random_bundle._distortion_pairs(3, 1024, 5000)
+    assert (i.dtype, j.dtype) == (np.int32, np.int32)
+    assert not i.flags.writeable and not j.flags.writeable
+    assert random_bundle._distortion_pairs(3, 1024, 5000)[0] is i
+    with pytest.raises(ValueError):
+        i[0] = 1
+
+
+def test_distortion_probes_of_many_letters_walk_in_batches():
+    """Past WORD_CAP / 2^DISTORTION_DEPTH letters the probes still run, and
+    each letter's report is its own one-window call."""
+    n_letters = 1100
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.05, n_letters)
+    probes = np.tile(np.arange(n_letters)[:, None],
+                     (1, random_bundle.DISTORTION_DEPTH))
+    reports = pl.distortion_constants(fam, probes)
+    assert len(reports) == n_letters
+    # both sides of the batch boundary, and the ends of the table
+    for letter in (0, 1, 511, 1022, 1023, 1024, 1025, n_letters - 1):
+        assert pl.distortion_constants(fam, probes[letter]) \
+            == [reports[letter]]
