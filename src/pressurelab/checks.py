@@ -144,7 +144,7 @@ def _battery(cfg):
 
     def check_distortion():
         probes = np.tile(np.arange(letters)[:, None], (1, DISTORTION_DEPTH))
-        reports = distortion_constants(temper(), probes, sample_pairs=12000)
+        reports = distortion_constants(temper(), probes)
         worst = min(report.worst_violation for report in reports)
         pairs = sum(report.pairs for report in reports)
         return _require(worst >= -1e-10,

@@ -121,25 +121,21 @@ def build_potential(spec):
 def family_shape(spec):
     """Perturbation family (kind, params) behind a map spec.
 
-    Only interval families with stable branch combinatorics support random
-    perturbation: the cookie kinds and the circle kinds (the doubling map
-    is the degree 2 circle map with a flat lift).
+    Cookie cutter and circle maps, named through the map registry with the
+    factory's defaults for missing params, support random perturbation;
+    the doubling map is the degree 2 circle map with a flat lift.
     """
     name, args = _parse_call(spec, "map")
-    if name in ("cookie_cutter", "cookie"):
-        params = args if args else (3.0, 3.0)
-        if len(params) != 2:
-            raise ConfigError("cookie family takes two slopes")
-        return "cookie", tuple(float(v) for v in params)
-    if name in ("circle", "circle_map"):
-        if not args:
-            raise ConfigError("circle family needs a degree")
-        degree = args[0]
-        amp = float(args[1]) if len(args) > 1 else 0.0
-        return "circle", (int(degree), amp)
-    if name == "doubling":
-        return "circle", (2, 0.0)
-    raise ConfigError("map %r has no random perturbation family" % spec)
+    factory = dyn._FAMILIES.get(name)
+    if factory is dyn.doubling_map:
+        factory, args = dyn.circle_map, (2,)
+    # built per call, since a tracer may rebind the registered factories
+    kind = {dyn.cookie_cutter: "cookie", dyn.circle_map: "circle"}.get(factory)
+    if kind is None:
+        raise ConfigError("map %r has no random perturbation family" % spec)
+    bound = inspect.signature(factory).bind(*args)
+    bound.apply_defaults()
+    return kind, tuple(bound.arguments.values())
 
 
 def _coerce(key, raw):

@@ -92,14 +92,14 @@ class _Level(NamedTuple):
     blocks: tuple
 
 
-def build_levels(maps, cap=WORD_CAP):
+def build_levels(maps):
     """Level arrays for a chain of maps, one map per word position.
 
     ``maps[i]`` acts at position i, so level k (words of length k) seeds at
     the branch centers of ``maps[-1]`` and extends by the inverse branches
     of the map one position earlier.  An entry may be a ``MapColumn``;
     the points of every level then have a leading axis with one row per
-    window, and a level may hold at most ``cap`` points over all windows.
+    window, and a level holds at most ``WORD_CAP`` points in all windows.
     All maps must share one transition matrix.
     """
     depth = len(maps)
@@ -131,10 +131,10 @@ def build_levels(maps, cap=WORD_CAP):
         prev = levels[-1]
         counts = np.bincount(prev.first, minlength=n_sym)
         total = int((adj @ counts).sum())
-        if total * (windows or 1) > cap:
+        if total * (windows or 1) > WORD_CAP:
             raise MatrixTooLarge("level %d needs %d words%s, cap is %d"
                                  % (k + 1, total, " x %d windows" % windows
-                                    if windowed else "", cap))
+                                    if windowed else "", WORD_CAP))
         pts = np.empty(lead + (total,) + prev.points.shape[len(lead) + 1:])
         first, lasts, parent, blocks = [], [], [], []
         start = 0
@@ -173,7 +173,7 @@ class CylinderSet:
     grouped into contiguous blocks by leading symbol.
     """
 
-    def __init__(self, maps, depth, cap=WORD_CAP):
+    def __init__(self, maps, depth):
         if depth < 1:
             raise BadSpec("cylinder depth must be positive")
         self.depth = int(depth)
@@ -182,7 +182,7 @@ class CylinderSet:
         if len(self.maps) != self.depth:
             raise BadSpec("a chain needs one map per word position")
         self.windows = _chain_windows(self.maps)
-        self.levels = build_levels(self.maps, cap)
+        self.levels = build_levels(self.maps)
         self._logd = None
 
     @property

@@ -330,7 +330,7 @@ def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500)
     if count > TRANSFER_CAP:
         raise MatrixTooLarge("block transfer needs %d states, cap is %d"
                              % (int(count), TRANSFER_CAP))
-    cyl = CylinderSet(mapping, block_length, cap=TRANSFER_CAP)
+    cyl = CylinderSet(mapping, block_length)
     leaves = cyl.leaves
     if potential.kind != "additive" and mapping.dim == 2:
         s_vals = np.full(len(leaves.first), -potential.weight * dyn._torus_logs(

@@ -114,8 +114,8 @@ def sample_base(seed, n_letters=2):
 class RandomFamily:
     """Finite family of perturbed maps indexed by base letters.
 
-    Letter coefficients are evenly spaced in [-1, 1].  Kind "circle"
-    shifts the lift amplitude by epsilon times the coefficient, so the
+    Letter coefficients a are evenly spaced in [-1, 1] (``coefficient``).
+    Kind "circle" shifts the lift amplitude by epsilon times a, so the
     branch maps become x -> degree x + (amp + eps a) sin(2 pi x) mod 1.
     Kind "cookie" scales both branch slopes by 1 + epsilon * coefficient
     and recomputes the branch domains accordingly.  Construction certifies
@@ -131,10 +131,6 @@ class RandomFamily:
         if self.epsilon < 0.0:
             raise BadSpec("perturbation size must not be negative")
         _check_letter_count(self.n_letters)
-        if self.n_letters == 1:
-            self.coefficients = (0.0,)
-        else:
-            self.coefficients = tuple(np.linspace(-1.0, 1.0, self.n_letters))
         if self.kind == "cookie":
             if len(self.params) != 2:
                 raise BadSpec("cookie family takes two branch slopes")
@@ -154,8 +150,18 @@ class RandomFamily:
     def _base_amplitude(self):
         return self.params[1] if len(self.params) == 2 else 0.0
 
+    def coefficient(self, letter):
+        """np.linspace(-1, 1, n)[letter] bit for bit, without the array."""
+        n = self.n_letters
+        if n == 1:
+            return 0.0
+        if letter == n - 1:
+            return 1.0
+        return letter * (2.0 / (n - 1)) - 1.0
+
     def _certify(self):
-        reach = self.epsilon * max(abs(c) for c in self.coefficients)
+        # the last letter's coefficient is the largest in magnitude
+        reach = self.epsilon * self.coefficient(self.n_letters - 1)
         margin = self.base_map.min_expansion - 1.0
         required = 1.0 + 0.5 * margin
         if self.kind == "circle":
@@ -183,7 +189,7 @@ class RandomFamily:
     @property
     def holder_budget(self):
         """C1 distance between any fiber and the base, per unit epsilon."""
-        reach_unit = max(abs(c) for c in self.coefficients)
+        reach_unit = self.coefficient(self.n_letters - 1)
         if self.kind == "circle":
             return (1.0 + TWO_PI) * reach_unit
         return 2.0 * max(self.params) * reach_unit
@@ -212,7 +218,7 @@ class RandomFamily:
         if not 0 <= letter < self.n_letters:
             raise BadSpec("letter %d out of range" % letter)
         if letter not in self._fibers:
-            a = self.coefficients[letter]
+            a = self.coefficient(letter)
             if self.kind == "circle":
                 fiber = dyn.circle_map(int(self.params[0]),
                                        self._base_amplitude + self.epsilon * a)
@@ -245,7 +251,7 @@ class FiberCylinders(CylinderSet):
     window (see ``_window_chunks`` for how many windows fit one walk).
     """
 
-    def __init__(self, family, letters, cap=WORD_CAP):
+    def __init__(self, family, letters):
         letters = np.asarray(letters, dtype=np.intp)
         if letters.ndim == 1:
             maps = [family.fiber_map(a) for a in letters]
@@ -255,7 +261,7 @@ class FiberCylinders(CylinderSet):
         else:
             raise BadSpec("fiber letters are one window or a table of them")
         self.family = family
-        super().__init__(maps, letters.shape[-1], cap)
+        super().__init__(maps, letters.shape[-1])
 
 
 def _letter_table(letters):
@@ -406,11 +412,14 @@ def conjugacy_displacement(family, letters):
     """Largest distance the depth n conjugacy moves a cylinder point.
 
     ``letters`` is one window of n letters, or a table of them measured
-    by its worst row.
+    by its worst row and walked in batches of ``_window_chunks``.
     """
-    chain = FiberCylinders(family, letters)
-    base = CylinderSet(family.base_map, chain.depth).leaves.points
-    return float(np.abs(chain.leaves.points - base).max())
+    letters = _letter_table(letters)
+    depth = letters.shape[1]
+    base = CylinderSet(family.base_map, depth).leaves.points
+    return float(max(_largest_gap(
+        FiberCylinders(family, letters[rows]).leaves.points, base).max()
+        for rows in _window_chunks(family, len(letters), depth)))
 
 
 def measure_equivariance(family, letters):
@@ -434,6 +443,8 @@ def measure_equivariance(family, letters):
 
 # node counts tried for random roots: 8, 16, ... up to this many
 MAX_ROOT_NODES = 256
+# tolerance of the random roots and of their node count check
+ROOT_TOL = 1e-10
 # operator steps between rescalings of a fiber product by its largest value
 _RESCALE_STEPS = 16
 
@@ -550,11 +561,11 @@ def fiber_pressures(ops, letters, t):
     return (np.log(total) + log_scale) / depth, d_total / total / depth
 
 
-def _root_operators(family, letters, tol):
+def _root_operators(family, letters):
     """Fiber operators on the fewest nodes that resolve the pressures.
 
     Starting at 8, the node count doubles until P_n at t = 0 and t = 1
-    agrees with that on twice as many nodes to within tol / 10 for every
+    agrees with that on twice as many nodes to within ROOT_TOL / 10 for every
     window.  Past ``MAX_ROOT_NODES`` nodes the pressures count as
     unresolved and NoConvergence is raised.  Returns the operators and
     their ``fiber_pressures`` of all windows at t = 0 and t = 1.
@@ -566,7 +577,8 @@ def _root_operators(family, letters, tol):
     coarse, probes = probe(8)
     while True:
         fine, fine_probes = probe(2 * coarse.nodes)
-        if all(np.abs(probes[t][0] - fine_probes[t][0]).max() <= 0.1 * tol
+        if all(np.abs(probes[t][0] - fine_probes[t][0]).max()
+               <= 0.1 * ROOT_TOL
                for t in probes):
             return coarse, probes
         if fine.nodes > MAX_ROOT_NODES:
@@ -621,7 +633,7 @@ class RandomRoots(NamedTuple):
     nodes: int
 
 
-def random_bowen_roots(family, letters, tol=1e-10):
+def random_bowen_roots(family, letters):
     """Root of the averaged fiber pressure, with per window spread.
 
     t_root solves mean pressure = 0 for the potential -t log |f'| along
@@ -635,7 +647,7 @@ def random_bowen_roots(family, letters, tol=1e-10):
     one window of n letters per row, so n is its width.
     """
     letters = _letter_table(letters)
-    ops, probes = _root_operators(family, letters, tol)
+    ops, probes = _root_operators(family, letters)
 
     def per_window(t):
         # the clamp probes at t = 0 and 1 reuse the node check's values
@@ -648,8 +660,8 @@ def random_bowen_roots(family, letters, tol=1e-10):
         value, slope = per_window(t)
         return float(value.mean()), float(slope.mean())
 
-    root = _newton_solve(mean, 1.0, tol)
-    per = tuple(float(r) for r in _newton_solve(per_window, 1.0, tol))
+    root = _newton_solve(mean, 1.0, ROOT_TOL)
+    per = tuple(float(r) for r in _newton_solve(per_window, 1.0, ROOT_TOL))
     return RandomRoots(t_root=float(root), std_error=_std_error(per),
                        per_sample=per, depth=letters.shape[1],
                        nodes=ops.nodes)
@@ -670,26 +682,17 @@ def random_entropy(family, depth=12):
     return math.log(count) / depth
 
 
-def _min_growths(family, letters):
-    """Smallest per step log expansion over depth n fiber words, per row.
-
-    Each row of ``letters`` is one window of n letters.
-    """
-    depth = letters.shape[1]
-    growth = np.empty(len(letters))
-    for rows in _window_chunks(family, len(letters), depth):
-        chain = FiberCylinders(family, letters[rows])
-        growth[rows] = chain.log_derivative_sums()[-1].min(axis=1) / depth
-    return growth
-
-
 def expansivity_min_growth(family, letters):
     """Smallest per step log expansion over depth n fiber words.
 
     ``letters`` is one window of n letters, or a table of them measured
-    by its worst row.
+    by its worst row and walked in batches of ``_window_chunks``.
     """
-    return float(_min_growths(family, _letter_table(letters)).min())
+    letters = _letter_table(letters)
+    depth = letters.shape[1]
+    return float(min(
+        FiberCylinders(family, letters[rows]).log_derivative_sums()[-1].min()
+        for rows in _window_chunks(family, len(letters), depth)) / depth)
 
 
 # -- distortion --------------------------------------------------------------
@@ -698,26 +701,27 @@ class DistortionReport(NamedTuple):
     k0: float
     k_value: float
     worst_violation: float
-    slope_variation: float
     radius: float
-    alpha: float
     pairs: int
 
 
+# pairs per distortion report, and the seed the sampled ones are drawn from
+_DISTORTION_PAIRS = 12000
+_DISTORTION_SEED = 0
 # sampled pairs per block of the distortion scan
 _PAIR_BLOCK = 2048
 
 
 @lru_cache(maxsize=8)
-def _distortion_pairs(seed, leaves, sample_pairs):
+def _distortion_pairs(leaves):
     """Leaf index pairs (i, j), i != j, of ``distortion_constants``.
 
     Every neighbouring pair of the ``leaves`` leaves comes first, then
-    ``sample_pairs - (leaves - 1)`` pairs drawn from ``seed``.  The arrays
-    are read-only int32, so every call on one key shares them.
+    ``_DISTORTION_PAIRS - (leaves - 1)`` pairs drawn from ``_DISTORTION_SEED``.
+    The arrays are read-only int32, so every call on one key shares them.
     """
-    extra = max(0, sample_pairs - (leaves - 1))
-    drawn = _draw(seed, np.arange(2 * extra), leaves)
+    extra = max(0, _DISTORTION_PAIRS - (leaves - 1))
+    drawn = _draw(_DISTORTION_SEED, np.arange(2 * extra), leaves)
     i = np.empty(leaves - 1 + extra, dtype=np.int32)
     j = np.empty_like(i)
     i[:leaves - 1] = np.arange(leaves - 1)
@@ -742,17 +746,16 @@ def _pair_blocks(pairs):
                j[lo:lo + _PAIR_BLOCK].astype(np.intp))
 
 
-def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
-                         seed=0):
+def distortion_constants(family, letters):
     """Uniform two sided distortion inequality for the origin fiber map.
 
     Sampled pairs x, y of depth n fiber cylinder points must satisfy, in
     both orientations,
 
-        |f'(x)| - K d^alpha <= d(f x, f y) / d(x, y) <= |f'(x)| + K d^alpha
+        |f'(x)| - K d <= d(f x, f y) / d(x, y) <= |f'(x)| + K d
 
-    with d = d(x, y).  k0 is the empirical Holder constant of f' over the
-    sampled pairs; K = max(k0, diam / r0, max |f'| / r0^alpha), where the
+    with d = d(x, y).  k0 is the empirical Lipschitz constant of f' over
+    the sampled pairs; K = max(k0, diam / r0, max |f'| / r0), where the
     locality terms absorb pairs farther apart than the scale r0 (half the
     smallest domain gap, or a quarter of the diameter for gapless maps).
     Circle families use circle distance, so the inequality also covers
@@ -760,16 +763,14 @@ def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
     slack over all sampled pairs; the inequality holds when it is not
     negative.  ``letters`` is one window of n letters or a table of them,
     walked in batches of ``_window_chunks``, and the reports come one per
-    window; windows share the word count, so they share the pairs drawn
-    from ``seed``.  k0 and then the slack are scanned over blocks of
+    window; windows share the word count, so they share the pairs of
+    ``_distortion_pairs``.  k0 and then the slack are scanned over blocks of
     ``_PAIR_BLOCK`` pairs.  ``DISTORTION_DEPTH`` copies of one letter
     probe that letter's map.
     """
     windows = _letter_table(letters)
     if windows.shape[1] < 2:
         raise BadSpec("distortion sampling needs depth at least 2")
-    if sample_pairs < 100:
-        raise BadSpec("need at least 100 sample pairs")
     circle = family.kind == "circle"
 
     def metric(u, v):
@@ -781,7 +782,7 @@ def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
         chain = FiberCylinders(family, windows[rows])
         leaves = chain.leaves
         m = len(leaves.first)
-        pairs = _distortion_pairs(int(seed), m, int(sample_pairs))
+        pairs = _distortion_pairs(m)
         for w, window in enumerate(windows[rows]):
             pts = leaves.points[w]
             images = chain.levels[-2].points[w][leaves.parent]
@@ -794,24 +795,23 @@ def distortion_constants(family, letters, sample_pairs=12000, alpha=1.0,
                 r0 = min(r0, 0.5 * min(mp.domain_gaps))
             # a max or min of block extremes is the extreme of all pairs
             k0 = float(np.max([(np.abs(derivs[i] - derivs[j])
-                                / metric(pts[i], pts[j]) ** alpha).max()
+                                / metric(pts[i], pts[j])).max()
                                for i, j in _pair_blocks(pairs)]))
-            k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
+            k_val = max(k0, mp.diam / r0, mp.max_expansion / r0)
             worst = float(np.min([
                 _pair_slack(derivs[i], derivs[j], metric(pts[i], pts[j]),
-                            metric(images[i], images[j]), k_val, alpha)
+                            metric(images[i], images[j]), k_val)
                 for i, j in _pair_blocks(pairs)]))
             reports.append(DistortionReport(
                 k0=k0, k_value=float(k_val), worst_violation=worst,
-                slope_variation=float(family.slope_variation),
-                radius=float(r0), alpha=float(alpha), pairs=len(pairs[0])))
+                radius=float(r0), pairs=len(pairs[0])))
     return reports
 
 
-def _pair_slack(deriv_i, deriv_j, dx, dy, k_val, alpha):
+def _pair_slack(deriv_i, deriv_j, dx, dy, k_val):
     """Smallest slack of the distortion inequality over one block of pairs."""
     ratio = dy / dx
-    pad = k_val * dx ** alpha
+    pad = k_val * dx
     return np.minimum(
         np.minimum(deriv_i + pad - ratio, ratio - deriv_i + pad),
         np.minimum(deriv_j + pad - ratio, ratio - deriv_j + pad)).min()
@@ -828,8 +828,7 @@ class RandomConjugacyReport(NamedTuple):
     margin: int
 
 
-def random_conjugacy_pressure_check(family, conj, potential, depth=8,
-                                    lipschitz=None):
+def random_conjugacy_pressure_check(family, conj, potential, depth=8):
     """Fiber pressure computed directly and through the conjugacy.
 
     Both routes score the depth n words extended by the conjugacy margin
@@ -843,9 +842,8 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
     sum, and the reported residual is their difference, which exposes any
     misalignment between the walker and the evaluator.
 
-    ``lipschitz`` defaults to the potential weight times the worst fiber
-    log slope variation, exact for the built in geometric and singular
-    potentials.
+    ``lipschitz`` is the potential weight times the worst fiber log slope
+    variation, exact for the built in geometric and singular potentials.
     """
     from .pressure import logsumexp
 
@@ -883,10 +881,9 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8,
             s_pulled[rows] += potential.step_values(fiber, s, points[rows])
     p_pulled = logsumexp(s_pulled) / depth
 
-    if lipschitz is None:
-        lipschitz = abs(potential.weight) * max(
-            family.fiber_map(a).log_deriv_lipschitz
-            for a in range(family.n_letters))
+    lipschitz = abs(potential.weight) * max(
+        family.fiber_map(a).log_deriv_lipschitz
+        for a in range(family.n_letters))
     gamma = family.gamma_bound
     bound = lipschitz * base.diam * gamma ** margin / (1.0 - gamma)
     return RandomConjugacyReport(pressure_direct=float(p_direct),
@@ -999,7 +996,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                                              cd).leaves.points
             h_vals, eq_vals = _conjugacy_defects(fam, table[:, :cd + 1],
                                                  base=base_walks[cd])
-            growth = float(_min_growths(fam, table[:, :GROWTH_DEPTH]).min())
+            growth = expansivity_min_growth(fam, table[:, :GROWTH_DEPTH])
             h_sup = float(h_vals.max())
             eq_meas = float(eq_vals.max())
             eq_bound = _equivariance_bound(fam, cd)

@@ -85,6 +85,20 @@ def test_family_shape_mapping():
         cfgmod.family_shape("golden_mean")
 
 
+@pytest.mark.parametrize("spec, same", [
+    ("circle", "circle"), ("circle_map()", "circle_map()"),
+    ("circle(3)", "circle(3)"), ("cookie", "cookie"),
+    ("cookie_cutter(3)", "cookie_cutter(3)"),
+    # the doubling map is the degree 2 circle map with a flat lift
+    ("doubling", "circle(2)"),
+])
+def test_family_perturbs_the_map_its_spec_builds(spec, same):
+    """Map names resolve through the registry, with the factory defaults."""
+    kind, params = cfgmod.family_shape(spec)
+    family = pl.RandomFamily(kind, params, 0.0)
+    assert family.base_map.describe() == build_map(same).describe()
+
+
 def test_stability_mode_rejects_markov_carriers():
     with pytest.raises(pl.ConfigError):
         make("stability", map="golden_mean")
@@ -539,6 +553,19 @@ def test_default_pressure_depth_fits_the_word_cap(tmp_path):
     ("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
 ])
 def test_cli_closed_form_torus_runs_skip_the_word_cap(tmp_path, args):
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 0
+    assert "status=ok\n" in (out / "record.txt").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    # no run allocates per letter: entropy never reads one
+    ("--mode", "entropy", "map=cookie_cutter(3,3)", "epsilon=0.1",
+     "letters=4294967296"),
+    # a bare map name takes its factory's defaults in every mode
+    ("--mode", "entropy", "map=circle"),
+])
+def test_cli_entropy_runs_of_any_letter_count_and_bare_names(tmp_path, args):
     rc, out = run_mode(tmp_path, *args)
     assert rc == 0
     assert "status=ok\n" in (out / "record.txt").read_text()

@@ -7,6 +7,7 @@ import pytest
 
 import pressurelab as pl
 from conftest import admissible_count
+from pressurelab import cylinders
 
 
 def test_leaf_counts_match_matrix_powers():
@@ -77,12 +78,14 @@ def test_orbit_points_climb_parent_chain():
     assert np.allclose(pts, orbit_pts, atol=1e-12)
 
 
-def test_word_cap_enforced():
+def test_word_cap_enforced(monkeypatch):
     mp = pl.doubling_map()
+    monkeypatch.setattr(cylinders, "WORD_CAP", 200)
     with pytest.raises(pl.MatrixTooLarge):
-        pl.CylinderSet(mp, 8, cap=200)
+        pl.CylinderSet(mp, 8)
     # exactly at the cap is allowed
-    assert pl.CylinderSet(mp, 8, cap=256).leaf_count == 256
+    monkeypatch.setattr(cylinders, "WORD_CAP", 256)
+    assert pl.CylinderSet(mp, 8).leaf_count == 256
 
 
 def test_build_levels_position_dependent_chain():

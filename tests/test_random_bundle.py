@@ -103,12 +103,9 @@ def test_letters_are_iid_uniform_over_many_positions(n_letters):
 def test_distortion_pairs_repeat_exactly():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
     window = pl.sample_base(6).letters(0, 8)
-    [first] = pl.distortion_constants(fam, window, sample_pairs=3000, seed=4)
-    assert pl.distortion_constants(fam, window, sample_pairs=3000,
-                                   seed=4) == [first]
+    [first] = pl.distortion_constants(fam, window)
+    assert pl.distortion_constants(fam, window) == [first]
     assert first.pairs > 255
-    [other] = pl.distortion_constants(fam, window, sample_pairs=3000, seed=5)
-    assert other != first
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,7 +176,7 @@ def test_sample_letters_in_range(seed, n_letters):
 
 def test_family_certification_cookie():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.2)
-    assert fam.coefficients == (-1.0, 1.0)
+    assert (fam.coefficient(0), fam.coefficient(1)) == (-1.0, 1.0)
     # the slowest fiber contracts at 1 / (3 * 0.8)
     assert fam.gamma_bound == pytest.approx(1.0 / 2.4)
     assert fam.slope_variation == 0.0
@@ -187,6 +184,31 @@ def test_family_certification_cookie():
     hi = fam.fiber_map(1)
     assert lo.min_expansion == pytest.approx(2.4)
     assert hi.min_expansion == pytest.approx(3.6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 6), st.data())
+def test_coefficients_are_linspace_entries(n_letters, data):
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1, n_letters)
+    spaced = np.linspace(-1.0, 1.0, n_letters)
+    letter = data.draw(st.integers(min_value=0, max_value=n_letters - 1))
+    for a in (0, letter, n_letters - 1):
+        assert fam.coefficient(a) == spaced[a]
+    # one letter is the unperturbed map
+    assert pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 1).coefficient(0) == 0.0
+
+
+def test_family_of_every_letter_count_allocates_nothing_per_letter():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 2 ** 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert fam.certificate["reach"] == 0.1
+    assert fam.fiber_map(2 ** 32 - 1).min_expansion == pytest.approx(3.3)
 
 
 def test_family_rejects_large_noise():
@@ -202,7 +224,7 @@ def test_fiber_chain_reads_the_origin_letter_first():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(5)
     mp = pl.FiberCylinders(fam, smp.letters(0, 3)).maps[0]
-    expect = 3.0 * (1.0 + 0.1 * fam.coefficients[smp.symbol(0)])
+    expect = 3.0 * (1.0 + 0.1 * fam.coefficient(smp.symbol(0)))
     assert mp.min_expansion == pytest.approx(expect)
 
 
@@ -321,6 +343,16 @@ def test_conjugacy_displacement_under_analytic_bound():
         assert 0.0 < disp <= fam.displacement_bound
 
 
+def test_conjugacy_displacement_walks_in_batches():
+    """A table past the word cap in one walk is the max of its rows."""
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    table = _table(range(70), 14)
+    # 2^14 words x 70 windows would not fit one walk
+    assert 2 ** 14 * 70 > pl.WORD_CAP
+    assert pl.conjugacy_displacement(fam, table) == max(
+        pl.conjugacy_displacement(fam, row) for row in table)
+
+
 def test_fiber_repeller_depths():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(9)
@@ -354,7 +386,6 @@ def test_distortion_certificate_families():
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     [rep] = pl.distortion_constants(cookie, np.full(probe, 0))
     assert rep.worst_violation >= -1e-10
-    assert rep.slope_variation == 0.0
     assert rep.k0 == pytest.approx(0.0, abs=1e-12)
     assert rep.pairs >= 10000
 
@@ -363,8 +394,6 @@ def test_distortion_certificate_families():
     assert rep.worst_violation >= -1e-10
     # empirical Holder constant stays below the analytic slope variation
     assert rep.k0 <= circle.slope_variation + 1e-9
-    with pytest.raises(pl.BadSpec):
-        pl.distortion_constants(cookie, np.full(probe, 0), sample_pairs=10)
     with pytest.raises(pl.BadSpec):
         pl.distortion_constants(cookie, np.full(1, 0))
 
@@ -541,7 +570,7 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
                for s in range(seed, seed + n_seeds)]
     letters = np.array([[w.symbol(start + i) for i in range(depth)]
                         for w in windows])
-    ops, _ = _root_operators(fam, letters, 1e-10)
+    ops, _ = _root_operators(fam, letters)
     value, slope = fiber_pressures(ops, letters, t)
     for k in range(n_seeds):
         sums = pl.FiberCylinders(fam, letters[k]).log_derivative_sums()[-1]
@@ -646,12 +675,15 @@ def test_batched_walk_rows_equal_one_window_walks(shape, n_windows, depth,
                                        rtol=0.0, atol=tol)
 
 
-def test_batched_walk_counts_every_window_against_the_cap():
+def test_batched_walk_counts_every_window_against_the_cap(monkeypatch):
+    from pressurelab import cylinders
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     windows = _table(range(4), 6)
-    assert pl.FiberCylinders(fam, windows, cap=4 * 64).windows == 4
+    monkeypatch.setattr(cylinders, "WORD_CAP", 4 * 64)
+    assert pl.FiberCylinders(fam, windows).windows == 4
+    monkeypatch.setattr(cylinders, "WORD_CAP", 4 * 64 - 1)
     with pytest.raises(pl.MatrixTooLarge, match="x 4 windows"):
-        pl.FiberCylinders(fam, windows, cap=4 * 64 - 1)
+        pl.FiberCylinders(fam, windows)
     with pytest.raises(pl.BadSpec, match="table"):
         pl.FiberCylinders(fam, windows[None])
 
@@ -670,7 +702,7 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
     letters = np.array([[pl.sample_base(s).symbol(i)
                          for i in range(depth)]
                         for s in range(seed, seed + n_seeds)])
-    ops, _ = _root_operators(fam, letters, 1e-10)
+    ops, _ = _root_operators(fam, letters)
     roots = pl.random_bowen_roots(fam, letters)
     assert roots.nodes == ops.nodes
     for k, got in enumerate(roots.per_sample):
@@ -706,11 +738,22 @@ def test_default_cookie_sweep_traffic(monkeypatch):
         walks.append((len(maps), all(mp.describe() == base for mp in maps)))
         return walk(maps, *args, **kwargs)
 
+    growths = []
+    growth = random_bundle.expansivity_min_growth
+
+    def counted_growth(*args):
+        growths.append(args[1].shape)
+        return growth(*args)
+
     monkeypatch.setattr(random_bundle, "sample_base", counted_draw)
     monkeypatch.setattr(cylinders, "build_levels", counted_walk)
+    monkeypatch.setattr(random_bundle, "expansivity_min_growth",
+                        counted_growth)
     carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
     res = pl.stability_experiment(carrier)
     assert draws == list(range(16))
+    # the growth certificate of a level is one call of its public kernel
+    assert growths == [(16, random_bundle.GROWTH_DEPTH)] * 4
     levels = res.certificates["per_epsilon"]
     assert len(levels) == 4
     base_depths = sorted(depth for depth, is_base in walks if is_base)
@@ -811,7 +854,7 @@ def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
         pl.random_entropy(fam, 700)
 
 
-def _direct_distortion(family, window, sample_pairs, seed, alpha):
+def _direct_distortion(family, window):
     """``distortion_constants`` of one window over whole pair arrays.
 
     Every pair quantity is one array over all sampled pairs, as the scan
@@ -820,8 +863,9 @@ def _direct_distortion(family, window, sample_pairs, seed, alpha):
     chain = pl.FiberCylinders(family, np.asarray(window)[None, :])
     leaves = chain.leaves
     m = len(leaves.first)
-    extra = max(0, sample_pairs - (m - 1))
-    drawn = random_bundle._draw(seed, np.arange(2 * extra), m).astype(np.intp)
+    extra = max(0, random_bundle._DISTORTION_PAIRS - (m - 1))
+    drawn = random_bundle._draw(random_bundle._DISTORTION_SEED,
+                                np.arange(2 * extra), m).astype(np.intp)
     i = np.concatenate([np.arange(m - 1), drawn[:extra]])
     j = np.concatenate([np.arange(1, m), drawn[extra:]])
     keep = i != j
@@ -841,10 +885,10 @@ def _direct_distortion(family, window, sample_pairs, seed, alpha):
     if mp.domain_gaps:
         r0 = min(r0, 0.5 * min(mp.domain_gaps))
     dx = metric(pts[i], pts[j])
-    k0 = float((np.abs(derivs[i] - derivs[j]) / dx ** alpha).max())
-    k_val = max(k0, mp.diam / r0, mp.max_expansion / r0 ** alpha)
+    k0 = float((np.abs(derivs[i] - derivs[j]) / dx).max())
+    k_val = max(k0, mp.diam / r0, mp.max_expansion / r0)
     ratio = metric(images[i], images[j]) / dx
-    pad = k_val * dx ** alpha
+    pad = k_val * dx
     slack = np.minimum(
         np.minimum(derivs[i] + pad - ratio, ratio - derivs[i] + pad),
         np.minimum(derivs[j] + pad - ratio, ratio - derivs[j] + pad))
@@ -854,25 +898,20 @@ def _direct_distortion(family, window, sample_pairs, seed, alpha):
 @settings(max_examples=30, deadline=None)
 @given(_WALK_FAMILIES, st.integers(min_value=2, max_value=3),
        st.integers(min_value=2, max_value=10),
-       st.integers(min_value=100, max_value=5000),
-       st.integers(min_value=0, max_value=2 ** 64 - 1),
        st.integers(min_value=0, max_value=10 ** 6),
-       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([7, 100, 2048]))
+       st.sampled_from([7, 100, 2048]))
 def test_blocked_distortion_scan_is_the_whole_array_scan(
-        shape, n_letters, depth, sample_pairs, seed, letter_seed, alpha,
-        block):
+        shape, n_letters, depth, letter_seed, block):
     """Block extremes of the pair scan are the whole-array extremes, bit
-    for bit, on every window of a table, at any block size and whether K
-    is its locality floor or k0."""
+    for bit, on every window of a table, at any block size."""
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
     table = _table([letter_seed, letter_seed + 1], depth, n_letters)
     with mock.patch.object(random_bundle, "_PAIR_BLOCK", block):
-        reports = pl.distortion_constants(
-            fam, table, sample_pairs=sample_pairs, alpha=alpha, seed=seed)
+        reports = pl.distortion_constants(fam, table)
     for window, rep in zip(table, reports):
         assert (rep.k0, rep.k_value, rep.worst_violation, rep.pairs) \
-            == _direct_distortion(fam, window, sample_pairs, seed, alpha)
+            == _direct_distortion(fam, window)
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2047, 2048, 2049, 6000])
@@ -888,10 +927,10 @@ def test_pair_blocks_cover_every_pair_once_in_order(n_pairs):
 
 
 def test_distortion_pairs_are_shared_read_only_int32():
-    i, j = random_bundle._distortion_pairs(3, 1024, 5000)
+    i, j = random_bundle._distortion_pairs(1024)
     assert (i.dtype, j.dtype) == (np.int32, np.int32)
     assert not i.flags.writeable and not j.flags.writeable
-    assert random_bundle._distortion_pairs(3, 1024, 5000)[0] is i
+    assert random_bundle._distortion_pairs(1024)[0] is i
     with pytest.raises(ValueError):
         i[0] = 1
 
