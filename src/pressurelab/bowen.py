@@ -49,6 +49,8 @@ def bowen_root(pressure_fn, lo=0.0, hi=1.0, tol=1e-10):
 
 
 _NEWTON_STEPS = 20
+# root tolerance of ``dimension_report``
+DIMENSION_TOL = 1e-9
 
 
 def _logsumexp_pressure(sums, depth):
@@ -156,15 +158,15 @@ def _newton_solve(pressure_and_slope, hi_bound, tol):
     return float(roots[0]) if single else roots
 
 
-def _roots_at_depth(mapping, depth, ambient, tol):
-    """Pair (lower root, upper root) at one depth."""
+def _roots_at_depth(mapping, depth, ambient):
+    """Pair (lower root, upper root) at one depth, to ``DIMENSION_TOL``."""
     if mapping.dim == 1:
         pressure = _logsumexp_pressure(
             [CylinderSet(mapping, depth).log_derivative_sums()[-1]], depth)
         # one solve per side, so every depth counts a lower and an upper
         # solve
-        return (_newton_solve(pressure, ambient, tol),
-                _newton_solve(pressure, ambient, tol))
+        return (_newton_solve(pressure, ambient, DIMENSION_TOL),
+                _newton_solve(pressure, ambient, DIMENSION_TOL))
     # P_k(t) = (log N_k - t l_k) / k vanishes at log N_k / l_k, clamped
     # into [0, ambient] as every root is
     log_count, log_hi, log_lo = dyn._torus_logs(mapping, depth)
@@ -183,21 +185,21 @@ class DimensionReport(NamedTuple):
     per_depth: tuple
 
 
-def dimension_report(mapping, depth=12, tol=1e-9):
+def dimension_report(mapping, depth=12):
     """Dimension bracket of the repeller at the given cylinder depth.
 
-    Roots are computed at half depth and full depth; the leading finite
-    depth error of a root is of order 1/depth, so the reported values are
-    the extrapolants 2 t(n) - t(n/2), clamped into [0, ambient dimension].
-    When the bracket is tight the single root t_root is their mean,
-    otherwise it is nan.
+    Roots are computed at half depth and full depth to ``DIMENSION_TOL``;
+    the leading finite depth error of a root is of order 1/depth, so the
+    reported values are the extrapolants 2 t(n) - t(n/2), clamped into
+    [0, ambient dimension].  When the bracket is within 2 DIMENSION_TOL
+    the single root t_root is their mean, otherwise it is nan.
     """
     eps = mapping.resolve_epsilon()
     ambient = float(mapping.dim)
     depths = [depth] if depth <= 1 else [max(1, depth // 2), depth]
     per_depth = []
     for d in depths:
-        per_depth.append((d,) + _roots_at_depth(mapping, d, ambient, tol))
+        per_depth.append((d,) + _roots_at_depth(mapping, d, ambient))
     if len(per_depth) == 2:
         t_l = 2.0 * per_depth[1][1] - per_depth[0][1]
         t_u = 2.0 * per_depth[1][2] - per_depth[0][2]
@@ -205,7 +207,8 @@ def dimension_report(mapping, depth=12, tol=1e-9):
         t_l, t_u = per_depth[0][1], per_depth[0][2]
     t_l = min(max(t_l, 0.0), ambient)
     t_u = min(max(t_u, 0.0), ambient)
-    t_root = 0.5 * (t_l + t_u) if abs(t_u - t_l) <= 2.0 * tol else math.nan
+    t_root = (0.5 * (t_l + t_u) if abs(t_u - t_l) <= 2.0 * DIMENSION_TOL
+              else math.nan)
     return DimensionReport(t_lower=t_l, t_upper=t_u, t_root=t_root,
                            depth=depth, separation=eps,
                            per_depth=tuple(per_depth))

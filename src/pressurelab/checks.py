@@ -12,6 +12,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .bowen import dimension_report
+from .config import build_map, family_shape
 from .cylinders import DISTORTION_DEPTH, CylinderSet
 from .errors import CheckFailed
 from .lyapunov import average_conformal_check
@@ -117,16 +118,15 @@ def _battery(cfg):
     The random_bundle items perturb the configured map, whose family
     ``ExperimentConfig.validate`` has already checked.
     """
-    kind, params = cfg.family_shape()
+    kind, params = family_shape(cfg.map)
     letters = cfg.letters
-    eps = cfg.noise()
     sample = sample_base(cfg.seed, letters)
 
     def temper():
-        return RandomFamily(kind, params, eps, letters)
+        return RandomFamily(kind, params, cfg.epsilon, letters)
 
     def check_map():
-        mapping = cfg.build_map()
+        mapping = build_map(cfg.map)
         return "map %s: expansion in [%.6g, %.6g]" % (
             cfg.map, mapping.min_expansion, mapping.max_expansion)
 

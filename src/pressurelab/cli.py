@@ -24,6 +24,7 @@ import numpy as np
 
 import pressurelab as pl
 
+from .config import build_map, build_potential, family_shape
 from .config import parse_args as parse_config
 from .errors import ConfigError, PressureLabError
 
@@ -157,8 +158,8 @@ def _family_certificates(family):
 # -- mode pipelines ----------------------------------------------------------
 
 def _run_dimension(cfg):
-    mapping = cfg.build_map()
-    rep = pl.dimension_report(mapping, depth=cfg.depth, tol=cfg.tol)
+    mapping = build_map(cfg.map)
+    rep = pl.dimension_report(mapping, depth=cfg.depth)
     header = ("map", "depth", "t_lower", "t_upper", "t_root", "separation")
     rows = [(cfg.map, cfg.depth, rep.t_lower, rep.t_upper, rep.t_root,
              rep.separation)]
@@ -168,8 +169,8 @@ def _run_dimension(cfg):
 
 
 def _run_pressure(cfg):
-    mapping = cfg.build_map()
-    potential = cfg.build_potential()
+    mapping = build_map(cfg.map)
+    potential = build_potential(cfg.potential)
     value = pl.pressure_additive(mapping, potential, cfg.depth)
     header = ("map", "potential", "depth", "value")
     rows = [(cfg.map, cfg.potential, cfg.depth, value)]
@@ -178,7 +179,7 @@ def _run_pressure(cfg):
 
 
 def _run_lyapunov(cfg):
-    mapping = cfg.build_map()
+    mapping = build_map(cfg.map)
     word = tuple(cfg.orbit_word)
     exponents = pl.lyapunov_exponents(mapping, word)
     word_text = "".join(str(s) for s in word)
@@ -194,7 +195,7 @@ def _run_lyapunov(cfg):
 
 
 def _run_entropy(cfg):
-    kind, params = cfg.family_shape()
+    kind, params = family_shape(cfg.map)
     family = pl.RandomFamily(kind, params, cfg.epsilon, cfg.letters)
     value = pl.random_entropy(family, depth=cfg.depth)
     header = ("map", "epsilon", "letters", "depth", "entropy")
@@ -204,7 +205,7 @@ def _run_entropy(cfg):
 
 
 def _run_stability(cfg):
-    kind, params = cfg.family_shape()
+    kind, params = family_shape(cfg.map)
     carrier = pl.RandomFamily(kind, params, 0.0, cfg.letters)
     result = pl.stability_experiment(
         carrier, cfg.eps_schedule, depth=cfg.depth, seeds=cfg.seeds,

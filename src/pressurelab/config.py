@@ -16,7 +16,7 @@ from .errors import ConfigError, InadmissibleWord, PressureLabError
 
 # the keys each mode reads; setting any other is a config error
 _MODE_KEYS = {
-    "dimension": ("map", "depth", "tol"),
+    "dimension": ("map", "depth"),
     "pressure": ("map", "potential", "depth"),
     "lyapunov": ("map", "orbit_word"),
     "stability": ("map", "eps_schedule", "depth", "seeds", "seed", "letters",
@@ -159,18 +159,16 @@ class ExperimentConfig(NamedTuple):
     "use the mode default"; a pressure run defaults to the deepest depth
     up to 10 whose cylinder walk fits under ``WORD_CAP`` (7 on
     ``toral(2,3)``).  epsilon is the noise level of entropy runs and of
-    the checks battery (0 there means ``CHECKS_EPSILON``; see
-    ``noise``), while eps_schedule drives the
-    stability sweep.  conj_depth of 0 lets the experiment match the
-    conjugacy truncation error to its tolerance, as far as the word cap
-    allows.
+    the checks battery, where 0 means ``CHECKS_EPSILON``, while
+    eps_schedule drives the stability sweep.  conj_depth of 0 lets the
+    experiment match the conjugacy truncation error to its tolerance, as
+    far as the word cap allows.
     """
 
     mode: str = "dimension"
     map: str = "cookie_cutter(3,3)"
     potential: str = "zero"
     depth: int = 0
-    tol: float = 1e-9
     eps_schedule: tuple = (0.2, 0.1, 0.05, 0.025)
     seeds: int = 16
     seed: int = 0
@@ -182,11 +180,13 @@ class ExperimentConfig(NamedTuple):
     orbit_word: tuple = (0, 1)
 
     def resolved(self):
-        """Concrete copy with the mode's default depth for a depth of 0."""
+        """Concrete copy with the mode defaults for a zero depth or epsilon."""
         cfg = self
         if cfg.mode not in MODES:
             raise ConfigError("unknown mode %r; known: %s"
                               % (cfg.mode, ", ".join(MODES)))
+        if cfg.mode == "checks" and cfg.epsilon == 0.0:
+            cfg = cfg._replace(epsilon=CHECKS_EPSILON)
         if cfg.depth == 0 and cfg.mode in _MODE_DEPTH:
             cfg = cfg._replace(depth=_MODE_DEPTH[cfg.mode])
             if cfg.mode == "pressure":
@@ -201,8 +201,6 @@ class ExperimentConfig(NamedTuple):
         """Raise ConfigError unless this resolved config can run."""
         if "depth" in _MODE_KEYS[self.mode] and self.depth < 1:
             raise ConfigError("depth must be positive")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
         if self.seeds < 1:
             raise ConfigError("seeds must be positive")
         # seeds key a 64-bit hash of the letter positions
@@ -249,27 +247,21 @@ class ExperimentConfig(NamedTuple):
                                                  self._deepest_walk(mapping),
                                                  WORD_CAP))
 
-    def noise(self):
-        """Noise level of an entropy run or of the checks battery."""
-        if self.mode == "checks" and self.epsilon == 0.0:
-            return CHECKS_EPSILON
-        return self.epsilon
-
     def _certify_family(self, kind, params):
         """ConfigError unless the family of one-level runs certifies.
 
         Stability sweeps certify each level and record its failure; entropy
-        runs and the checks battery perturb at ``noise()`` alone.  The
+        runs and the checks battery perturb at ``epsilon`` alone.  The
         certificate reads only the extreme letter coefficients -1 and 1,
         which two letters already have, so no larger family is built.
         """
         from .random_bundle import RandomFamily
 
         try:
-            RandomFamily(kind, params, self.noise(), min(self.letters, 2))
+            RandomFamily(kind, params, self.epsilon, min(self.letters, 2))
         except PressureLabError as exc:
             raise ConfigError("%s mode cannot perturb %s at epsilon %g: %s"
-                              % (self.mode, self.map, self.noise(), exc))
+                              % (self.mode, self.map, self.epsilon, exc))
 
     def _walk_words(self, mapping):
         """Words in the deepest cylinder walk of a run; 0 for none."""
@@ -313,17 +305,6 @@ class ExperimentConfig(NamedTuple):
             items.append("%s=%s" % (key, text))
         return "\n".join(items)
 
-    # -- builders -----------------------------------------------------------
-
-    def build_map(self):
-        return build_map(self.map)
-
-    def build_potential(self):
-        return build_potential(self.potential)
-
-    def family_shape(self):
-        return family_shape(self.map)
-
 
 def _config_key(key, unknown):
     """A config field name from its text; ``unknown`` names a bad one."""
@@ -366,7 +347,7 @@ Every config key is a --KEY VALUE flag (dashes read as underscores) and a
 KEY=VALUE override.  Flags beat overrides, and overrides beat the
 key=value file that --config PATH names.  Every mode takes out, the
 output directory, and workers, which is accepted and ignored because
-every run is serial.
+every run is serial.  Solver tolerances are fixed; no key sets them.
 
 mode        keys it reads
 """

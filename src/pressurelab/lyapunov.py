@@ -8,6 +8,9 @@ import numpy as np
 from . import dynamics as dyn
 from .errors import BadSpec, InadmissibleWord, NoConvergence, SingularMatrix
 
+# largest spread of the extreme exponents that counts as conformal
+CONFORMAL_SPREAD = 1e-6
+
 
 def _check_closable(mapping, word):
     word = mapping.check_word(word)
@@ -156,15 +159,17 @@ class ConformalityReport(NamedTuple):
     conformal: bool
 
 
-def average_conformal_check(mapping, threshold=1e-6):
+def average_conformal_check(mapping):
     """Screen for equality of the extreme expansion exponents.
 
     Interval maps have a single exponent and pass by construction.  Every
     invariant measure of a torus map has the exponents of its cycles,
-    log|eigenvalues of A|, so the spread is their difference.
+    log|eigenvalues of A|, so the spread is their difference, conformal
+    when at most ``CONFORMAL_SPREAD``.
     """
     if mapping.dim == 1:
         return ConformalityReport(0.0, True)
     exponents = _torus_exponents(mapping)
     spread = exponents[0] - exponents[-1]
-    return ConformalityReport(spread=spread, conformal=spread <= threshold)
+    return ConformalityReport(spread=spread,
+                              conformal=spread <= CONFORMAL_SPREAD)

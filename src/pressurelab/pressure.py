@@ -18,6 +18,10 @@ from .cylinders import CylinderSet
 from .errors import BadSpec, MatrixTooLarge, NoConvergence, NotSemiConjugate
 
 TRANSFER_CAP = 1 << 16
+TRANSFER_TOL = 1e-10         # relative width the bracket must close to
+TRANSFER_ITERATIONS = 500    # power steps allowed to close it
+EQUIVARIANCE_TOL = 1e-8      # largest defect a factor map may show
+EQUIVARIANCE_SAMPLES = 2048  # most sample points the defect is measured on
 
 _KINDS = ("additive", "singular_upper", "singular_lower")
 
@@ -254,33 +258,33 @@ def pressure_subadditive(mapping, potential, depth=8):
 
     The weight of a word is the extreme singular value of the derivative
     product along its representative orbit; on interval maps this folds
-    exactly, on linear torus maps it is a closed form.  All depths read one
-    walk to the final depth.
+    exactly, on linear torus maps it is a closed form.  One walk gives the
+    powers of two up to n, m = n // 2 and n.  The extrapolant
+    (n P(n) - m P(m)) / (n - m) cancels the order 1/n error; the residual
+    is |P(n) - P(m)|.
     """
     if potential.kind == "additive":
         raise BadSpec("use pressure_additive for additive potentials")
     if depth < 1:
         raise BadSpec("pressure depth must be positive")
     eps = mapping.resolve_epsilon()
-    depths = []
-    d = 1
-    while d <= depth:
-        depths.append(d)
-        d *= 2
-    if depths[-1] != depth:
-        depths.append(depth)
+    half = depth // 2
+    depths = sorted({depth, half} - {0}
+                    | {1 << k for k in range(int(depth).bit_length())})
     history = tuple((k, float(p))
                     for k, p in zip(depths, _pressure_at(mapping, potential, depths)))
     value = history[-1][1]
-    prev = history[-2][1] if len(history) >= 2 else math.nan
     advisory = ""
     if mapping.dim == 2:
         _, log_hi, log_lo = dyn._torus_logs(mapping, 1)
         if log_hi - log_lo > 1e-6:
             advisory = ("singular spectrum is split; upper and lower "
                         "pressures bound the limit from two sides")
-    extrap = 2.0 * value - prev if len(history) >= 2 else math.nan
-    residual = abs(value - prev) if len(history) >= 2 else math.nan
+    extrap = residual = math.nan
+    if half:
+        prev = dict(history)[half]
+        extrap = (depth * value - half * prev) / (depth - half)
+        residual = abs(value - prev)
     return PressureEstimate(value=value, depth=depth, separation=eps,
                             per_depth=history, extrapolated=extrap,
                             residual=residual, advisory=advisory)
@@ -316,15 +320,16 @@ def iterated_singular_pressure(mapping, t, k, budget=16, kind="upper"):
     return dyn._torus_logs(mapping, budget)[0] / budget - (t / k) * log_sigma
 
 
-def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500):
+def transfer_pressure(mapping, potential, block_length):
     """Pressure from the spectral radius of the block weighted transfer matrix.
 
     States are admissible words of the block length; a word v may follow u
     when the transition from the last symbol of u to the first symbol of v
     is allowed, and the weight of u is exp of its accumulated potential.
     Power iteration with Collatz-Wielandt brackets gives the spectral
-    radius; paths of this graph biject with admissible words, so on full
-    shifts the value is exact at every block length.
+    radius to ``TRANSFER_TOL`` within ``TRANSFER_ITERATIONS`` steps (else
+    NoConvergence); paths of this graph biject with admissible words, so
+    on full shifts the value is exact at every block length.
     """
     count = mapping.count_words(block_length)
     if count > TRANSFER_CAP:
@@ -345,14 +350,14 @@ def transfer_pressure(mapping, potential, block_length, tol=1e-10, max_iter=500)
     last = leaves.last
     x = np.ones(len(weights))
     lam_lo = lam_hi = math.nan
-    for _ in range(max_iter):
+    for _ in range(TRANSFER_ITERATIONS):
         by_first = np.bincount(first, weights=x, minlength=n_sym)
         reachable = adj @ by_first
         y = weights * reachable[last]
         ratio = y / x
         lam_lo = float(ratio.min())
         lam_hi = float(ratio.max())
-        if lam_hi - lam_lo <= tol * max(1.0, abs(lam_hi)):
+        if lam_hi - lam_lo <= TRANSFER_TOL * max(1.0, abs(lam_hi)):
             return (math.log(0.5 * (lam_lo + lam_hi)) + shift) / block_length
         x = y / y.sum()
     estimate = (math.log(0.5 * (lam_lo + lam_hi)) + shift) / block_length
@@ -406,33 +411,33 @@ class ConjugacyReport(NamedTuple):
     residual: float
 
 
-def conjugate_pressure_check(map_src, map_dst, phi, potential, depth=10,
-                             tol=1e-8, sample_cap=2048):
+def conjugate_pressure_check(map_src, map_dst, phi, potential, depth=10):
     """Compare pressure of a potential with its pullback across a factor map.
 
     ``phi`` must intertwine the two maps: phi(f_src x) = f_dst(phi x) on the
     source repeller.  It is called on whole point arrays (a stack of
     floats on the interval, of rows on the torus), as
     ``Potential.from_function`` requires of its function.  The
-    equivariance defect is measured on the canonical depth sample at once;
-    beyond tol the check refuses.  For a genuine factor map the pulled back
-    pressure dominates the target pressure, with equality under a
-    bijective change of coordinates.  The pulled back pressure reads the
+    equivariance defect is measured at once on the canonical depth sample,
+    thinned to ``EQUIVARIANCE_SAMPLES`` evenly spaced points; beyond
+    ``EQUIVARIANCE_TOL`` the check refuses.  For a genuine factor map the
+    pulled back pressure dominates the target pressure, with equality under
+    a bijective change of coordinates.  The pulled back pressure reads the
     sample's walk.
     """
     if potential.kind != "additive":
         raise BadSpec("conjugacy comparison is defined for additive potentials")
     cyl = CylinderSet(map_src, depth)
     pts = cyl.leaves.points
-    if len(pts) > sample_cap:
-        idx = np.linspace(0, len(pts) - 1, sample_cap).astype(int)
+    if len(pts) > EQUIVARIANCE_SAMPLES:
+        idx = np.linspace(0, len(pts) - 1, EQUIVARIANCE_SAMPLES).astype(int)
         pts = pts[idx]
     left = phi(map_src.apply(pts))
     right = map_dst.apply(phi(pts))
     residual = float(np.max(map_dst.distance(left, right), initial=0.0))
-    if not residual <= tol:
-        raise NotSemiConjugate(
-            "equivariance defect %.3g exceeds tolerance %.3g" % (residual, tol))
+    if not residual <= EQUIVARIANCE_TOL:
+        raise NotSemiConjugate("equivariance defect %.3g exceeds tolerance "
+                               "%.3g" % (residual, EQUIVARIANCE_TOL))
 
     def pulled_fn(mapping, symbol, pts_arr):
         images = np.asarray(phi(np.asarray(pts_arr, dtype=float)), dtype=float)

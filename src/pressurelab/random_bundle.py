@@ -844,6 +844,9 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8):
 
     ``lipschitz`` is the potential weight times the worst fiber log slope
     variation, exact for the built in geometric and singular potentials.
+    That variation is 0 on affine cookie fibers and grows with
+    |amp + epsilon a| on circle fibers, so the fibers of the first and the
+    last letter, whose coefficients a are extreme, attain it.
     """
     from .pressure import logsumexp
 
@@ -883,7 +886,7 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8):
 
     lipschitz = abs(potential.weight) * max(
         family.fiber_map(a).log_deriv_lipschitz
-        for a in range(family.n_letters))
+        for a in {0, family.n_letters - 1})
     gamma = family.gamma_bound
     bound = lipschitz * base.diam * gamma ** margin / (1.0 - gamma)
     return RandomConjugacyReport(pressure_direct=float(p_direct),
@@ -920,7 +923,7 @@ class StabilityResult(NamedTuple):
 
 
 def _cap_depth(family):
-    """Deepest conjugacy whose words, one level deeper, fit under WORD_CAP."""
+    """Largest d with n^d <= WORD_CAP, n the symbol count, but at least 2."""
     n_sym = family.base_map.n_symbols
     depth = 2
     while n_sym ** (depth + 1) <= WORD_CAP:

@@ -22,12 +22,20 @@ def make(mode="dimension", **kw):
                                                  for k, v in kw.items()])
 
 
-def test_mode_defaults_fill_depth_and_tol():
+def test_mode_defaults_fill_depth_and_checks_epsilon():
     cfg = make("dimension")
     assert cfg.depth == 12
-    assert cfg.tol == 1e-9
     cfg = make("stability")
     assert cfg.depth == 16
+    assert make("checks").epsilon == cfgmod.CHECKS_EPSILON
+    assert make("entropy").epsilon == 0.0
+
+
+def test_checks_record_the_noise_the_battery_runs_at():
+    """A checks run at the default noise records as one that sets it."""
+    assert make("checks").canonical() \
+        == make("checks", epsilon=str(cfgmod.CHECKS_EPSILON)).canonical()
+    assert "epsilon=0.1" in make("checks").canonical().split("\n")
 
 
 def test_flag_precedence_over_file_and_positional(tmp_path):
@@ -129,7 +137,7 @@ def test_seeds_must_fit_the_64_bit_letter_hash(tmp_path):
 
 # the keys each mode reads, besides mode, out and workers
 MODE_READS = {
-    "dimension": {"map", "depth", "tol"},
+    "dimension": {"map", "depth"},
     "pressure": {"map", "potential", "depth"},
     "lyapunov": {"map", "orbit_word"},
     "stability": {"map", "eps_schedule", "depth", "seeds", "seed", "letters",
@@ -139,14 +147,17 @@ MODE_READS = {
 }
 # a value every mode would accept for each key
 KEY_VALUES = {"map": "cookie_cutter(3,3)", "potential": "geometric(0.5)",
-              "depth": "8", "tol": "1e-12", "eps_schedule": "0.1",
+              "depth": "8", "eps_schedule": "0.1",
               "seeds": "4", "seed": "3", "epsilon": "0.1", "letters": "3",
               "conj_depth": "8", "orbit_word": "0,1"}
+# former keys, now constants, that every mode rejects as unknown: tol is
+# ``bowen.DIMENSION_TOL``
+RETIRED_KEYS = {"tol": "1e-12"}
 
 
 @pytest.mark.parametrize("mode, key", [
     (mode, key) for mode, reads in MODE_READS.items()
-    for key in sorted(set(KEY_VALUES) - reads)])
+    for key in sorted(set(KEY_VALUES) - reads) + sorted(RETIRED_KEYS)])
 def test_unread_keys_are_config_errors(tmp_path, capsys, monkeypatch, mode,
                                        key):
     def no_work(*args, **kwargs):
@@ -154,17 +165,21 @@ def test_unread_keys_are_config_errors(tmp_path, capsys, monkeypatch, mode,
 
     monkeypatch.setattr(cli, "run", no_work)
     monkeypatch.setattr(cli, "verify", no_work)
+    value = {**KEY_VALUES, **RETIRED_KEYS}[key]
     path = tmp_path / "exp.cfg"
-    path.write_text("mode = %s\n%s = %s\n" % (mode, key, KEY_VALUES[key]))
-    routes = [["--mode", mode, "%s=%s" % (key, KEY_VALUES[key])],
+    path.write_text("mode = %s\n%s = %s\n" % (mode, key, value))
+    routes = [["--mode", mode, "%s=%s" % (key, value)],
               ["--config", str(path)],
-              ["--mode", mode, "--" + key.replace("_", "-"), KEY_VALUES[key]]]
+              ["--mode", mode, "--" + key.replace("_", "-"), value]]
     for argv in routes:
         rc, out = run_mode(tmp_path, *argv)
         assert rc == 2
         assert not out.exists()
-        assert "%s mode does not read %s;" % (mode, key) \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if key in RETIRED_KEYS:
+            assert "unknown" in err and key in err
+        else:
+            assert "%s mode does not read %s;" % (mode, key) in err
 
 
 def test_flags_beat_overrides_and_overrides_beat_the_file(tmp_path):
@@ -189,7 +204,6 @@ KEY_TEXTS = {
     "potential": st.sampled_from(["zero", "geometric(0.5)", "bogus",
                                   "singular_upper(0.7)"]),
     "depth": st.integers(min_value=-1, max_value=9).map(str),
-    "tol": st.sampled_from(["1e-9", "0.5", "-1", "x"]),
     "eps_schedule": st.sampled_from(["0.1", "0.2,0.05", "0.1;0.01", "", "a"]),
     "seeds": st.integers(min_value=0, max_value=20).map(str),
     "seed": st.integers(min_value=-2, max_value=2 ** 64 + 1).map(str),
@@ -384,8 +398,7 @@ def test_checks_certify_the_battery_family_before_any_work(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error: checks mode cannot perturb doubling")
     assert "epsilon %g" % cfgmod.CHECKS_EPSILON in err
-    assert make("checks", map="doubling", epsilon="0.05").noise() == 0.05
-    assert make("checks").noise() == cfgmod.CHECKS_EPSILON
+    assert make("checks", map="doubling", epsilon="0.05").epsilon == 0.05
     for mode in ("checks", "entropy"):
         with pytest.raises(pl.ConfigError, match="cannot perturb"):
             make(mode, epsilon="0.5", letters="3")

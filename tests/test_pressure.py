@@ -154,6 +154,29 @@ def test_singular_pressure_is_the_final_subadditive_value(build, kind, t,
         pl.pressure_subadditive(mp, potential, depth).value
 
 
+@pytest.mark.parametrize("degree, amp, depth", [
+    (2, 0.1, 8), (2, 0.1, 9), (2, 0.1, 10), (2, 0.1, 11), (2, 0.1, 12),
+    (2, 0.02, 12), (3, 0.05, 6), (3, 0.05, 7), (3, 0.05, 10)])
+def test_subadditive_extrapolant_cancels_the_first_order_error(degree, amp,
+                                                               depth):
+    """Richardson pairs P(n) with P(n // 2) at every depth n.
+
+    At t = 1 the singular pressure of an expanding circle map is exactly 0
+    and P(n) is off by order 1/n, which the extrapolant cancels.
+    """
+    mp = pl.circle_map(degree, amp)
+    est = pl.pressure_subadditive(mp, pl.Potential.singular_upper(1.0), depth)
+    half = dict(est.per_depth)[depth // 2]
+    assert est.residual == abs(est.value - half)
+    assert est.extrapolated == ((depth * est.value - (depth // 2) * half)
+                                / (depth - depth // 2))
+    if depth & (depth - 1) == 0:
+        # at powers of two the scalings are exact, so this is
+        # 2 P(n) - P(n/2) bit for bit
+        assert est.extrapolated == 2.0 * est.value - half
+    assert abs(est.extrapolated) <= 0.05 * abs(est.value)
+
+
 def test_iterated_pressure_telescopes():
     mp = pl.cookie_cutter(3.0, 3.0)
     t = math.log(2.0) / math.log(3.0)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
@@ -414,6 +414,31 @@ def test_transport_residual_within_bound():
     with pytest.raises(pl.BadSpec):
         pl.random_conjugacy_pressure_check(fam, conj, pl.Potential.zero(),
                                            depth=10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=4),
+       st.floats(min_value=-0.1, max_value=0.1),
+       st.floats(min_value=0.0, max_value=0.05),
+       st.integers(min_value=2, max_value=50))
+def test_transport_bound_reads_the_extreme_letters(degree, amp, eps,
+                                                    letters):
+    """The first and last letters give the worst fiber over all letters."""
+    try:
+        fam = pl.RandomFamily("circle", (degree, amp), eps, letters)
+    except pl.PerturbationTooLarge:
+        assume(False)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(0, letters), 3)
+    rep = pl.random_conjugacy_pressure_check(fam, conj,
+                                             pl.Potential.geometric(0.7),
+                                             depth=2)
+    # the fibers of the three window letters and of the two extreme ones
+    assert len(fam._fibers) <= 5
+    lipschitz = 0.7 * max(fam.fiber_map(a).log_deriv_lipschitz
+                          for a in range(letters))
+    gamma = fam.gamma_bound
+    assert rep.bound == lipschitz * fam.base_map.diam \
+        * gamma ** rep.margin / (1.0 - gamma)
 
 
 def test_transport_affine_fibers_are_exact():
