@@ -4,7 +4,7 @@ of expanding Markov maps.
 The package splits into five computational layers plus a batch front end:
 
 - ``dynamics``: expanding interval and torus maps with certified branch
-  structure (construction, orbits, itineraries, cocycles).
+  structure (construction, orbits, cocycles).
 - ``cylinders``: the cylinder walker, for deterministic maps and random
   fibers alike.  It enumerates cylinder representatives along a chain of
   maps, one per word position (a single map is the constant chain), with
@@ -43,8 +43,8 @@ _PUBLIC = {
     "bowen": "DimensionReport bowen_root dimension_report",
     "cylinders": "WORD_CAP CylinderSet MapColumn build_levels",
     "dynamics": "ExpandingMap circle_map cocycle cookie_cutter "
-                "cylinder_point doubling_map golden_mean_map itinerary "
-                "linear_markov orbit toral_conformal_map toral_map",
+                "doubling_map golden_mean_map linear_markov orbit "
+                "toral_conformal_map toral_map",
     "errors": "BadSpec CheckFailed ConfigError EscapedRepeller "
               "InadmissibleWord MatrixTooLarge NoConvergence NoSignChange "
               "NonExpanding NonMarkov NotSemiConjugate PerturbationTooLarge "
@@ -59,7 +59,7 @@ _PUBLIC = {
                      "RandomEstimate RandomFamily RandomRoots "
                      "StabilityResult StabilityRow conjugacy_displacement "
                      "distortion_constants expansivity_min_growth "
-                     "fiber_repeller measure_equivariance "
+                     "measure_equivariance "
                      "random_bowen_roots random_conjugacy_pressure_check "
                      "random_entropy random_pressure sample_base "
                      "stability_experiment",

@@ -54,26 +54,19 @@ DIMENSION_TOL = 1e-9
 
 
 def _logsumexp_pressure(sums, depth):
-    """P and P' at t of the mean log-sum-exp pressure of Birkhoff sums.
+    """P and P' at t of the log-sum-exp pressure of the Birkhoff sums S.
 
-    P(t) is the mean over the arrays S in ``sums`` of
-    log sum exp(-t S) / depth.  Each call is one exp pass per array: with
-    softmax weights w of -t S, the derivative of the log-sum-exp is
-    -<w, S>.  The arrays are visited one at a time, so the scratch memory
-    is that of one array.
+    P(t) = log sum exp(-t S) / depth.  Each call is one exp pass over
+    ``sums``: with softmax weights w of -t S, the derivative of the
+    log-sum-exp is -<w, S>.
     """
-    scale = len(sums) * depth
-
     def pressure_and_slope(t):
-        value = slope = 0.0
-        for s in sums:
-            x = -t * s
-            top = float(x.max())
-            w = np.exp(x - top)
-            total = float(w.sum())
-            value += top + math.log(total)
-            slope -= float(w @ s) / total
-        return value / scale, slope / scale
+        x = -t * sums
+        top = float(x.max())
+        w = np.exp(x - top)
+        total = float(w.sum())
+        return ((top + math.log(total)) / depth,
+                -(float(w @ sums) / total) / depth)
 
     return pressure_and_slope
 
@@ -162,7 +155,7 @@ def _roots_at_depth(mapping, depth, ambient):
     """Pair (lower root, upper root) at one depth, to ``DIMENSION_TOL``."""
     if mapping.dim == 1:
         pressure = _logsumexp_pressure(
-            [CylinderSet(mapping, depth).log_derivative_sums()[-1]], depth)
+            CylinderSet(mapping, depth).log_derivative_sums()[-1], depth)
         # one solve per side, so every depth counts a lower and an upper
         # solve
         return (_newton_solve(pressure, ambient, DIMENSION_TOL),
@@ -188,9 +181,10 @@ class DimensionReport(NamedTuple):
 def dimension_report(mapping, depth=12):
     """Dimension bracket of the repeller at the given cylinder depth.
 
-    Roots are computed at half depth and full depth to ``DIMENSION_TOL``;
-    the leading finite depth error of a root is of order 1/depth, so the
-    reported values are the extrapolants 2 t(n) - t(n/2), clamped into
+    Roots are computed at m = n // 2 and at n to ``DIMENSION_TOL``; the
+    leading finite depth error of a root is of order 1/depth, so the
+    reported values are the extrapolants t(n) + (t(n) - t(m)) m / (n - m),
+    which cancel it at every depth (2 t(n) - t(m) at even n), clamped into
     [0, ambient dimension].  When the bracket is within 2 DIMENSION_TOL
     the single root t_root is their mean, otherwise it is nan.
     """
@@ -201,8 +195,10 @@ def dimension_report(mapping, depth=12):
     for d in depths:
         per_depth.append((d,) + _roots_at_depth(mapping, d, ambient))
     if len(per_depth) == 2:
-        t_l = 2.0 * per_depth[1][1] - per_depth[0][1]
-        t_u = 2.0 * per_depth[1][2] - per_depth[0][2]
+        (m, lower_m, upper_m), (n, lower_n, upper_n) = per_depth
+        ratio = m / (n - m)
+        t_l = lower_n + (lower_n - lower_m) * ratio
+        t_u = upper_n + (upper_n - upper_m) * ratio
     else:
         t_l, t_u = per_depth[0][1], per_depth[0][2]
     t_l = min(max(t_l, 0.0), ambient)

@@ -152,7 +152,7 @@ def _battery(cfg):
 
     def check_transport():
         family = temper()
-        conj = FiberConjugacy(family, sample, 10)
+        conj = FiberConjugacy(family, sample.letters(0, 10))
         report = random_conjugacy_pressure_check(
             family, conj, Potential.geometric(0.6), depth=5)
         return _require(report.residual <= report.bound + 1e-12,

@@ -35,14 +35,22 @@ _MODE_MODULES = {"dimension": ("bowen",), "pressure": ("pressure",),
                  "stability": ("random_bundle",), "checks": ("checks",)}
 
 
-class RunRecord(NamedTuple):
-    timestamp: str
-    versions: dict
-    files: tuple
-    summary: dict
-    out_dir: str
-    status: str = "ok"
+class Outcome(NamedTuple):
+    """What a mode pipeline produced.
+
+    The contents of run.csv, certificates.txt, the record's summary and
+    gaps.svg (files that are None are not written), the error text of a
+    run that produced nothing usable (empty otherwise), and the (stage,
+    seconds) pairs of the stages the pipeline timed itself.
+    """
+
+    header: tuple = None
+    rows: list = None
+    certificates: dict = None
+    summary: dict = None
+    svg: str = None
     error: str = ""
+    stages: tuple = ()
 
 
 # -- formatting helpers -----------------------------------------------------
@@ -165,7 +173,7 @@ def _run_dimension(cfg):
              rep.separation)]
     summary = {"t_root": rep.t_root, "t_lower": rep.t_lower,
                "t_upper": rep.t_upper}
-    return header, rows, _map_certificates(cfg, mapping), summary, None
+    return Outcome(header, rows, _map_certificates(cfg, mapping), summary)
 
 
 def _run_pressure(cfg):
@@ -175,7 +183,7 @@ def _run_pressure(cfg):
     header = ("map", "potential", "depth", "value")
     rows = [(cfg.map, cfg.potential, cfg.depth, value)]
     summary = {"pressure": value}
-    return header, rows, _map_certificates(cfg, mapping), summary, None
+    return Outcome(header, rows, _map_certificates(cfg, mapping), summary)
 
 
 def _run_lyapunov(cfg):
@@ -191,7 +199,7 @@ def _run_lyapunov(cfg):
     cert["conformal"] = screen.conformal
     summary = {"lyapunov_max": exponents[0],
                "conformality_spread": screen.spread}
-    return header, rows, cert, summary, None
+    return Outcome(header, rows, cert, summary)
 
 
 def _run_entropy(cfg):
@@ -201,7 +209,7 @@ def _run_entropy(cfg):
     header = ("map", "epsilon", "letters", "depth", "entropy")
     rows = [(cfg.map, cfg.epsilon, cfg.letters, cfg.depth, value)]
     summary = {"entropy": value}
-    return header, rows, _family_certificates(family), summary, None
+    return Outcome(header, rows, _family_certificates(family), summary)
 
 
 def _run_stability(cfg):
@@ -225,12 +233,29 @@ def _run_stability(cfg):
         summary["final_t_root"] = finite[-1].t_root
         summary["final_gap_t"] = finite[-1].gap_t
     header = ("epsilon", "t_root", "t0", "gap_t", "std_err", "n", "seeds")
-    return header, rows, cert, summary, _gap_svg(result.rows)
+    error = ("no noise level produced a root; see failures.* certificates"
+             if len(failures) == len(result.rows) else "")
+    return Outcome(header, rows, cert, summary, _gap_svg(result.rows), error)
+
+
+def _run_checks(cfg):
+    timed = pl.checks.run_battery(cfg)
+    rows = [row for row, _ in timed]
+    failed = ["%s.%s" % row[:2] for row in rows if row[2] != "pass"]
+    cert = {"checks_total": len(rows),
+            "checks_passed": len(rows) - len(failed),
+            "status": "fail" if failed else "ok"}
+    cert.update(("check.%s.%s" % row[:2], row[2]) for row in rows)
+    summary = {"checks_total": len(rows), "checks_failed": len(failed)}
+    error = "failed checks: %s" % ", ".join(failed) if failed else ""
+    stages = tuple(("check.%s.%s" % row[:2], took) for row, took in timed)
+    return Outcome(("module", "check", "status", "detail"), rows, cert,
+                   summary, error=error, stages=stages)
 
 
 _PIPELINES = {"dimension": _run_dimension, "pressure": _run_pressure,
               "lyapunov": _run_lyapunov, "entropy": _run_entropy,
-              "stability": _run_stability}
+              "stability": _run_stability, "checks": _run_checks}
 
 
 # -- orchestration ------------------------------------------------------------
@@ -247,103 +272,76 @@ def parse_args(argv=None):
     return cfg
 
 
-def _emit(cfg, header, rows, certificates, summary, svg, status="ok",
-          error="", timings=()):
+def _emit(cfg, outcome, timings, status=None):
     """Write the artifacts of a run.
 
-    record.txt lists the config's canonical fields as ``config.*`` lines,
-    the (stage, seconds) pairs of ``timings``, the time spent writing the
-    other files and the count of modules loaded.
+    The status is fail when the outcome carries an error text and ok
+    otherwise, unless ``status`` says so.  record.txt lists the config's
+    canonical fields as ``config.*`` lines, the (stage, seconds) pairs of
+    ``timings``, the time spent writing the other files and the count of
+    modules loaded.
     """
     start = time.perf_counter()
     os.makedirs(cfg.out, exist_ok=True)
     files = []
-    if header is not None:
-        _write_csv(os.path.join(cfg.out, "run.csv"), header, rows)
+    if outcome.header is not None:
+        _write_csv(os.path.join(cfg.out, "run.csv"), outcome.header,
+                   outcome.rows)
         files.append("run.csv")
-    if certificates is not None:
+    if outcome.certificates is not None:
         _write_certificates(os.path.join(cfg.out, "certificates.txt"),
-                            certificates)
+                            outcome.certificates)
         files.append("certificates.txt")
-    if svg is not None:
+    if outcome.svg is not None:
         with open(os.path.join(cfg.out, "gaps.svg"), "w") as fh:
-            fh.write(svg)
+            fh.write(outcome.svg)
         files.append("gaps.svg")
     timings = list(timings) + [("write", time.perf_counter() - start)]
-    record = RunRecord(
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        versions={"package": "pressurelab %s" % pl.__version__,
-                  "python": sys.version.split()[0],
-                  "numpy": np.__version__},
-        files=tuple(files + ["record.txt"]),
-        summary=dict(summary), out_dir=cfg.out, status=status, error=error)
+    if status is None:
+        status = "fail" if outcome.error else "ok"
+    versions = {"package": "pressurelab %s" % pl.__version__,
+                "python": sys.version.split()[0], "numpy": np.__version__}
     lines = ["config.%s" % item for item in cfg.canonical().split("\n")]
-    lines.append("status=%s" % record.status)
-    if record.error:
-        lines.append("error=%s" % record.error)
-    lines += ["version.%s=%s" % kv for kv in sorted(record.versions.items())]
-    lines.append("files=%s" % ";".join(record.files))
-    for key in sorted(record.summary):
-        lines.append("summary.%s=%s" % (key, _cell(record.summary[key])))
+    lines.append("status=%s" % status)
+    if outcome.error:
+        lines.append("error=%s" % outcome.error)
+    lines += ["version.%s=%s" % kv for kv in sorted(versions.items())]
+    lines.append("files=%s" % ";".join(files + ["record.txt"]))
+    summary = outcome.summary or {}
+    for key in sorted(summary):
+        lines.append("summary.%s=%s" % (key, _cell(summary[key])))
     lines += ["timing.%s=%.6f" % item for item in timings]
     # this module counts whether it runs as pressurelab.cli or __main__
     loaded = {name for name in sys.modules if name.startswith("pressurelab.")}
     lines.append("count.modules=%d" % len(loaded | {"pressurelab.cli"}))
-    lines.append("timestamp=%s" % record.timestamp)
+    lines.append("timestamp=%s" % time.strftime("%Y-%m-%dT%H:%M:%S",
+                                                time.gmtime()))
     with open(os.path.join(cfg.out, "record.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return record
 
 
 def run(cfg, startup=()):
-    """Execute one experiment and persist its artifacts.
+    """Execute one experiment, persist its artifacts and return its Outcome.
 
-    ``cfg`` is a resolved config, as ``parse_args`` returns it.
-    Computation errors are recorded in record.txt before propagating, so a
-    failed run still leaves a traceable record (and whatever partial rows
-    its mode produced, for stability sweeps with per-level failures).  A
-    sweep in which every level failed keeps its rows and certificates but
-    is recorded with status=fail.  ``startup`` holds the (stage, seconds)
-    pairs of the import and the parse, timed by ``main``.
+    ``cfg`` is a resolved config, as ``parse_args`` returns it.  An
+    outcome with an error text (a stability sweep in which every level
+    failed, a checks battery with a failed check) keeps its rows and
+    certificates but is recorded with status=fail.  Computation errors are
+    recorded in record.txt with status=error before propagating, so a
+    failed run still leaves a traceable record.  ``startup`` holds the
+    (stage, seconds) pairs of the import and the parse, timed by ``main``.
     """
-    if cfg.mode == "checks":
-        record, _ = verify(cfg, startup)
-        return record
     start = time.perf_counter()
     try:
-        header, rows, certificates, summary, svg = _PIPELINES[cfg.mode](cfg)
+        outcome = _PIPELINES[cfg.mode](cfg)
     except PressureLabError as exc:
-        _emit(cfg, None, None, None, {}, None, status="error",
-              error="%s: %s" % (type(exc).__name__, exc),
-              timings=list(startup) + [("run", time.perf_counter() - start)])
+        _emit(cfg, Outcome(error="%s: %s" % (type(exc).__name__, exc)),
+              list(startup) + [("run", time.perf_counter() - start)],
+              status="error")
         raise
-    timings = list(startup) + [("run", time.perf_counter() - start)]
-    error = ""
-    if cfg.mode == "stability" and \
-            summary["failed_levels"] == summary["rows"]:
-        error = "no noise level produced a root; see failures.* certificates"
-    return _emit(cfg, header, rows, certificates, summary, svg,
-                 status="fail" if error else "ok", error=error,
-                 timings=timings)
-
-
-def verify(cfg, startup=()):
-    """Run the invariant battery of a resolved config; report its rows."""
-    start = time.perf_counter()
-    timed = pl.checks.run_battery(cfg)
-    timings = [("check.%s.%s" % row[:2], took) for row, took in timed]
-    timings += list(startup) + [("run", time.perf_counter() - start)]
-    results = [row for row, _ in timed]
-    failed = sum(row[2] != "pass" for row in results)
-    status = "fail" if failed else "ok"
-    certificates = {"checks_total": len(results),
-                    "checks_passed": len(results) - failed, "status": status}
-    certificates.update(("check.%s.%s" % row[:2], row[2]) for row in results)
-    summary = {"checks_total": len(results), "checks_failed": failed}
-    record = _emit(cfg, ("module", "check", "status", "detail"), results,
-                   certificates, summary, None, status=status,
-                   timings=timings)
-    return record, results
+    _emit(cfg, outcome, list(outcome.stages) + list(startup)
+          + [("run", time.perf_counter() - start)])
+    return outcome
 
 
 def main(argv=None):
@@ -356,25 +354,17 @@ def main(argv=None):
     startup = [("import", started - pl._IMPORT_START),
                ("parse", time.perf_counter() - started)]
     try:
-        if cfg.mode == "checks":
-            record, results = verify(cfg, startup)
-            for module, name, status, detail in results:
-                print("[%s] %s/%s: %s" % (status, module, name, detail))
-            print("checks: %d run, %d failed; artifacts in %s"
-                  % (len(results), record.summary["checks_failed"],
-                     record.out_dir))
-            return 1 if record.status != "ok" else 0
-        record = run(cfg, startup)
-        for key in sorted(record.summary):
-            print("%s=%s" % (key, _cell(record.summary[key])))
-        print("artifacts in %s" % record.out_dir)
-        if record.status != "ok":
-            print("run failed: %s" % record.error, file=sys.stderr)
-            return 1
-        return 0
+        outcome = run(cfg, startup)
     except PressureLabError as exc:
         print("error [%s] %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
+    for key in sorted(outcome.summary):
+        print("%s=%s" % (key, _cell(outcome.summary[key])))
+    print("artifacts in %s" % cfg.out)
+    if outcome.error:
+        print("run failed: %s" % outcome.error, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

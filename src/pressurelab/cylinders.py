@@ -189,10 +189,6 @@ class CylinderSet:
     def leaves(self):
         return self.levels[-1]
 
-    @property
-    def leaf_count(self):
-        return len(self.leaves.first)
-
     def word(self, index, length=None):
         """Reconstruct the word behind an entry of the deepest level."""
         length = self.depth if length is None else int(length)
@@ -205,22 +201,6 @@ class CylinderSet:
             i = int(lvl.parent[i])
             li -= 1
         return tuple(syms)
-
-    def orbit_points(self, index):
-        """Exact forward orbit of a leaf representative (one point per step).
-
-        On a windowed chain each step holds one point per window.
-        """
-        lead = () if self.windows is None else (slice(None),)
-        pts = []
-        li = self.depth - 1
-        i = int(index)
-        while li >= 0:
-            lvl = self.levels[li]
-            pts.append(lvl.points[lead + (i,)])
-            i = int(lvl.parent[i])
-            li -= 1
-        return np.array(pts)
 
     def birkhoff(self, value_fn):
         """Birkhoff sums of a branchwise function along representative orbits.

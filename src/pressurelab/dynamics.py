@@ -546,25 +546,6 @@ def orbit(mapping, x, length):
     return np.array(pts), tuple(syms)
 
 
-def itinerary(mapping, x, length):
-    """Symbol word read off the forward orbit of x."""
-    return orbit(mapping, x, length)[1]
-
-
-def cylinder_point(mapping, word):
-    """Canonical representative of the cylinder of a word.
-
-    The point is the center of the last branch domain pulled back through
-    the inverse branches of the leading symbols, so its orbit visits the
-    word's domains in order and ends exactly at that center.
-    """
-    word = mapping.check_word(word)
-    z = mapping.branches[word[-1]].center
-    for s in reversed(word[:-1]):
-        z = mapping.branches[s].inv(z)
-    return z if mapping.dim == 2 else float(z)
-
-
 def cocycle(mapping, x, length):
     """Extreme singular values of the derivative of f^length at x.
 

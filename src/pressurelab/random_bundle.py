@@ -36,25 +36,18 @@ TWO_PI = 2.0 * math.pi
 class BaseSample(NamedTuple):
     """One realization of the two sided driving letter sequence.
 
-    The letter at position p is ``_draw(seed, origin + p, n_letters)``,
-    read on demand, so every position of the realization exists and no
-    window has to be drawn in advance.
+    The letter at position p is ``_draw(seed, p, n_letters)``, read on
+    demand, so every position of the realization exists and no window has
+    to be drawn in advance.
     """
 
     seed: int
     n_letters: int
-    origin: int = 0
 
     def letters(self, start, stop):
         """Letters at positions start .. stop - 1, in one draw."""
-        counters = np.arange(self.origin + start, self.origin + stop)
+        counters = np.arange(start, stop)
         return _draw(self.seed, counters, self.n_letters).astype(np.intp)
-
-    def symbol(self, j):
-        return int(self.letters(j, j + 1)[0])
-
-    def shifted(self, k=1):
-        return self._replace(origin=self.origin + int(k))
 
 
 # SplitMix64 (Steele, Lea and Flood 2014): the golden gamma and the
@@ -291,42 +284,45 @@ def _require_full_shift(mapping):
 # -- symbolic conjugacies ---------------------------------------------------
 
 class FiberConjugacy:
-    """Symbolic conjugacy from the unperturbed repeller into one fiber.
+    """Symbolic conjugacy from the unperturbed repeller into one fiber window.
 
-    A point is mapped by reading its itinerary under the base map and
-    rebuilding a point with the same symbols through the fiber inverse
-    branches, innermost first, seeded at the branch domain center of the
-    deepest symbol.  Truncating at depth m moves the result by at most
-    gamma^m times the diameter.
+    ``letters`` is one window, as for ``FiberCylinders``: word position i
+    reads the fiber map of ``letters[i]``, and the depth is the window's
+    width.  A base word of at most that many symbols, such as the
+    itinerary ``orbit(base_map, x, depth)[1]`` of a base point x, is
+    rebuilt through the fiber inverse branches, innermost first, seeded at
+    the branch domain center of the deepest symbol.  Truncating at depth
+    m moves the result by at most gamma^m times the diameter.
     """
 
-    def __init__(self, family, sample, depth):
-        if depth < 1:
-            raise BadSpec("conjugacy depth must be positive")
+    def __init__(self, family, letters):
+        letters = np.asarray(letters, dtype=np.intp)
+        if letters.ndim != 1 or letters.size == 0:
+            raise BadSpec("a conjugacy takes one non-empty letter window")
         self.family = family
-        self.sample = sample
-        self.depth = int(depth)
-
-    @property
-    def error_bound(self):
-        return self.family.gamma_bound ** self.depth * self.family.base_map.diam
+        self.letters = letters
+        self.depth = len(letters)
 
     def map_words(self, words):
         """Fiber points of the rows of ``words``, all of one length.
 
         Every row is rebuilt as ``map_word`` does, and each position makes
-        one inverse branch call per symbol for all rows.
+        one inverse branch call per symbol for all rows.  Words wider than
+        the letter window are inadmissible.
         """
         base = self.family.base_map
         words = np.asarray(words, dtype=np.intp)
         if words.ndim != 2 or words.shape[1] == 0:
             raise InadmissibleWord("need a table of non-empty words")
+        if words.shape[1] > self.depth:
+            raise InadmissibleWord("words of %d symbols pass the %d letter "
+                                   "window" % (words.shape[1], self.depth))
         if words.min() < 0 or words.max() >= base.n_symbols:
             raise InadmissibleWord("symbol out of range")
         if not base.adjacency_matrix[words[:, :-1], words[:, 1:]].all():
             raise InadmissibleWord("forbidden transition in a word")
         maps = [self.family.fiber_map(a)
-                for a in self.sample.letters(0, words.shape[1])]
+                for a in self.letters[:words.shape[1]]]
         z = maps[-1].centers[words[:, -1]]
         for i in range(len(maps) - 2, -1, -1):
             for s in range(base.n_symbols):
@@ -339,29 +335,8 @@ class FiberConjugacy:
         word = self.family.base_map.check_word(word)
         return float(self.map_words([word])[0])
 
-    def map_point(self, x):
-        return self.map_word(dyn.itinerary(self.family.base_map, x, self.depth))
-
     def shifted(self, k=1):
-        return FiberConjugacy(self.family, self.sample.shifted(k), self.depth)
-
-
-def fiber_repeller(conj, depth):
-    """Conjugacy images of the depth n cylinder representatives.
-
-    For depth up to the conjugacy depth these are exact fiber chain
-    points; deeper words are mapped through the truncated evaluator, so
-    several words can share one image.
-    """
-    family = conj.family
-    letters = conj.sample.letters(0, min(depth, conj.depth))
-    pts = FiberCylinders(family, letters).leaves.points
-    if depth <= conj.depth:
-        return pts.copy()
-    _require_full_shift(family.base_map)
-    n_sym = family.base_map.n_symbols
-    idx = np.arange(n_sym ** depth, dtype=np.int64)
-    return pts[idx // n_sym ** (depth - conj.depth)].copy()
+        return FiberConjugacy(self.family, self.letters[k:])
 
 
 def _conjugacy_defects(family, letters, base=None):
@@ -594,10 +569,6 @@ class RandomEstimate(NamedTuple):
     std_error: float
     per_sample: tuple
     depth: int
-
-    @property
-    def omega_samples(self):
-        return len(self.per_sample)
 
 
 def _std_error(values):
@@ -859,7 +830,7 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8):
         raise BadSpec("conjugacy depth must exceed the word depth")
     n_sym = base.n_symbols
     total = conj.depth
-    letters = conj.sample.letters(0, total)
+    letters = conj.letters
     chain = FiberCylinders(family, letters)
     sums = chain.birkhoff(potential.step_values)
 

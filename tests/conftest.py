@@ -29,6 +29,53 @@ def moran_root(slopes, hi=2.0):
     return 0.5 * (lo + hi)
 
 
+def spectral_radius(matrix):
+    """Perron root of a primitive nonnegative matrix by power iteration.
+
+    The Collatz-Wielandt quotients (M v)_i / v_i bracket the root at every
+    step, so the iteration stops once their extremes meet.
+    """
+    n = len(matrix)
+    v = [1.0] * n
+    for _ in range(10000):
+        w = [sum(matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
+        ratios = [w[i] / v[i] for i in range(n)]
+        if max(ratios) - min(ratios) <= 1e-15 * max(ratios):
+            return max(ratios)
+        top = max(w)
+        v = [x / top for x in w]
+    raise AssertionError("power iteration did not settle")
+
+
+def markov_root(domains, images):
+    """Zero of log rho(M(t)) for an affine Markov interval map.
+
+    Branch i stretches domains[i] onto images[i] with slope s_i, and
+    symbol j may follow i when images[i] covers domains[j].  The pressure
+    of -t log |f'| is log rho(M(t)) with M_ij(t) = s_i^-t on every allowed
+    transition and 0 elsewhere; its zero is found by bisection.
+    """
+    slopes = [(ih - il) / (dh - dl)
+              for (dl, dh), (il, ih) in zip(domains, images)]
+    allowed = [[il <= dl and dh <= ih for dl, dh in domains]
+               for il, ih in images]
+
+    def pressure(t):
+        return math.log(spectral_radius(
+            [[s ** (-t) if ok else 0.0 for ok in row]
+             for s, row in zip(slopes, allowed)]))
+
+    lo, hi = 0.0, 1.0
+    assert pressure(lo) > 0.0 > pressure(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if pressure(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def admissible_count(adj, length):
     """Number of admissible words via exact integer matrix powers."""
     n = len(adj)

@@ -185,7 +185,7 @@ def test_criterion_6_conjugacy_invariance():
                               ("cookie", (2.0, 4.0), 0.05),
                               ("circle", (3, 0.05), 0.05)):
         fam = pl.RandomFamily(kind, params, eps)
-        conj = pl.FiberConjugacy(fam, pl.sample_base(3), 10)
+        conj = pl.FiberConjugacy(fam, pl.sample_base(3).letters(0, 10))
         for pot in (pl.Potential.geometric(0.5), pl.Potential.zero()):
             rep = pl.random_conjugacy_pressure_check(fam, conj, pot, depth=6)
             random_ok = random_ok and rep.residual <= rep.bound + 1e-12

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
-from conftest import GOLDEN, moran_root, toral_dimension
+from conftest import GOLDEN, markov_root, moran_root, toral_dimension
 from pressurelab import bowen
 from pressurelab.bowen import _logsumexp_pressure, _newton_solve
 
@@ -84,12 +84,29 @@ def test_report_history_depths():
     assert tuple(d for d, _, _ in rep.per_depth) == (6, 12)
     assert rep.depth == 12
     assert rep.separation > 0.0
+    # at even depths the extrapolant is 2 t(n) - t(n / 2), bit for bit
+    (_, half, _), (_, full, _) = rep.per_depth
+    assert rep.t_lower == 2.0 * full - half
+
+
+@pytest.mark.parametrize("depth", [9, 11, 13])
+def test_odd_depth_extrapolants_cancel_the_first_order_error(depth):
+    """At n = 2m + 1 the extrapolant weighs t(n) - t(m) by m / (n - m).
+
+    The map has a gap and its third branch cannot follow itself, so the
+    root is no Moran root: the spectral radius oracle gives it.  With
+    2 t(n) - t(m) the O(1/n) error would remain, 1e-3 to 2e-3 here.
+    """
+    domains = ((0.0, 0.2), (0.4, 0.6), (0.8, 1.0))
+    images = ((0.0, 1.0), (0.0, 1.0), (0.0, 0.6))
+    rep = pl.dimension_report(pl.linear_markov(domains, images), depth)
+    assert abs(rep.t_root - markov_root(domains, images)) <= 2e-4
 
 
 def _bisected_root(sums, depth, hi):
-    """Clamped root of the mean log-sum-exp pressure by plain bisection."""
+    """Clamped root of the log-sum-exp pressure by plain bisection."""
     def pressure(t):
-        return float(np.mean([pl.logsumexp(-t * s) for s in sums])) / depth
+        return pl.logsumexp(-t * sums) / depth
 
     if pressure(0.0) <= 0.0:
         return 0.0
@@ -99,18 +116,17 @@ def _bisected_root(sums, depth, hi):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.floats(min_value=0.01, max_value=10.0),
-                         min_size=1, max_size=40),
-                min_size=1, max_size=4),
+@given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1,
+                max_size=40),
        st.integers(min_value=1, max_value=12),
        st.sampled_from([1.0, 2.0]))
-def test_newton_root_matches_bisection_on_any_sums(rows, depth, hi):
+def test_newton_root_matches_bisection_on_any_sums(row, depth, hi):
     """Positive sums give a convex decreasing pressure; both routes agree.
 
     Short rows and large sums push the root to 0 or past hi, so both
     clamps are reached as well as interior roots.
     """
-    sums = [np.asarray(row) for row in rows]
+    sums = np.asarray(row)
     got = _newton_solve(_logsumexp_pressure(sums, depth), hi, 1e-10)
     assert 0.0 <= got <= hi
     assert got == pytest.approx(_bisected_root(sums, depth, hi), abs=1e-9)
@@ -129,8 +145,7 @@ def test_newton_windows_equal_one_window_solves(rows, depth, hi, steps):
     Capping the Newton steps makes windows stall, so some roots come from
     the fallback bisection on their own brackets.
     """
-    one = [_logsumexp_pressure([np.asarray(row)], depth)
-           for row in rows]
+    one = [_logsumexp_pressure(np.asarray(row), depth) for row in rows]
 
     def windows(t):
         pairs = [fn(float(x)) for fn, x in
@@ -146,13 +161,13 @@ def test_newton_windows_equal_one_window_solves(rows, depth, hi, steps):
 
 def test_newton_root_clamps_exactly():
     # a single word has pressure 0 at t = 0
-    one = _logsumexp_pressure([np.array([3.0])], 4)
+    one = _logsumexp_pressure(np.array([3.0]), 4)
     assert _newton_solve(one, 1.0, 1e-10) == 0.0
     # slow words keep the pressure positive up to hi
-    slow = _logsumexp_pressure([np.full(2 ** 6, 6 * math.log(1.5))], 6)
+    slow = _logsumexp_pressure(np.full(2 ** 6, 6 * math.log(1.5)), 6)
     assert _newton_solve(slow, 1.0, 1e-10) == 1.0
     # the doubling map's pressure vanishes exactly at hi
-    full = _logsumexp_pressure([np.full(2 ** 6, 6 * math.log(2.0))], 6)
+    full = _logsumexp_pressure(np.full(2 ** 6, 6 * math.log(2.0)), 6)
     assert _newton_solve(full, 1.0, 1e-10) == 1.0
 
 
@@ -165,6 +180,6 @@ def test_dimension_report_roots_match_bisection(r1, r2, depth):
     for d, t_lower, t_upper in rep.per_depth:
         logd = pl.CylinderSet(pl.cookie_cutter(r1, r2),
                               d).log_derivative_sums()[-1]
-        expect = _bisected_root([logd], d, 1.0)
+        expect = _bisected_root(logd, d, 1.0)
         assert t_lower == pytest.approx(expect, abs=1e-9)
         assert t_upper == t_lower

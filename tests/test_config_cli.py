@@ -164,7 +164,6 @@ def test_unread_keys_are_config_errors(tmp_path, capsys, monkeypatch, mode,
         raise AssertionError("work started on a key the mode does not read")
 
     monkeypatch.setattr(cli, "run", no_work)
-    monkeypatch.setattr(cli, "verify", no_work)
     value = {**KEY_VALUES, **RETIRED_KEYS}[key]
     path = tmp_path / "exp.cfg"
     path.write_text("mode = %s\n%s = %s\n" % (mode, key, value))
@@ -430,6 +429,34 @@ def test_checks_perturb_with_the_configured_letters(monkeypatch, spec):
     assert len(built) == 5 and set(built) == {(kind, 3)}
 
 
+def test_cli_failed_check_names_itself(tmp_path, monkeypatch, capsys):
+    """A checks run goes through cli.run, and a failed check is its error."""
+    from pressurelab import checks
+
+    def broken():
+        raise pl.CheckFailed("deliberately broken")
+
+    battery = checks._battery
+    monkeypatch.setattr(checks, "_battery", lambda cfg: [
+        (module, name, broken if name == "entropy_identity" else fn)
+        for module, name, fn in battery(cfg)])
+    rc, out = run_mode(tmp_path, "mode=checks")
+    assert rc == 1
+    record = (out / "record.txt").read_text().splitlines()
+    assert "status=fail" in record
+    assert "error=failed checks: pressure.entropy_identity" in record
+    assert "summary.checks_failed=1" in record
+    captured = capsys.readouterr()
+    assert "checks_failed=1\nchecks_total=14\n" in captured.out
+    assert "run failed: failed checks: pressure.entropy_identity" \
+        in captured.err
+    with open(out / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows].count("fail") == 1
+    assert "CheckFailed: deliberately broken" in {row["detail"]
+                                                  for row in rows}
+
+
 def test_cli_checks_record_times_every_check(tmp_path):
     rc, out = run_mode(tmp_path, "mode=checks")
     assert rc == 0
@@ -490,7 +517,6 @@ def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
         raise AssertionError("work started on a config that cannot run")
 
     monkeypatch.setattr(cli, "run", no_work)
-    monkeypatch.setattr(cli, "verify", no_work)
     rc, out = run_mode(tmp_path, *args)
     assert rc == 2
     assert not out.exists()

@@ -15,13 +15,14 @@ def test_leaf_counts_match_matrix_powers():
                pl.cookie_cutter(2.0, 4.0)):
         for depth in (1, 2, 5, 9):
             cyl = pl.CylinderSet(mp, depth)
-            assert cyl.leaf_count == admissible_count(mp.adjacency, depth)
+            assert len(cyl.leaves.first) == admissible_count(mp.adjacency,
+                                                             depth)
 
 
 def test_words_are_lexicographic_and_admissible():
     mp = pl.golden_mean_map()
     cyl = pl.CylinderSet(mp, 7)
-    words = [cyl.word(i) for i in range(cyl.leaf_count)]
+    words = [cyl.word(i) for i in range(len(cyl.leaves.first))]
     assert words == sorted(words)
     assert len(set(words)) == len(words)
     for w in words:
@@ -32,16 +33,16 @@ def test_representatives_code_their_words():
     mp = pl.cookie_cutter(3.0, 3.0)
     depth = 6
     cyl = pl.CylinderSet(mp, depth)
-    for i in range(0, cyl.leaf_count, 7):
+    for i in range(0, len(cyl.leaves.first), 7):
         w = cyl.word(i)
         x = float(cyl.leaves.points[i])
-        assert pl.itinerary(mp, x, depth) == w
+        assert pl.orbit(mp, x, depth)[1] == w
 
 
 def test_first_last_arrays():
     mp = pl.golden_mean_map()
     cyl = pl.CylinderSet(mp, 6)
-    for i in range(cyl.leaf_count):
+    for i in range(len(cyl.leaves.first)):
         w = cyl.word(i)
         assert cyl.leaves.first[i] == w[0]
         assert cyl.leaves.last[i] == w[-1]
@@ -62,17 +63,21 @@ def test_log_derivative_sums_by_letter_count():
     depth = 8
     cyl = pl.CylinderSet(mp, depth)
     logd = cyl.log_derivative_sums()[-1]
-    for i in range(0, cyl.leaf_count, 11):
+    for i in range(0, len(cyl.leaves.first), 11):
         ones = sum(cyl.word(i))
         expect = ones * math.log(r2) + (depth - ones) * math.log(r1)
         assert logd[i] == pytest.approx(expect, abs=1e-12)
 
 
 def test_orbit_points_climb_parent_chain():
+    """A leaf's forward orbit is its chain of parents, one per level."""
     mp = pl.cookie_cutter(2.0, 4.0)
     cyl = pl.CylinderSet(mp, 6)
-    idx = cyl.leaf_count // 2
-    pts = cyl.orbit_points(idx)
+    idx = len(cyl.leaves.first) // 2
+    pts, i = [], idx
+    for lvl in reversed(cyl.levels):
+        pts.append(lvl.points[i])
+        i = lvl.parent[i]
     x = float(cyl.leaves.points[idx])
     orbit_pts, _ = pl.orbit(mp, x, 6)
     assert np.allclose(pts, orbit_pts, atol=1e-12)
@@ -85,7 +90,7 @@ def test_word_cap_enforced(monkeypatch):
         pl.CylinderSet(mp, 8)
     # exactly at the cap is allowed
     monkeypatch.setattr(cylinders, "WORD_CAP", 256)
-    assert pl.CylinderSet(mp, 8).leaf_count == 256
+    assert len(pl.CylinderSet(mp, 8).leaves.first) == 256
 
 
 def test_build_levels_position_dependent_chain():

@@ -146,17 +146,30 @@ def test_orbit_and_itinerary_round_trip():
     x = 0.1
     pts, syms = pl.orbit(mp, x, 6)
     assert len(pts) == 6 and len(syms) == 6
-    assert syms == pl.itinerary(mp, x, 6)
+    # the itinerary is the symbol of every orbit point
+    assert syms == tuple(mp.symbol(pts).tolist())
     # orbit points follow the forward map
     for k in range(5):
         assert pts[k + 1] == pytest.approx(mp.apply(pts[k]))
 
 
+def _cylinder_point(mp, word):
+    """The walker's leaf point of a word of a full shift on two symbols.
+
+    Leaves are in lexicographic order, so a word's leaf index is its
+    binary value.
+    """
+    cyl = pl.CylinderSet(mp, len(word))
+    index = int("".join(str(s) for s in word), 2)
+    assert cyl.word(index) == tuple(word)
+    return float(cyl.leaves.points[index])
+
+
 def test_cylinder_point_recovers_word():
     mp = pl.cookie_cutter(3.0, 3.0)
     word = (0, 1, 1, 0, 1, 0, 0, 1)
-    x = pl.cylinder_point(mp, word)
-    assert pl.itinerary(mp, x, len(word)) == word
+    x = _cylinder_point(mp, word)
+    assert pl.orbit(mp, x, len(word))[1] == word
 
 
 def test_periodic_point_closed_forms():
@@ -188,8 +201,8 @@ def test_cylinder_point_round_trip_property(word):
     """Any word over the gap map codes the point it seeds."""
     mp = pl.cookie_cutter(2.0, 4.0)
     w = tuple(word)
-    x = pl.cylinder_point(mp, w)
-    assert pl.itinerary(mp, x, len(w)) == w
+    x = _cylinder_point(mp, w)
+    assert pl.orbit(mp, x, len(w))[1] == w
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,7 +35,7 @@ def test_sample_base_positions_survive_horizon_growth():
     large = smp.letters(-40, 41)
     assert small.tolist() == large[35:46].tolist()
     for j in range(-5, 6):
-        assert small[j + 5] == smp.symbol(j)
+        assert small[j + 5] == smp.letters(j, j + 1)[0]
 
 
 def test_sample_base_rejects_a_negative_seed():
@@ -124,10 +124,11 @@ def test_draws_match_splitmix64_on_large_counter_arrays(seed, n, key):
 
 
 def test_shifted_window_relabels_positions():
+    """Entry j of the window read from position k holds position k + j."""
     smp = pl.sample_base(11)
-    moved = smp.shifted(3)
+    moved = smp.letters(3 - 10, 3 + 11)
     for j in range(-10, 11):
-        assert moved.symbol(j) == smp.symbol(j + 3)
+        assert moved[j + 10] == smp.letters(j + 3, j + 4)[0]
 
 
 _POSITIONS = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
@@ -138,12 +139,11 @@ _POSITIONS = st.integers(min_value=-2 ** 40, max_value=2 ** 40)
        st.integers(min_value=1, max_value=7), _POSITIONS, _POSITIONS,
        st.integers(min_value=0, max_value=12))
 def test_realization_reads_any_range(seed, n_letters, k, a, length):
-    """Shifted ranges, shifted lookups and the reference hash all agree."""
+    """Shifted ranges, one-position reads and the reference hash agree."""
     smp = pl.sample_base(seed, n_letters)
     b = a + length
-    shifted = smp.shifted(k).letters(a, b).tolist()
-    assert shifted == smp.letters(a + k, b + k).tolist()
-    assert shifted == [smp.symbol(j) for j in range(a + k, b + k)]
+    shifted = smp.letters(a + k, b + k).tolist()
+    assert shifted == [smp.letters(j, j + 1)[0] for j in range(a + k, b + k)]
     assert shifted == [(_splitmix64(seed, j) >> 32) * n_letters >> 32
                        for j in range(a + k, b + k)]
 
@@ -152,7 +152,8 @@ def test_fiber_chain_starts_anywhere_in_the_realization():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 3)
     smp = pl.sample_base(8, 3)
     far = pl.FiberCylinders(fam, smp.letters(10 ** 6, 10 ** 6 + 6))
-    moved = pl.FiberCylinders(fam, smp.shifted(10 ** 6).letters(0, 6))
+    moved = pl.FiberCylinders(fam, [(_splitmix64(8, p) >> 32) * 3 >> 32
+                                    for p in range(10 ** 6, 10 ** 6 + 6)])
     assert np.array_equal(far.leaves.points, moved.leaves.points)
 
 
@@ -224,7 +225,7 @@ def test_fiber_chain_reads_the_origin_letter_first():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     smp = pl.sample_base(5)
     mp = pl.FiberCylinders(fam, smp.letters(0, 3)).maps[0]
-    expect = 3.0 * (1.0 + 0.1 * fam.coefficient(smp.symbol(0)))
+    expect = 3.0 * (1.0 + 0.1 * fam.coefficient(smp.letters(0, 1)[0]))
     assert mp.min_expansion == pytest.approx(expect)
 
 
@@ -258,7 +259,8 @@ def test_fiber_chain_reads_the_window_from_start(seed, depth, start, eps,
     smp = pl.sample_base(seed, n_letters)
     chain = pl.FiberCylinders(fam, smp.letters(start, start + depth))
     logd = chain.log_derivative_sums()
-    scale = [1.0 + eps * (-1.0 + 2.0 * smp.symbol(start + i) / (n_letters - 1))
+    scale = [1.0 + eps * (-1.0 + 2.0 * smp.letters(start + i, start + i + 1)[0]
+                          / (n_letters - 1))
              for i in range(depth)]
     for k, sums in enumerate(logd):
         offset = depth - 1 - k
@@ -275,7 +277,7 @@ def test_random_pressure_zero_potential_counts_branches():
     est = pl.random_pressure(fam, pl.Potential.zero(), _table(range(6), 8))
     assert est.value == pytest.approx(math.log(2.0), abs=1e-12)
     assert est.std_error == 0.0
-    assert est.omega_samples == 6
+    assert len(est.per_sample) == 6
     assert pl.random_entropy(fam, depth=8) == pytest.approx(
         math.log(2.0), abs=1e-12)
 
@@ -323,15 +325,21 @@ def test_equivariance_within_certified_bound():
 
 def test_conjugacy_error_bound_and_identity():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
-    smp = pl.sample_base(4)
-    conj = pl.FiberConjugacy(fam, smp, 12)
-    assert conj.error_bound == pytest.approx(fam.gamma_bound ** 12
-                                             * fam.base_map.diam)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(4).letters(0, 12))
+    assert conj.depth == 12
+    error_bound = fam.gamma_bound ** 12 * fam.base_map.diam
     # with no noise the conjugacy is the identity on the repeller up to
-    # the truncation error; probe genuine periodic points
+    # the truncation error; probe genuine periodic points through their
+    # itineraries
     for word in ((0, 1), (0, 0, 1), (1,)):
         x = pl.periodic_point(fam.base_map, word)
-        assert abs(conj.map_point(x) - x) <= conj.error_bound + 1e-15
+        itinerary = pl.orbit(fam.base_map, x, conj.depth)[1]
+        assert abs(conj.map_words([itinerary])[0] - x) \
+            <= error_bound + 1e-15
+    # a conjugacy reads one window of at least one letter
+    for letters in ([], np.zeros((2, 3), dtype=int)):
+        with pytest.raises(pl.BadSpec, match="one non-empty letter window"):
+            pl.FiberConjugacy(fam, letters)
 
 
 def test_conjugacy_displacement_under_analytic_bound():
@@ -354,28 +362,29 @@ def test_conjugacy_displacement_walks_in_batches():
 
 
 def test_fiber_repeller_depths():
+    """Up to the window's width, conjugacy images are the fiber leaves."""
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(9)
-    conj = pl.FiberConjugacy(fam, smp, 10)
-    exact = pl.fiber_repeller(conj, 8)
-    chain = pl.FiberCylinders(fam, smp.letters(0, 8))
-    assert np.array_equal(exact, chain.leaves.points)
-    # deeper words share truncated images
-    deep = pl.fiber_repeller(conj, 12)
-    assert len(deep) == 2 ** 12
-    assert len(np.unique(deep)) == 2 ** 10
+    letters = pl.sample_base(9).letters(0, 10)
+    conj = pl.FiberConjugacy(fam, letters)
+    for depth in (1, 8, 10):
+        words = np.array(list(np.ndindex(*(2,) * depth)))
+        chain = pl.FiberCylinders(fam, letters[:depth])
+        assert np.array_equal(conj.map_words(words), chain.leaves.points)
+    # no word is wider than the window
+    with pytest.raises(pl.InadmissibleWord, match="10 letter window"):
+        conj.map_words(np.zeros((1, 11), dtype=int))
 
 
 def test_fiber_repeller_invariance():
     """The origin fiber map sends the depth n set onto the shifted set."""
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(1)
-    conj = pl.FiberConjugacy(fam, smp, 12)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(1).letters(0, 12))
     depth = 7
-    pts = pl.fiber_repeller(conj, depth)
-    mp = fam.fiber_map(smp.symbol(0))
+    pts = pl.FiberCylinders(fam, conj.letters[:depth]).leaves.points
+    mp = fam.fiber_map(conj.letters[0])
     images = np.sort([mp.apply(p) for p in pts])
-    target = np.sort(pl.fiber_repeller(conj.shifted(1), depth - 1))
+    target = np.sort(pl.FiberCylinders(
+        fam, conj.shifted(1).letters[:depth - 1]).leaves.points)
     # both leading symbols land on the same shifted point, so the sorted
     # images are the shifted representatives, each taken twice
     assert np.allclose(images, np.repeat(target, 2), atol=1e-12)
@@ -400,8 +409,7 @@ def test_distortion_certificate_families():
 
 def test_transport_residual_within_bound():
     fam = pl.RandomFamily("circle", (3, 0.05), 0.05)
-    smp = pl.sample_base(3)
-    conj = pl.FiberConjugacy(fam, smp, 10)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(3).letters(0, 10))
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.7),
                                              depth=6)
@@ -428,7 +436,7 @@ def test_transport_bound_reads_the_extreme_letters(degree, amp, eps,
         fam = pl.RandomFamily("circle", (degree, amp), eps, letters)
     except pl.PerturbationTooLarge:
         assume(False)
-    conj = pl.FiberConjugacy(fam, pl.sample_base(0, letters), 3)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(0, letters).letters(0, 3))
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.7),
                                              depth=2)
@@ -443,8 +451,7 @@ def test_transport_bound_reads_the_extreme_letters(degree, amp, eps,
 
 def test_transport_affine_fibers_are_exact():
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    smp = pl.sample_base(5)
-    conj = pl.FiberConjugacy(fam, smp, 9)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(5).letters(0, 9))
     rep = pl.random_conjugacy_pressure_check(fam, conj,
                                              pl.Potential.geometric(0.5),
                                              depth=5)
@@ -593,8 +600,7 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
     fam = pl.RandomFamily(kind, params, eps, n_letters)
     windows = [pl.sample_base(s, n_letters)
                for s in range(seed, seed + n_seeds)]
-    letters = np.array([[w.symbol(start + i) for i in range(depth)]
-                        for w in windows])
+    letters = np.array([w.letters(start, start + depth) for w in windows])
     ops, _ = _root_operators(fam, letters)
     value, slope = fiber_pressures(ops, letters, t)
     for k in range(n_seeds):
@@ -634,7 +640,7 @@ def test_fiber_pressure_rescaling_keeps_values(monkeypatch):
     fam = pl.RandomFamily("circle", (3, 0.05), 0.1)
     ops = random_bundle.fiber_operators(fam, 32)
     window = pl.sample_base(4)
-    letters = np.array([[window.symbol(i) for i in range(40)]])
+    letters = window.letters(0, 40)[None, :]
     monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 10 ** 9)
     never = random_bundle.fiber_pressures(ops, letters, 0.7)
     monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 1)
@@ -724,9 +730,7 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
     from pressurelab.random_bundle import _root_operators, fiber_pressures
     kind, params, eps, _ = shape
     fam = pl.RandomFamily(kind, params, eps)
-    letters = np.array([[pl.sample_base(s).symbol(i)
-                         for i in range(depth)]
-                        for s in range(seed, seed + n_seeds)])
+    letters = _table(range(seed, seed + n_seeds), depth)
     ops, _ = _root_operators(fam, letters)
     roots = pl.random_bowen_roots(fam, letters)
     assert roots.nodes == ops.nodes
@@ -839,7 +843,7 @@ def test_map_words_rows_equal_map_word(shape, seed, length):
     """The batched pulled route is the single-word one, row by row."""
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps)
-    conj = pl.FiberConjugacy(fam, pl.sample_base(seed), 8)
+    conj = pl.FiberConjugacy(fam, pl.sample_base(seed).letters(0, 8))
     n_sym = fam.base_map.n_symbols
     words = np.array(list(np.ndindex(*(n_sym,) * length)))
     got = conj.map_words(words)
@@ -850,6 +854,8 @@ def test_map_words_rows_equal_map_word(shape, seed, length):
         conj.map_words([[0, n_sym]])
     with pytest.raises(pl.InadmissibleWord):
         conj.map_words(np.zeros((3, 0), dtype=int))
+    with pytest.raises(pl.InadmissibleWord):
+        conj.map_words(np.zeros((3, 9), dtype=int))
 
 
 @settings(max_examples=40, deadline=None)
