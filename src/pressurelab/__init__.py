@@ -1,7 +1,7 @@
 """Numerical laboratory for pressure, dimension, and random perturbations
 of expanding Markov maps.
 
-The package splits into five computational layers plus a batch front end:
+The package splits into seven computational layers plus a batch front end:
 
 - ``dynamics``: expanding interval and torus maps with certified branch
   structure (construction, orbits, cocycles).
@@ -18,9 +18,14 @@ The package splits into five computational layers plus a batch front end:
 - ``lyapunov``: exponents along periodic and sampled orbits, plus the
   average conformality screen.
 - ``random_bundle``: i.i.d. driven perturbation families, the walker on
-  fiber map chains, symbolic conjugacies, random pressure and roots,
-  distortion and expansivity certificates, and the shrinking noise
-  experiment.
+  fiber map chains, random roots, conjugacy defects, distortion and
+  expansivity certificates, and the shrinking noise experiment.
+- ``transfer``: the collocated fiber transfer operators whose products
+  give the random roots' fiber pressures.
+- ``conjugacy``: the one-window symbolic conjugacy, its displacement and
+  equivariance measures, the walked random pressure and the pressure
+  transport through the conjugacy, run only by ``checks`` and library
+  callers.
 - ``cli`` / ``config`` / ``checks``: the ``pressurelab`` command line
   front end and the invariant battery of its ``checks`` mode.
 
@@ -55,18 +60,17 @@ _PUBLIC = {
                 "iterated_singular_pressure logsumexp pressure_additive "
                 "pressure_limit pressure_subadditive separated_set "
                 "transfer_pressure variational_gap variational_gaps",
-    "random_bundle": "BaseSample FiberConjugacy FiberCylinders "
-                     "RandomEstimate RandomFamily RandomRoots "
-                     "StabilityResult StabilityRow conjugacy_displacement "
-                     "distortion_constants expansivity_min_growth "
-                     "measure_equivariance "
-                     "random_bowen_roots random_conjugacy_pressure_check "
-                     "random_entropy random_pressure sample_base "
-                     "stability_experiment",
+    "random_bundle": "BaseSample FiberCylinders RandomFamily RandomRoots "
+                     "StabilityResult StabilityRow distortion_constants "
+                     "expansivity_min_growth random_bowen_roots "
+                     "random_entropy sample_base stability_experiment",
+    "conjugacy": "FiberConjugacy RandomEstimate conjugacy_displacement "
+                 "measure_equivariance random_conjugacy_pressure_check "
+                 "random_pressure",
 }
 _HOME = {name: module for module, names in _PUBLIC.items()
          for name in names.split()}
-_SUBMODULES = frozenset(_PUBLIC) | {"checks", "cli", "config"}
+_SUBMODULES = frozenset(_PUBLIC) | {"checks", "cli", "config", "transfer"}
 
 __all__ = sorted(_HOME)
 

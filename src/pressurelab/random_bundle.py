@@ -10,6 +10,12 @@ the array's width.  Perturbed maps keep the branch combinatorics of the
 unperturbed map, so cylinder words mean the same thing in every fiber and
 symbolic conjugacies exist by construction.
 
+This module holds the stability sweep and what it runs.  The collocated
+transfer operators behind its roots live in ``transfer``; the one-window
+conjugacy evaluator, the walked random pressure and the pressure
+transport, which only the checks battery and library callers run, live
+in ``conjugacy``.
+
 Only interval families are supported.  Their derivative cocycles are
 scalar, hence conformal, and the upper and lower singular value routes
 through any computation coincide by construction.
@@ -25,10 +31,25 @@ from . import dynamics as dyn
 from .bowen import _newton_solve, dimension_report
 from .cylinders import (DISTORTION_DEPTH, GROWTH_DEPTH, REFERENCE_DEPTH,
                         WORD_CAP, CylinderSet, MapColumn)
-from .errors import (BadSpec, InadmissibleWord, NoConvergence,
-                     PerturbationTooLarge, PressureLabError)
+from .errors import BadSpec, PerturbationTooLarge, PressureLabError
+from .transfer import (ROOT_TOL, _require_full_shift, _root_operators,
+                       fiber_pressures)
 
 TWO_PI = 2.0 * math.pi
+
+# names of ``conjugacy`` that perfbench/tracer.py reaches through this
+# module; the forward goes with the next benchmark change, which points the
+# tracer at ``conjugacy`` (ROADMAP item 11)
+_MOVED_TO_CONJUGACY = frozenset({
+    "FiberConjugacy", "conjugacy_displacement", "measure_equivariance",
+    "random_conjugacy_pressure_check"})
+
+
+def __getattr__(name):
+    if name in _MOVED_TO_CONJUGACY:
+        from . import conjugacy
+        return getattr(conjugacy, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # -- base process ---------------------------------------------------------
@@ -276,68 +297,7 @@ def _window_chunks(family, count, depth):
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
-def _require_full_shift(mapping):
-    if any(v != 1 for row in mapping.adjacency for v in row):
-        raise BadSpec("this check needs a full transition matrix")
-
-
-# -- symbolic conjugacies ---------------------------------------------------
-
-class FiberConjugacy:
-    """Symbolic conjugacy from the unperturbed repeller into one fiber window.
-
-    ``letters`` is one window, as for ``FiberCylinders``: word position i
-    reads the fiber map of ``letters[i]``, and the depth is the window's
-    width.  A base word of at most that many symbols, such as the
-    itinerary ``orbit(base_map, x, depth)[1]`` of a base point x, is
-    rebuilt through the fiber inverse branches, innermost first, seeded at
-    the branch domain center of the deepest symbol.  Truncating at depth
-    m moves the result by at most gamma^m times the diameter.
-    """
-
-    def __init__(self, family, letters):
-        letters = np.asarray(letters, dtype=np.intp)
-        if letters.ndim != 1 or letters.size == 0:
-            raise BadSpec("a conjugacy takes one non-empty letter window")
-        self.family = family
-        self.letters = letters
-        self.depth = len(letters)
-
-    def map_words(self, words):
-        """Fiber points of the rows of ``words``, all of one length.
-
-        Every row is rebuilt as ``map_word`` does, and each position makes
-        one inverse branch call per symbol for all rows.  Words wider than
-        the letter window are inadmissible.
-        """
-        base = self.family.base_map
-        words = np.asarray(words, dtype=np.intp)
-        if words.ndim != 2 or words.shape[1] == 0:
-            raise InadmissibleWord("need a table of non-empty words")
-        if words.shape[1] > self.depth:
-            raise InadmissibleWord("words of %d symbols pass the %d letter "
-                                   "window" % (words.shape[1], self.depth))
-        if words.min() < 0 or words.max() >= base.n_symbols:
-            raise InadmissibleWord("symbol out of range")
-        if not base.adjacency_matrix[words[:, :-1], words[:, 1:]].all():
-            raise InadmissibleWord("forbidden transition in a word")
-        maps = [self.family.fiber_map(a)
-                for a in self.letters[:words.shape[1]]]
-        z = maps[-1].centers[words[:, -1]]
-        for i in range(len(maps) - 2, -1, -1):
-            for s in range(base.n_symbols):
-                rows = words[:, i] == s
-                if rows.any():
-                    z[rows] = maps[i].branches[s].inv(z[rows])
-        return z
-
-    def map_word(self, word):
-        word = self.family.base_map.check_word(word)
-        return float(self.map_words([word])[0])
-
-    def shifted(self, k=1):
-        return FiberConjugacy(self.family, self.letters[k:])
-
+# -- conjugacy defects ------------------------------------------------------
 
 def _conjugacy_defects(family, letters, base=None):
     """Conjugacy displacement and equivariance defect per row of ``letters``.
@@ -383,217 +343,12 @@ def _equivariance_bound(family, depth):
     return 2.0 * family.gamma_bound ** depth * family.base_map.diam
 
 
-def conjugacy_displacement(family, letters):
-    """Largest distance the depth n conjugacy moves a cylinder point.
-
-    ``letters`` is one window of n letters, or a table of them measured
-    by its worst row and walked in batches of ``_window_chunks``.
-    """
-    letters = _letter_table(letters)
-    depth = letters.shape[1]
-    base = CylinderSet(family.base_map, depth).leaves.points
-    return float(max(_largest_gap(
-        FiberCylinders(family, letters[rows]).leaves.points, base).max()
-        for rows in _window_chunks(family, len(letters), depth)))
-
-
-def measure_equivariance(family, letters):
-    """Worst defect of (map then conjugate) against (conjugate then shift).
-
-    ``letters`` is one window of n + 1 letters, or a table of them
-    measured by its worst row.  Both sides are evaluated on every word of
-    length n + 1 with the depth m = n conjugacy.  The mismatch comes only
-    from the truncation seeds, so it must stay below 2 gamma^n times the
-    diameter.  Returns (measured, bound).
-    """
-    letters = _letter_table(letters)
-    if letters.shape[1] < 3:
-        raise BadSpec("equivariance needs windows of at least 3 letters")
-    _, defect = _conjugacy_defects(family, letters)
-    return float(defect.max()), float(_equivariance_bound(
-        family, letters.shape[1] - 1))
-
-
-# -- fiber transfer operators --------------------------------------------------
-
-# node counts tried for random roots: 8, 16, ... up to this many
-MAX_ROOT_NODES = 256
-# tolerance of the random roots and of their node count check
-ROOT_TOL = 1e-10
-# operator steps between rescalings of a fiber product by its largest value
-_RESCALE_STEPS = 16
-
-
-class FiberOperators(NamedTuple):
-    """Chebyshev collocation of the fiber Ruelle operators of a family.
-
-    Functions on the hull of the base map are held by their values at
-    ``nodes`` Chebyshev points x_j.  For letter a, ``interp[a, j, b]`` is
-    the row mapping node values to the value of their interpolant at
-    g_b(x_j), with g_b the inverse branch b of fiber a, and
-    ``log_slopes[a, j, b]`` is log f_a' at g_b(x_j).  ``end_rows[a]``
-    evaluates the interpolant at the branch centres of fiber a, where the
-    cylinder walker seeds, and ``end_log_slopes[a]`` holds log f_a' at
-    those centres.
-    """
-
-    nodes: int
-    interp: np.ndarray
-    log_slopes: np.ndarray
-    end_rows: np.ndarray
-    end_log_slopes: np.ndarray
-
-
-def _interpolation_rows(nodes, weights, points):
-    """Barycentric rows evaluating the interpolant on ``nodes`` at ``points``."""
-    diff = points[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    rows = weights / np.where(hit, 1.0, diff)
-    rows /= rows.sum(axis=1, keepdims=True)
-    exact = hit.any(axis=1)
-    rows[exact] = hit[exact]
-    return rows
-
-
-def fiber_operators(family, nodes):
-    """Collocated fiber operators of ``family`` on ``nodes`` Chebyshev points.
-
-    The nodes are the Chebyshev points of the second kind on the hull of
-    the base map, which every fiber shares.  Affine (cookie) branches keep
-    constants constant, so there the interpolation is exact.
-    """
-    if nodes < 2:
-        raise BadSpec("collocation needs at least two nodes")
-    _require_full_shift(family.base_map)
-    lo, hi = family.base_map.hull
-    j = np.arange(int(nodes))
-    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * j / (nodes - 1))
-    w = np.where(j % 2 == 0, 1.0, -1.0)
-    w[[0, -1]] *= 0.5
-    interp, log_slopes, end_rows, end_log_slopes = [], [], [], []
-    for letter in range(family.n_letters):
-        fiber = family.fiber_map(letter)
-        pulled = [br.inv(x) for br in fiber.branches]
-        interp.append([_interpolation_rows(x, w, y) for y in pulled])
-        log_slopes.append([np.log(br.deriv(y))
-                           for br, y in zip(fiber.branches, pulled)])
-        end_rows.append(_interpolation_rows(x, w, fiber.centers))
-        end_log_slopes.append([math.log(float(br.deriv(br.center)))
-                               for br in fiber.branches])
-    return FiberOperators(
-        nodes=int(nodes), interp=np.array(interp).transpose(0, 2, 1, 3),
-        log_slopes=np.array(log_slopes).transpose(0, 2, 1),
-        end_rows=np.array(end_rows), end_log_slopes=np.array(end_log_slopes))
-
-
-def fiber_pressures(ops, letters, t):
-    """Depth n fiber pressures P_n(t) and slopes P_n'(t), one per window.
-
-    Row k of ``letters`` holds the n letters of one window, position 0
-    first; ``t`` is one parameter for all windows, or an array holding
-    one per window.  The depth n fiber sum over words w of exp(-t S_w),
-    with S_w the Birkhoff sum of log f' along the walker's representative
-    orbit, is the end row of the last letter applied to L_{n-2} ... L_0 1,
-    where L_i is the collocated operator phi -> sum_b |f'(g_b)|^-t phi(g_b)
-    of the fiber at position i.  Its t-derivative rides along in the block
-    operator [[L, 0], [L', L]] acting on [phi; phi'], so one pass gives P
-    and P'.  Each step is divided by the largest value of L 1, whose
-    logarithm is kept, and every ``_RESCALE_STEPS`` steps the product is
-    rescaled by its largest value, so no step overflows or underflows.
-    """
-    letters = np.asarray(letters, dtype=np.intp)
-    n_windows, depth = letters.shape
-    n = ops.nodes
-    t = np.asarray(t, dtype=float)
-    # operators per distinct t: a leading axis of one, or one per window
-    per = np.arange(n_windows) if t.ndim else np.zeros(n_windows, np.intp)
-    t = t.reshape(-1, 1, 1, 1)
-    weight = np.exp(-t * ops.log_slopes)
-    # interpolation rows sum to 1, so L 1 is the weight summed over branches
-    norm = weight.sum(axis=3).max(axis=2)
-    weight /= norm[..., None, None]
-    # rows of L and of L' per letter: (t, letters, nodes, 2, nodes)
-    pair = np.stack([weight, -ops.log_slopes * weight], axis=3) @ ops.interp
-    block = np.zeros(pair.shape[:2] + (2 * n, 2 * n))
-    block[..., :n, :n] = block[..., n:, n:] = pair[..., 0, :]
-    block[..., n:, :n] = pair[..., 1, :]
-    state = np.zeros((n_windows, 2 * n, 1))
-    state[:, :n] = 1.0
-    log_scale = np.log(norm)[per[:, None], letters[:, :-1]].sum(axis=1)
-    for i in range(1, depth):
-        state = block[per, letters[:, i - 1]] @ state
-        if i % _RESCALE_STEPS == 0:
-            top = state[:, :n, 0].max(axis=1)
-            state /= top[:, None, None]
-            log_scale += np.log(top)
-    last = letters[:, -1]
-    ell = ops.end_log_slopes[last]
-    end_weight = np.exp(-t[per, 0, 0] * ell)
-    # end values of phi and phi' at the centres: (windows, symbols, 2)
-    ends = ops.end_rows[last] @ state.reshape(n_windows, 2, n).transpose(0, 2, 1)
-    total = (end_weight * ends[..., 0]).sum(axis=1)
-    d_total = (end_weight * (ends[..., 1] - ell * ends[..., 0])).sum(axis=1)
-    return (np.log(total) + log_scale) / depth, d_total / total / depth
-
-
-def _root_operators(family, letters):
-    """Fiber operators on the fewest nodes that resolve the pressures.
-
-    Starting at 8, the node count doubles until P_n at t = 0 and t = 1
-    agrees with that on twice as many nodes to within ROOT_TOL / 10 for every
-    window.  Past ``MAX_ROOT_NODES`` nodes the pressures count as
-    unresolved and NoConvergence is raised.  Returns the operators and
-    their ``fiber_pressures`` of all windows at t = 0 and t = 1.
-    """
-    def probe(nodes):
-        ops = fiber_operators(family, nodes)
-        return ops, {t: fiber_pressures(ops, letters, t) for t in (0.0, 1.0)}
-
-    coarse, probes = probe(8)
-    while True:
-        fine, fine_probes = probe(2 * coarse.nodes)
-        if all(np.abs(probes[t][0] - fine_probes[t][0]).max()
-               <= 0.1 * ROOT_TOL
-               for t in probes):
-            return coarse, probes
-        if fine.nodes > MAX_ROOT_NODES:
-            raise NoConvergence("fiber pressures of %s are unresolved on %d "
-                                "nodes" % (family.describe(), coarse.nodes))
-        coarse, probes = fine, fine_probes
-
-
 # -- averaged pressure and roots --------------------------------------------
-
-class RandomEstimate(NamedTuple):
-    value: float
-    std_error: float
-    per_sample: tuple
-    depth: int
-
 
 def _std_error(values):
     if len(values) < 2:
         return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def random_pressure(family, potential, letters):
-    """Finite depth fiber pressure averaged over windows.
-
-    Per row of ``letters`` (one window of n letters) the value is (1/n)
-    log of the summed exponential of the accumulated potential over depth
-    n fiber cylinders; the estimate is the mean over the rows with its
-    sampling spread.
-    """
-    # the pressure layer loads only with the modes that fold potentials
-    from .pressure import logsumexp
-
-    table = _letter_table(letters)
-    depth = table.shape[1]
-    vals = [logsumexp(FiberCylinders(family, row).birkhoff(
-        potential.step_values)[-1]) / depth for row in table]
-    return RandomEstimate(value=float(np.mean(vals)), std_error=_std_error(vals),
-                          per_sample=tuple(vals), depth=int(depth))
 
 
 class RandomRoots(NamedTuple):
@@ -688,17 +443,22 @@ def _distortion_pairs(leaves):
     """Leaf index pairs (i, j), i != j, of ``distortion_constants``.
 
     Every neighbouring pair of the ``leaves`` leaves comes first, then
-    ``_DISTORTION_PAIRS - (leaves - 1)`` pairs drawn from ``_DISTORTION_SEED``.
-    The arrays are read-only int32, so every call on one key shares them.
+    extra = ``_DISTORTION_PAIRS - (leaves - 1)`` pairs drawn from
+    ``_DISTORTION_SEED``: i takes counters 0 .. extra - 1 and j the next
+    extra, drawn ``_PAIR_BLOCK`` counters at a time straight into the
+    arrays.  The arrays are read-only int32, so every call on one key
+    shares them.
     """
     extra = max(0, _DISTORTION_PAIRS - (leaves - 1))
-    drawn = _draw(_DISTORTION_SEED, np.arange(2 * extra), leaves)
     i = np.empty(leaves - 1 + extra, dtype=np.int32)
     j = np.empty_like(i)
-    i[:leaves - 1] = np.arange(leaves - 1)
-    j[:leaves - 1] = np.arange(1, leaves)
-    i[leaves - 1:] = drawn[:extra]
-    j[leaves - 1:] = drawn[extra:]
+    i[:leaves - 1] = np.arange(leaves - 1, dtype=np.int32)
+    j[:leaves - 1] = np.arange(1, leaves, dtype=np.int32)
+    for first, drawn in ((0, i[leaves - 1:]), (extra, j[leaves - 1:])):
+        for lo in range(0, extra, _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, extra)
+            drawn[lo:hi] = _draw(_DISTORTION_SEED,
+                                 np.arange(first + lo, first + hi), leaves)
     keep = i != j
     i, j = i[keep], j[keep]
     i.flags.writeable = j.flags.writeable = False
@@ -786,85 +546,6 @@ def _pair_slack(deriv_i, deriv_j, dx, dy, k_val):
     return np.minimum(
         np.minimum(deriv_i + pad - ratio, ratio - deriv_i + pad),
         np.minimum(deriv_j + pad - ratio, ratio - deriv_j + pad)).min()
-
-
-# -- pressure transport through the conjugacy --------------------------------
-
-class RandomConjugacyReport(NamedTuple):
-    pressure_direct: float
-    pressure_pulled: float
-    residual: float
-    bound: float
-    depth: int
-    margin: int
-
-
-def random_conjugacy_pressure_check(family, conj, potential, depth=8):
-    """Fiber pressure computed directly and through the conjugacy.
-
-    Both routes score the depth n words extended by the conjugacy margin
-    (trailing zero symbols), so every orbit position keeps at least
-    margin = conj.depth - n known symbols ahead.  The direct route folds
-    the potential along exact fiber chains inside one vectorized walker;
-    the pulled route rebuilds every orbit point through the public
-    word evaluator of the shifted conjugacies and scores the pulled back
-    potential on the unperturbed system's words.  Both land within
-    lipschitz * diam * gamma^margin / (1 - gamma) of the ideal depth n
-    sum, and the reported residual is their difference, which exposes any
-    misalignment between the walker and the evaluator.
-
-    ``lipschitz`` is the potential weight times the worst fiber log slope
-    variation, exact for the built in geometric and singular potentials.
-    That variation is 0 on affine cookie fibers and grows with
-    |amp + epsilon a| on circle fibers, so the fibers of the first and the
-    last letter, whose coefficients a are extreme, attain it.
-    """
-    from .pressure import logsumexp
-
-    base = family.base_map
-    _require_full_shift(base)
-    if conj.family is not family:
-        raise BadSpec("conjugacy was built for a different family")
-    margin = conj.depth - int(depth)
-    if margin < 1:
-        raise BadSpec("conjugacy depth must exceed the word depth")
-    n_sym = base.n_symbols
-    total = conj.depth
-    letters = conj.letters
-    chain = FiberCylinders(family, letters)
-    sums = chain.birkhoff(potential.step_values)
-
-    sel = np.arange(n_sym ** depth, dtype=np.int64) * (n_sym ** margin)
-    anc = sel.copy()
-    for li in range(total - 1, margin - 1, -1):
-        anc = chain.levels[li].parent[anc]
-    s_direct = sums[-1][sel] - sums[margin - 1][anc]
-    p_direct = logsumexp(s_direct) / depth
-
-    s_pulled = np.zeros(len(sel), dtype=float)
-    digits = np.zeros((len(sel), total), dtype=np.int64)
-    rem = np.arange(n_sym ** depth, dtype=np.int64)
-    for pos in range(depth - 1, -1, -1):
-        digits[:, pos] = rem % n_sym
-        rem //= n_sym
-    for pos, letter in enumerate(letters[:depth]):
-        points = conj.shifted(pos).map_words(digits[:, pos:])
-        fiber = family.fiber_map(letter)
-        for s in range(n_sym):
-            rows = digits[:, pos] == s
-            s_pulled[rows] += potential.step_values(fiber, s, points[rows])
-    p_pulled = logsumexp(s_pulled) / depth
-
-    lipschitz = abs(potential.weight) * max(
-        family.fiber_map(a).log_deriv_lipschitz
-        for a in {0, family.n_letters - 1})
-    gamma = family.gamma_bound
-    bound = lipschitz * base.diam * gamma ** margin / (1.0 - gamma)
-    return RandomConjugacyReport(pressure_direct=float(p_direct),
-                                 pressure_pulled=float(p_pulled),
-                                 residual=float(abs(p_direct - p_pulled)),
-                                 bound=float(bound), depth=int(depth),
-                                 margin=int(margin))
 
 
 # -- shrinking noise experiment ----------------------------------------------

@@ -45,19 +45,24 @@ def test_package_import_loads_no_submodule():
     assert lines == ["[]"]
 
 
+_RANDOM = {"random_bundle", "transfer", "conjugacy"}
+
+
 @pytest.mark.parametrize("args, absent", [
+    # the sweep runs its roots on transfer operators, and only checks
+    # and library callers run the one-window conjugacy code
     (("--mode", "stability", "map=cookie_cutter(3,3)", "seeds=2"),
-     {"lyapunov", "checks", "pressure"}),
+     {"lyapunov", "checks", "pressure", "conjugacy"}),
     (("--mode", "dimension", "map=cookie_cutter(3,3)"),
-     {"lyapunov", "checks", "pressure", "random_bundle"}),
+     {"lyapunov", "checks", "pressure"} | _RANDOM),
     (("--mode", "pressure", "map=doubling", "potential=geometric(0.7)"),
-     {"lyapunov", "checks", "bowen", "random_bundle"}),
+     {"lyapunov", "checks", "bowen"} | _RANDOM),
     # torus roots are closed forms from dynamics, not pressure estimators
     (("--mode", "dimension", "map=toral(2,3)", "depth=20"),
-     {"lyapunov", "checks", "pressure", "random_bundle"}),
+     {"lyapunov", "checks", "pressure"} | _RANDOM),
     # entropies are word counts, not zero potential pressures
     (("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
-     {"lyapunov", "checks", "pressure"}),
+     {"lyapunov", "checks", "pressure", "conjugacy"}),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
     loaded = _loaded_by_run(tmp_path / "out", *args)
@@ -79,6 +84,23 @@ def test_public_names_resolve_to_their_modules():
         assert name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         pl.no_such_name
+
+
+def test_random_bundle_forwards_the_names_moved_to_conjugacy():
+    """The forwarded names are conjugacy's own objects, and no other name
+    resolves through the forward."""
+    code = ("import sys\n"
+            "from pressurelab import random_bundle\n"
+            "print('pressurelab.conjugacy' in sys.modules)\n")
+    assert _fresh(code) == ["False"]
+    from pressurelab import conjugacy, random_bundle
+    assert random_bundle._MOVED_TO_CONJUGACY <= set(vars(conjugacy))
+    for name in random_bundle._MOVED_TO_CONJUGACY:
+        assert getattr(random_bundle, name) is getattr(conjugacy, name)
+        assert name not in vars(random_bundle)
+    for name in ("no_such_name", "random_pressure", "MAX_ROOT_NODES"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(random_bundle, name)
 
 
 def test_runs_load_neither_numpy_random_nor_hashlib(tmp_path):

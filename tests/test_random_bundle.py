@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pressurelab as pl
 from conftest import expectation_root, moran_root
-from pressurelab import random_bundle
+from pressurelab import random_bundle, transfer
 
 
 def _table(seeds, depth, n_letters=2):
@@ -595,7 +595,7 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
     start .. start + n - 1; affine fibers are exact, circle fibers are
     interpolated on the nodes the root solver would pick.
     """
-    from pressurelab.random_bundle import _root_operators, fiber_pressures
+    from pressurelab.transfer import _root_operators, fiber_pressures
     kind, params, eps, tol = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
     windows = [pl.sample_base(s, n_letters)
@@ -621,7 +621,7 @@ def test_random_roots_report_their_nodes(monkeypatch):
     assert pl.random_bowen_roots(cookie, letters).nodes == 8
     assert pl.random_bowen_roots(circle, letters).nodes > 8
     # unresolved pressures fail the root, and the sweep records the level
-    monkeypatch.setattr(random_bundle, "MAX_ROOT_NODES", 8)
+    monkeypatch.setattr(transfer, "MAX_ROOT_NODES", 8)
     assert pl.random_bowen_roots(cookie, letters).nodes == 8
     with pytest.raises(pl.NoConvergence):
         pl.random_bowen_roots(circle, letters)
@@ -638,13 +638,13 @@ def test_stability_certificates_name_root_nodes():
 
 def test_fiber_pressure_rescaling_keeps_values(monkeypatch):
     fam = pl.RandomFamily("circle", (3, 0.05), 0.1)
-    ops = random_bundle.fiber_operators(fam, 32)
+    ops = transfer.fiber_operators(fam, 32)
     window = pl.sample_base(4)
     letters = window.letters(0, 40)[None, :]
-    monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 10 ** 9)
-    never = random_bundle.fiber_pressures(ops, letters, 0.7)
-    monkeypatch.setattr(random_bundle, "_RESCALE_STEPS", 1)
-    always = random_bundle.fiber_pressures(ops, letters, 0.7)
+    monkeypatch.setattr(transfer, "_RESCALE_STEPS", 10 ** 9)
+    never = transfer.fiber_pressures(ops, letters, 0.7)
+    monkeypatch.setattr(transfer, "_RESCALE_STEPS", 1)
+    always = transfer.fiber_pressures(ops, letters, 0.7)
     for a, b in zip(never, always):
         assert a[0] == pytest.approx(b[0], rel=0.0, abs=1e-14)
 
@@ -727,7 +727,7 @@ def test_window_roots_equal_one_window_newton_roots(shape, seed, n_seeds,
                                                     depth):
     """Per-seed roots of one vectorised pass equal one-window solves."""
     from pressurelab.bowen import _newton_solve
-    from pressurelab.random_bundle import _root_operators, fiber_pressures
+    from pressurelab.transfer import _root_operators, fiber_pressures
     kind, params, eps, _ = shape
     fam = pl.RandomFamily(kind, params, eps)
     letters = _table(range(seed, seed + n_seeds), depth)
@@ -795,26 +795,33 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     assert len(walks) == len(base_depths) + 4 * len(levels)
 
 
-def test_default_sweep_hashes_letters_at_most_17_times(monkeypatch):
+def test_default_sweep_hashes_one_letter_table_and_one_pair_set(
+        monkeypatch):
     """The sweep draws one letter table, not one window per walk.
 
-    Sixteen seed rows plus one distortion pair draw for the whole sweep,
-    shared by its levels, make 17 calls of the letter hash on the default
-    four-level sweep.
+    Sixteen seed rows make 16 letter draws on the default four-level
+    sweep, and the distortion pairs, shared by its levels, are drawn once
+    for the whole sweep, ``_PAIR_BLOCK`` counters per call.
     """
     calls = []
     draw = random_bundle._draw
 
-    def counted(*args):
-        calls.append(args[0])
-        return draw(*args)
+    def counted(seed, counters, n):
+        calls.append((n, len(counters)))
+        return draw(seed, counters, n)
 
     monkeypatch.setattr(random_bundle, "_draw", counted)
     random_bundle._distortion_pairs.cache_clear()
     carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
     rows = pl.stability_experiment(carrier, seeds=16).rows
     assert len(rows) == 4 and all(r.failure == "" for r in rows)
-    assert len(calls) <= 17
+    assert [n for n, _ in calls].count(2) == 16
+    leaves = 2 ** random_bundle.DISTORTION_DEPTH
+    pair_draws = [size for n, size in calls if n == leaves]
+    extra = random_bundle._DISTORTION_PAIRS - (leaves - 1)
+    assert sum(pair_draws) == 2 * extra
+    assert len(pair_draws) == 2 * math.ceil(extra / random_bundle._PAIR_BLOCK)
+    assert len(calls) == 16 + len(pair_draws)
 
 
 def test_sweep_levels_read_slices_of_one_letter_table():
@@ -885,6 +892,34 @@ def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
         pl.random_entropy(fam, 700)
 
 
+def _whole_array_pairs(m):
+    """The distortion pairs of ``m`` leaves from one draw of all counters.
+
+    i takes the first half of the drawn counters and j the second, as
+    ``_distortion_pairs`` drew them before it drew in blocks.
+    """
+    extra = max(0, random_bundle._DISTORTION_PAIRS - (m - 1))
+    drawn = random_bundle._draw(random_bundle._DISTORTION_SEED,
+                                np.arange(2 * extra), m).astype(np.intp)
+    i = np.concatenate([np.arange(m - 1), drawn[:extra]])
+    j = np.concatenate([np.arange(1, m), drawn[extra:]])
+    keep = i != j
+    return i[keep], j[keep]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from([2, 100, 1024, 2048, 5000, 30000]),
+                 st.integers(min_value=2, max_value=13000)),
+       st.sampled_from([7, 100, 2048]))
+def test_blocked_pair_draws_are_the_whole_array_draw(leaves, block):
+    """Pairs drawn a block of counters at a time are the one-draw pairs,
+    bit for bit, at any block size."""
+    with mock.patch.object(random_bundle, "_PAIR_BLOCK", block):
+        i, j = random_bundle._distortion_pairs.__wrapped__(leaves)
+    want_i, want_j = _whole_array_pairs(leaves)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
 def _direct_distortion(family, window):
     """``distortion_constants`` of one window over whole pair arrays.
 
@@ -894,13 +929,7 @@ def _direct_distortion(family, window):
     chain = pl.FiberCylinders(family, np.asarray(window)[None, :])
     leaves = chain.leaves
     m = len(leaves.first)
-    extra = max(0, random_bundle._DISTORTION_PAIRS - (m - 1))
-    drawn = random_bundle._draw(random_bundle._DISTORTION_SEED,
-                                np.arange(2 * extra), m).astype(np.intp)
-    i = np.concatenate([np.arange(m - 1), drawn[:extra]])
-    j = np.concatenate([np.arange(1, m), drawn[extra:]])
-    keep = i != j
-    i, j = i[keep], j[keep]
+    i, j = _whole_array_pairs(m)
 
     def metric(u, v):
         d = np.abs(u - v)
