@@ -1,10 +1,13 @@
 """Numerical laboratory for pressure, dimension, and random perturbations
 of expanding Markov maps.
 
-The package splits into seven computational layers plus a batch front end:
+The package splits into eight computational layers plus a batch front end:
 
-- ``dynamics``: expanding interval and torus maps with certified branch
-  structure (construction, orbits, cocycles).
+- ``dynamics``: expanding interval maps with certified branch structure
+  (construction, orbits, cocycles) and the registry of named maps.
+- ``torus``: linear expanding torus endomorphisms, whose singular value
+  closed forms give torus pressures and dimension brackets; only torus
+  runs load it.
 - ``cylinders``: the cylinder walker, for deterministic maps and random
   fibers alike.  It enumerates cylinder representatives along a chain of
   maps, one per word position (a single map is the constant chain), with
@@ -70,7 +73,8 @@ _PUBLIC = {
 }
 _HOME = {name: module for module, names in _PUBLIC.items()
          for name in names.split()}
-_SUBMODULES = frozenset(_PUBLIC) | {"checks", "cli", "config", "transfer"}
+_SUBMODULES = frozenset(_PUBLIC) | {"checks", "cli", "config", "torus",
+                                     "transfer"}
 
 __all__ = sorted(_HOME)
 

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics as dyn
 from .cylinders import CylinderSet
 from .errors import NoSignChange
 
@@ -162,7 +161,7 @@ def _roots_at_depth(mapping, depth, ambient):
                 _newton_solve(pressure, ambient, DIMENSION_TOL))
     # P_k(t) = (log N_k - t l_k) / k vanishes at log N_k / l_k, clamped
     # into [0, ambient] as every root is
-    log_count, log_hi, log_lo = dyn._torus_logs(mapping, depth)
+    log_count, log_hi, log_lo = mapping._torus_logs(depth)
     return tuple(min(max(float(log_count / log_sigma), 0.0), ambient)
                  for log_sigma in (log_hi, log_lo))
 

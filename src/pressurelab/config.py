@@ -220,6 +220,11 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("conj_depth must not be negative")
         if any(e < 0.0 for e in self.eps_schedule):
             raise ConfigError("eps_schedule entries must not be negative")
+        # certificates are keyed by level, so a repeated level would lose one
+        repeated = sorted({e for e in self.eps_schedule
+                           if self.eps_schedule.count(e) > 1})
+        if repeated:
+            raise ConfigError("eps_schedule repeats the level %g" % repeated[0])
         if self.mode == "stability" and not self.eps_schedule:
             raise ConfigError("stability mode needs a nonempty eps_schedule")
         if not self.out:

@@ -1,10 +1,12 @@
-"""Expanding Markov maps on the interval and on the torus.
+"""Expanding Markov maps on the interval, their orbits and the map registry.
 
 Maps are presented branchwise.  Each branch carries its domain, the forward
 formula, an increasing inverse, and derivative bounds.  The map object
 validates the combinatorial data once at construction time, so downstream
 modules can rely on uniform expansion, Markov alignment of branch images,
-and irreducibility of the transition matrix without rechecking.
+and irreducibility of the transition matrix without rechecking.  Torus
+maps subclass ``ExpandingMap`` in ``torus``, which only their factories
+here import.
 """
 
 import math
@@ -14,21 +16,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadSpec,
-    EscapedRepeller,
-    InadmissibleWord,
-    NonExpanding,
-    NonMarkov,
-    SingularMatrix,
-)
+from .errors import (BadSpec, EscapedRepeller, InadmissibleWord, NonExpanding,
+                     NonMarkov, SingularMatrix)
 
 _ALIGN_TOL = 1e-9
-# torus cell lookup: a row on a cell edge lies in the cells on both sides;
-# nudged up first, then down on one axis, the other, and both
-_EDGE_NUDGES = 1e-9 * np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def __getattr__(name):
+    # perfbench/tracer.py reaches the torus cell class here; the forward
+    # goes when the tracer wraps it in ``torus`` (ROADMAP item 11)
+    if name == "Branch2D":
+        from .torus import Branch2D
+        return Branch2D
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class Branch1D:
@@ -152,57 +154,6 @@ def circle_branch(degree, amplitude, index):
                     tag=tag)
 
 
-def _det2(m):
-    (a, b), (c, d) = m.tolist()
-    return a * d - b * c
-
-
-def _inv2(m):
-    """Inverse of a 2x2 matrix, adj(m) / det(m)."""
-    (a, b), (c, d) = m.tolist()
-    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-
-
-def _sv2(m):
-    """(sigma_max, sigma_min) of a 2x2 matrix."""
-    (a, b), (c, d) = m.tolist()
-    hi = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
-    return hi, abs(a * d - b * c) / hi
-
-
-class Branch2D:
-    """One affine cell of a linear expanding torus endomorphism.
-
-    The cell with integer ``offset`` k is the preimage of the unit square
-    shifted by k, and its inverse branch is y -> A^(-1) (y + k).  The
-    determinant, the inverse adj(A)/det A and the singular values come
-    from 2x2 closed forms: sigma_max is (|(a+d, b-c)| + |(a-d, b+c)|)/2
-    and sigma_min is |det A|/sigma_max.
-    """
-
-    __slots__ = ("matrix", "offset", "inv_matrix", "min_slope", "max_slope",
-                 "log_deriv_lipschitz", "tag")
-
-    def __init__(self, matrix, offset):
-        self.matrix = np.array(matrix, dtype=float).reshape(2, 2)
-        self.offset = np.array(offset, dtype=float).reshape(2)
-        if abs(_det2(self.matrix)) < 1e-12:
-            raise SingularMatrix("cell matrix is singular")
-        self.inv_matrix = _inv2(self.matrix)
-        self.max_slope, self.min_slope = _sv2(self.matrix)
-        self.log_deriv_lipschitz = 0.0
-        self.tag = ("cell",) + tuple(repr(float(v)) for v in self.matrix.ravel()) \
-            + tuple(repr(float(v)) for v in self.offset)
-
-    @property
-    def center(self):
-        return self.inv_matrix @ (self.offset + 0.5)
-
-    def inv(self, y):
-        y = np.asarray(y, dtype=float)
-        return (y + self.offset) @ self.inv_matrix.T
-
-
 class CocycleProduct(NamedTuple):
     """Logarithms of the extreme singular values of a derivative product."""
 
@@ -212,16 +163,20 @@ class CocycleProduct(NamedTuple):
 
 
 class ExpandingMap:
-    """Piecewise expanding Markov map with explicit inverse branches."""
+    """Piecewise expanding Markov map of the interval with explicit inverse
+    branches; ``torus.TorusMap`` is the torus subclass."""
+
+    dim = 1
+    _BRANCH = Branch1D
 
     def __init__(self, branches, adjacency=None, name="custom"):
         branches = list(branches)
         if not branches:
             raise BadSpec("a map needs at least one branch")
-        self.dim = 2 if isinstance(branches[0], Branch2D) else 1
-        want = Branch2D if self.dim == 2 else Branch1D
-        if not all(isinstance(br, want) for br in branches):
-            raise BadSpec("cannot mix branch dimensions in one map")
+        if not all(isinstance(br, self._BRANCH) for br in branches):
+            raise BadSpec("%s takes %s branches only: Branch1D branches build "
+                          "an ExpandingMap and Branch2D cells a TorusMap"
+                          % (type(self).__name__, self._BRANCH.__name__))
         self.branches = branches
         self.name = str(name)
         n = len(branches)
@@ -234,10 +189,7 @@ class ExpandingMap:
             raise BadSpec("transition matrix entries must be 0 or 1")
         self.adjacency = adj
         self._validate_expansion()
-        if self.dim == 1:
-            self._validate_markov_1d()
-        else:
-            self._validate_cells()
+        self._validate_layout()
         self._validate_irreducible()
 
     def _validate_expansion(self):
@@ -245,7 +197,8 @@ class ExpandingMap:
         if not worst > 1.0:
             raise NonExpanding("minimal expansion %.6g is not greater than 1" % worst)
 
-    def _validate_markov_1d(self):
+    def _validate_layout(self):
+        """Disjoint branch domains whose images are Markov aligned."""
         n = self.n_symbols
         order = sorted(range(n), key=lambda i: self.branches[i].lo)
         for i, j in zip(order, order[1:]):
@@ -263,27 +216,6 @@ class ExpandingMap:
                     if overlap > _ALIGN_TOL:
                         raise NonMarkov(
                             "image of branch %d enters forbidden domain %d" % (a, c))
-
-    def _validate_cells(self):
-        first = self.branches[0].matrix
-        for br in self.branches[1:]:
-            if not np.allclose(br.matrix, first, atol=1e-12):
-                raise BadSpec("torus cells must share one derivative matrix")
-        count = int(round(abs(_det2(first))))
-        if count != self.n_symbols:
-            raise BadSpec("expected %d cells for this matrix, got %d"
-                          % (count, self.n_symbols))
-        offsets = {tuple(int(round(v)) for v in br.offset) for br in self.branches}
-        if len(offsets) != self.n_symbols:
-            raise BadSpec("duplicate cell offsets")
-        # |det A| cells with distinct offsets tile the unit square exactly
-        # when every cell A^(-1)([0,1]^2 + k) lies inside it
-        corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        pulled = (self._offsets[:, None] + corners) @ self.branches[0].inv_matrix.T
-        if not np.all((pulled >= -_ALIGN_TOL) & (pulled <= 1.0 + _ALIGN_TOL)):
-            raise BadSpec("torus cells do not tile the unit square")
-        if any(v != 1 for row in self.adjacency for v in row):
-            raise NonMarkov("torus cells require the full transition matrix")
 
     def _validate_irreducible(self):
         reach = np.array(self.adjacency, dtype=bool)
@@ -316,15 +248,11 @@ class ExpandingMap:
 
     @cached_property
     def hull(self):
-        if self.dim == 2:
-            return (0.0, 1.0)
         return (min(br.lo for br in self.branches),
                 max(br.hi for br in self.branches))
 
     @cached_property
     def diam(self):
-        if self.dim == 2:
-            return math.sqrt(0.5)
         lo, hi = self.hull
         return hi - lo
 
@@ -334,9 +262,7 @@ class ExpandingMap:
 
     @cached_property
     def domain_gaps(self):
-        """Positive gaps between consecutive branch domains (1d only)."""
-        if self.dim != 1:
-            return ()
+        """Positive gaps between consecutive branch domains."""
         doms = sorted((br.lo, br.hi) for br in self.branches)
         gaps = []
         for (_, prev_hi), (next_lo, _) in zip(doms, doms[1:]):
@@ -345,29 +271,8 @@ class ExpandingMap:
                 gaps.append(g)
         return tuple(gaps)
 
-    @cached_property
-    def constant_derivative(self):
-        """Shared derivative matrix of a linear torus map, else None."""
-        if self.dim != 2:
-            return None
-        return self.branches[0].matrix.copy()
-
-    @cached_property
-    def _offsets(self):
-        return np.array([br.offset for br in self.branches])
-
-    @cached_property
-    def _offset_index(self):
-        """Cell lookup: the least offset and a table of symbols by offset.
-
-        Entry k - least of the table is the symbol of the cell with integer
-        offset k, and -1 where no cell has that offset.
-        """
-        keys = np.round(self._offsets).astype(np.int64)
-        least = keys.min(axis=0)
-        table = np.full(tuple(keys.max(axis=0) - least + 1), -1, dtype=np.intp)
-        table[tuple((keys - least).T)] = np.arange(self.n_symbols)
-        return least, table
+    # interval branches share no derivative matrix; torus cells do
+    constant_derivative = None
 
     @cached_property
     def separation_threshold(self):
@@ -381,15 +286,6 @@ class ExpandingMap:
         """
         best = math.inf
         n = self.n_symbols
-        if self.dim == 2:
-            inv = self.branches[0].inv_matrix
-            for a in range(n):
-                for b in range(a + 1, n):
-                    dk = self.branches[a].offset - self.branches[b].offset
-                    v = inv @ dk
-                    v = v - np.round(v)
-                    best = min(best, float(np.hypot(v[0], v[1])))
-            return best
         for a in range(n):
             for b in range(a + 1, n):
                 best = min(best, abs(self.branches[a].center - self.branches[b].center))
@@ -421,42 +317,25 @@ class ExpandingMap:
     def symbol(self, x):
         """Index of the branch domain containing x.
 
-        x is one point or a stack of rows (floats on the interval, pairs on
-        the torus); a stack gives one symbol per row.  On the interval the
-        first branch in index order whose closed domain holds the point
-        wins, then the first within ``_ALIGN_TOL`` of it.  Raises
-        EscapedRepeller for the first row that lies in no domain.
+        x is one point or a stack of rows; a stack gives one symbol per
+        row.  The first branch in index order whose closed domain holds
+        the point wins, then the first within ``_ALIGN_TOL`` of it.
+        Raises EscapedRepeller for the first row that lies in no domain.
         """
         rows, single = self._rows(x)
-        if self.dim == 1:
-            syms = np.full(len(rows), -1, dtype=np.intp)
-            for tol in (0.0, _ALIGN_TOL):
-                free = syms < 0
-                if not free.any():
-                    break
-                for s in reversed(range(self.n_symbols)):
-                    br = self.branches[s]
-                    syms[free & (br.lo - tol <= rows)
-                         & (rows <= br.hi + tol)] = s
-            escaped = np.nonzero(syms < 0)[0]
-            if escaped.size:
-                raise EscapedRepeller("point %r lies in no branch domain"
-                                      % float(rows[escaped[0]]))
-        else:
-            least, table = self._offset_index
-            images = rows @ self.branches[0].matrix.T
-            syms = np.full(len(rows), -1, dtype=np.intp)
-            for nudge in _EDGE_NUDGES:
-                free = np.nonzero(syms < 0)[0]
-                if not free.size:
-                    break
-                keys = np.floor(images[free] + nudge).astype(np.int64) - least
-                inside = np.all((keys >= 0) & (keys < table.shape), axis=1)
-                syms[free[inside]] = table[keys[inside, 0], keys[inside, 1]]
-            escaped = np.nonzero(syms < 0)[0]
-            if escaped.size:
-                raise EscapedRepeller("point %r lies in no cell" % (
-                    tuple(float(v) for v in rows[escaped[0]]),))
+        syms = np.full(len(rows), -1, dtype=np.intp)
+        for tol in (0.0, _ALIGN_TOL):
+            free = syms < 0
+            if not free.any():
+                break
+            for s in reversed(range(self.n_symbols)):
+                br = self.branches[s]
+                syms[free & (br.lo - tol <= rows)
+                     & (rows <= br.hi + tol)] = s
+        escaped = np.nonzero(syms < 0)[0]
+        if escaped.size:
+            raise EscapedRepeller("point %r lies in no branch domain"
+                                  % float(rows[escaped[0]]))
         return int(syms[0]) if single else syms
 
     def apply(self, x, symbol=None):
@@ -469,30 +348,16 @@ class ExpandingMap:
         rows, single = self._rows(x)
         syms = self.symbol(rows) if symbol is None else symbol
         syms = np.broadcast_to(np.asarray(syms, dtype=np.intp), len(rows))
-        if self.dim == 1:
-            out = np.empty_like(rows)
-            for s, br in enumerate(self.branches):
-                at = syms == s
-                if at.any():
-                    out[at] = br.fwd(rows[at])
-        else:
-            # torus cells share one derivative matrix
-            out = rows @ self.branches[0].matrix.T - self._offsets[syms]
-            np.clip(out, 0.0, 1.0, out=out)
-        if single:
-            return float(out[0]) if self.dim == 1 else out[0]
-        return out
+        out = np.empty_like(rows)
+        for s, br in enumerate(self.branches):
+            at = syms == s
+            if at.any():
+                out[at] = br.fwd(rows[at])
+        return float(out[0]) if single else out
 
     def distance(self, x, y):
-        """Metric of the ambient space: interval distance or torus distance.
-
-        Points or stacks of rows; a stack gives one distance per row.
-        """
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        if self.dim == 2:
-            d = d - np.round(d)
-            d = np.hypot(d[..., 0], d[..., 1])
-        d = np.abs(d)
+        """Interval distance of points or of stacks of rows."""
+        d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
         return float(d) if d.ndim == 0 else d
 
     def check_word(self, word):
@@ -550,12 +415,12 @@ def cocycle(mapping, x, length):
     """Extreme singular values of the derivative of f^length at x.
 
     On the torus every step has derivative A, so the product is A^length
-    at any point of the repeller; ``_torus_logs`` gives it without
-    overflow once the start point is found in a cell.
+    at any point of the repeller; ``TorusMap._torus_logs`` gives it
+    without overflow once the start point is found in a cell.
     """
     if mapping.dim == 2:
         mapping.symbol(np.asarray(x, dtype=float))
-        _, log_hi, log_lo = _torus_logs(mapping, length)
+        _, log_hi, log_lo = mapping._torus_logs(length)
         return CocycleProduct(log_hi, log_lo, length)
     pts, syms = orbit(mapping, x, length)
     total = 0.0
@@ -565,30 +430,6 @@ def cocycle(mapping, x, length):
             raise SingularMatrix("vanishing derivative along orbit")
         total += math.log(slope)
     return CocycleProduct(total, total, length)
-
-
-def _torus_logs(mapping, k):
-    """(log N_k, log sigma_max(A^k), log sigma_min(A^k)) of a torus map.
-
-    Every cell has derivative A and the cells form a full shift on n
-    symbols, so the N_k = n^k words of length k all have derivative A^k.
-    Repeated squaring forms A^k rescaled by powers of two, their exponents
-    summed as integers, so no depth overflows; sigma_min follows from
-    sigma_max sigma_min = |det A|^k.
-    """
-    if mapping.dim != 2 or k < 1:
-        raise BadSpec("torus closed forms need a torus map and k >= 1")
-    a = mapping.constant_derivative
-    power, exponent = np.eye(2), 0
-    for bit in bin(k)[2:]:
-        power, exponent = power @ power, 2 * exponent
-        if bit == "1":
-            power = a @ power
-        shift = int(np.frexp(np.abs(power).max())[1])
-        power, exponent = np.ldexp(power, -shift), exponent + shift
-    log_hi = exponent * math.log(2.0) + math.log(_sv2(power)[0])
-    log_det = math.log(abs(_det2(a)))
-    return k * math.log(mapping.n_symbols), log_hi, k * log_det - log_hi
 
 
 # -- named families ----------------------------------------------------
@@ -626,23 +467,27 @@ def circle_map(degree=3, amplitude=0.0):
 
 def toral_map(a=2, b=2):
     """Diagonal expanding torus endomorphism with matrix diag(a, b)."""
+    from .torus import Branch2D, TorusMap
+
     a = int(a)
     b = int(b)
     if min(a, b) < 2:
         raise BadSpec("diagonal entries must be at least 2")
     mat = np.array([[float(a), 0.0], [0.0, float(b)]])
     branches = [Branch2D(mat, (i, j)) for i in range(a) for j in range(b)]
-    return ExpandingMap(branches, name="toral")
+    return TorusMap(branches, name="toral")
 
 
 def toral_conformal_map(scale=3):
     """Conformal torus endomorphism: quarter turn times an integer scale."""
+    from .torus import Branch2D, TorusMap
+
     s = int(scale)
     if s < 2:
         raise BadSpec("conformal scale must be at least 2")
     mat = np.array([[0.0, -float(s)], [float(s), 0.0]])
     branches = [Branch2D(mat, (k1, k2)) for k1 in range(-s, 0) for k2 in range(s)]
-    return ExpandingMap(branches, name="toral_conformal")
+    return TorusMap(branches, name="toral_conformal")
 
 
 def linear_markov(domains, images):

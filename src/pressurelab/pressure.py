@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics as dyn
 from .cylinders import CylinderSet
 from .errors import BadSpec, MatrixTooLarge, NoConvergence, NotSemiConjugate
 
@@ -25,7 +24,7 @@ EQUIVARIANCE_SAMPLES = 2048  # most sample points the defect is measured on
 
 _KINDS = ("additive", "singular_upper", "singular_lower")
 
-# where ``dynamics._torus_logs`` puts the log singular value of each kind
+# where ``TorusMap._torus_logs`` puts the log singular value of each kind
 _TORUS_SIDE = {"singular_upper": 1, "singular_lower": 2}
 
 
@@ -191,7 +190,7 @@ def _pressure_at(mapping, potential, depths, walk=None):
         side = _TORUS_SIDE[potential.kind]
         values = []
         for k in depths:
-            logs = dyn._torus_logs(mapping, k)
+            logs = mapping._torus_logs(k)
             values.append((logs[0] - potential.weight * logs[side]) / k)
         return values
     if walk is None:
@@ -276,7 +275,7 @@ def pressure_subadditive(mapping, potential, depth=8):
     value = history[-1][1]
     advisory = ""
     if mapping.dim == 2:
-        _, log_hi, log_lo = dyn._torus_logs(mapping, 1)
+        _, log_hi, log_lo = mapping._torus_logs(1)
         if log_hi - log_lo > 1e-6:
             advisory = ("singular spectrum is split; upper and lower "
                         "pressures bound the limit from two sides")
@@ -316,8 +315,8 @@ def iterated_singular_pressure(mapping, t, k, budget=16, kind="upper"):
         cyl = CylinderSet(mapping, budget)
         sums = cyl.log_derivative_sums()
         return logsumexp(-t * sums[-1]) / budget
-    log_sigma = dyn._torus_logs(mapping, k)[_TORUS_SIDE["singular_" + kind]]
-    return dyn._torus_logs(mapping, budget)[0] / budget - (t / k) * log_sigma
+    log_sigma = mapping._torus_logs(k)[_TORUS_SIDE["singular_" + kind]]
+    return mapping._torus_logs(budget)[0] / budget - (t / k) * log_sigma
 
 
 def transfer_pressure(mapping, potential, block_length):
@@ -338,8 +337,9 @@ def transfer_pressure(mapping, potential, block_length):
     cyl = CylinderSet(mapping, block_length)
     leaves = cyl.leaves
     if potential.kind != "additive" and mapping.dim == 2:
-        s_vals = np.full(len(leaves.first), -potential.weight * dyn._torus_logs(
-            mapping, block_length)[_TORUS_SIDE[potential.kind]])
+        side = _TORUS_SIDE[potential.kind]
+        s_vals = np.full(len(leaves.first), -potential.weight
+                         * mapping._torus_logs(block_length)[side])
     else:
         s_vals = cyl.birkhoff(potential.step_values)[-1]
     shift = float(s_vals.max())
@@ -392,7 +392,7 @@ def variational_gaps(mapping, potential, words, depth=12):
     else:
         side = _TORUS_SIDE[potential.kind]
         averages = np.array([-potential.weight
-                             * dyn._torus_logs(mapping, len(word))[side]
+                             * mapping._torus_logs(len(word))[side]
                              / len(word) for word in words])
     return pressure_additive(mapping, potential, depth) - averages
 

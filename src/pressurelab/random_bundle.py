@@ -286,14 +286,20 @@ def _letter_table(letters):
     return table
 
 
+# points a batched fiber walk holds per level over all its windows; 2^14
+# float64 points are 128 KiB, so the walks of a sweep add little to its
+# peak memory however many windows it certifies
+_BATCH_POINTS = 1 << 14
+
+
 def _window_chunks(family, count, depth):
     """Slices batching ``count`` windows for walks of depth ``depth``.
 
     A batched walk holds one point per window and word, so each batch
-    keeps windows x words within WORD_CAP; a walk too deep for two
-    windows gets one window per batch.
+    keeps windows x words within ``_BATCH_POINTS``; a walk of more words
+    than that gets one window per batch.
     """
-    size = max(1, WORD_CAP // int(family.base_map.count_words(depth)))
+    size = max(1, _BATCH_POINTS // int(family.base_map.count_words(depth)))
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 

@@ -510,6 +510,9 @@ def test_cli_error_attribution(tmp_path):
     ("--mode", "stability", "eps_schedule="),
     # letters are drawn from 32 hash bits
     ("--mode", "stability", "letters=4294967297"),
+    # certificates are keyed by level, so a repeat would drop a block
+    ("--mode", "stability", "eps_schedule=0.1,0.1", "seeds=2"),
+    ("--mode", "stability", "eps_schedule=0.2,0.05,0.20"),
 ])
 def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
                                                        monkeypatch, args):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pressurelab as pl
 from conftest import GOLDEN, admissible_count, branch_symbol
 from pressurelab import dynamics as dyn
-from pressurelab import lyapunov
+from pressurelab import lyapunov, torus
 from pressurelab.dynamics import _ALIGN_TOL
 
 
@@ -92,12 +92,54 @@ def test_torus_cells_must_tile_the_unit_square():
     # give parallelograms A^(-1)([0,1]^2 + k) that leave the unit square
     jordan = [[3.0, 1.0], [0.0, 3.0]]
     with pytest.raises(pl.BadSpec, match="tile"):
-        pl.ExpandingMap([dyn.Branch2D(jordan, (i, j))
-                         for i in range(3) for j in range(3)])
+        torus.TorusMap([torus.Branch2D(jordan, (i, j))
+                        for i in range(3) for j in range(3)])
     for a in range(2, 6):
         assert pl.toral_conformal_map(a).n_symbols == a * a
         for b in range(2, 6):
             assert pl.toral_map(a, b).n_symbols == a * b
+
+
+# describe(), resolve_epsilon(), hull and diam of the torus maps as they
+# were while the torus code lived in ``dynamics``
+_TORUS_PINS = {
+    "toral(2,3)": (
+        "map:toral|dim=2|cell,2.0,0.0,0.0,3.0,0.0,0.0"
+        "|cell,2.0,0.0,0.0,3.0,0.0,1.0|cell,2.0,0.0,0.0,3.0,0.0,2.0"
+        "|cell,2.0,0.0,0.0,3.0,1.0,0.0|cell,2.0,0.0,0.0,3.0,1.0,1.0"
+        "|cell,2.0,0.0,0.0,3.0,1.0,2.0"
+        "|adj=111111;111111;111111;111111;111111;111111"),
+    "toral_conformal(3)": (
+        "map:toral_conformal|dim=2|cell,0.0,-3.0,3.0,0.0,-3.0,0.0"
+        "|cell,0.0,-3.0,3.0,0.0,-3.0,1.0|cell,0.0,-3.0,3.0,0.0,-3.0,2.0"
+        "|cell,0.0,-3.0,3.0,0.0,-2.0,0.0|cell,0.0,-3.0,3.0,0.0,-2.0,1.0"
+        "|cell,0.0,-3.0,3.0,0.0,-2.0,2.0|cell,0.0,-3.0,3.0,0.0,-1.0,0.0"
+        "|cell,0.0,-3.0,3.0,0.0,-1.0,1.0|cell,0.0,-3.0,3.0,0.0,-1.0,2.0"
+        "|adj=111111111;111111111;111111111;111111111;111111111;111111111;"
+        "111111111;111111111;111111111"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_TORUS_PINS))
+def test_torus_maps_keep_their_description_and_scales(spec):
+    mp = {"toral(2,3)": lambda: pl.toral_map(2, 3),
+          "toral_conformal(3)": lambda: pl.toral_conformal_map(3)}[spec]()
+    assert isinstance(mp, torus.TorusMap)
+    assert mp.describe() == _TORUS_PINS[spec]
+    assert mp.resolve_epsilon() == 0.16666666666666666
+    assert mp.hull == (0.0, 1.0)
+    assert mp.diam == 0.7071067811865476
+
+
+def test_maps_take_branches_of_their_own_dimension():
+    cell = torus.Branch2D([[2.0, 0.0], [0.0, 2.0]], (0, 0))
+    with pytest.raises(pl.BadSpec, match="TorusMap"):
+        pl.ExpandingMap([cell])
+    with pytest.raises(pl.BadSpec, match="TorusMap"):
+        pl.ExpandingMap([dyn.affine_branch(0.0, 0.5, 0.0, 1.0), cell])
+    with pytest.raises(pl.BadSpec, match="Branch2D"):
+        torus.TorusMap([dyn.affine_branch(0.0, 0.5, 0.0, 1.0),
+                        dyn.affine_branch(0.5, 1.0, 0.0, 1.0)])
 
 
 _ENTRY = st.integers(min_value=-6, max_value=6)
@@ -116,11 +158,11 @@ def test_2x2_closed_forms_match_linalg(entries):
     a, b, c, d = entries
     m = np.array([[a, b], [c, d]], dtype=float)
     det = a * d - b * c
-    assert dyn._det2(m) == det
+    assert torus._det2(m) == det
     assert np.linalg.det(m) == pytest.approx(det, rel=1e-12)
     inv = np.linalg.inv(m)
-    assert np.abs(dyn._inv2(m) - inv).max() <= 1e-12 * np.abs(inv).max()
-    assert dyn._sv2(m) == pytest.approx(
+    assert np.abs(torus._inv2(m) - inv).max() <= 1e-12 * np.abs(inv).max()
+    assert torus._sv2(m) == pytest.approx(
         tuple(np.linalg.svd(m, compute_uv=False)), rel=1e-12)
     moduli = lyapunov._eig_moduli2(m)
     if (a + d) ** 2 == 4 * det:

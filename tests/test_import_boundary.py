@@ -50,24 +50,28 @@ _RANDOM = {"random_bundle", "transfer", "conjugacy"}
 
 @pytest.mark.parametrize("args, absent", [
     # the sweep runs its roots on transfer operators, and only checks
-    # and library callers run the one-window conjugacy code
+    # and library callers run the one-window conjugacy code; interval
+    # runs never load the torus maps
     (("--mode", "stability", "map=cookie_cutter(3,3)", "seeds=2"),
-     {"lyapunov", "checks", "pressure", "conjugacy"}),
+     {"lyapunov", "checks", "pressure", "conjugacy", "torus"}),
     (("--mode", "dimension", "map=cookie_cutter(3,3)"),
-     {"lyapunov", "checks", "pressure"} | _RANDOM),
+     {"lyapunov", "checks", "pressure", "torus"} | _RANDOM),
     (("--mode", "pressure", "map=doubling", "potential=geometric(0.7)"),
-     {"lyapunov", "checks", "bowen"} | _RANDOM),
-    # torus roots are closed forms from dynamics, not pressure estimators
+     {"lyapunov", "checks", "bowen", "torus"} | _RANDOM),
+    # torus roots are closed forms of the torus map, not pressure
+    # estimators
     (("--mode", "dimension", "map=toral(2,3)", "depth=20"),
      {"lyapunov", "checks", "pressure"} | _RANDOM),
     # entropies are word counts, not zero potential pressures
     (("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
-     {"lyapunov", "checks", "pressure", "conjugacy"}),
+     {"lyapunov", "checks", "pressure", "conjugacy", "torus"}),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
     loaded = _loaded_by_run(tmp_path / "out", *args)
     assert {"cli", "config", "dynamics", "cylinders"} <= loaded
     assert not loaded & absent
+    # a torus run reads one module more than the interval run of its mode
+    assert ("torus" in loaded) == ("map=toral(2,3)" in args)
 
 
 def test_checks_run_loads_every_module(tmp_path):
@@ -101,6 +105,21 @@ def test_random_bundle_forwards_the_names_moved_to_conjugacy():
     for name in ("no_such_name", "random_pressure", "MAX_ROOT_NODES"):
         with pytest.raises(AttributeError, match=name):
             getattr(random_bundle, name)
+
+
+def test_dynamics_forwards_only_the_torus_cell_class():
+    """Importing dynamics does not load torus; the one forwarded name is
+    torus's own class, and no other name resolves through the forward."""
+    code = ("import sys\n"
+            "from pressurelab import dynamics\n"
+            "print('pressurelab.torus' in sys.modules)\n")
+    assert _fresh(code) == ["False"]
+    from pressurelab import dynamics, torus
+    assert "Branch2D" not in vars(dynamics)
+    assert dynamics.Branch2D is torus.Branch2D
+    for name in ("no_such_name", "TorusMap", "_inv2", "_EDGE_NUDGES"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(dynamics, name)
 
 
 def test_runs_load_neither_numpy_random_nor_hashlib(tmp_path):
