@@ -24,15 +24,6 @@ _ALIGN_TOL = 1e-9
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def __getattr__(name):
-    # perfbench/tracer.py reaches the torus cell class here; the forward
-    # goes when the tracer wraps it in ``torus`` (ROADMAP item 11)
-    if name == "Branch2D":
-        from .torus import Branch2D
-        return Branch2D
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 class Branch1D:
     """One increasing branch of a piecewise expanding interval map.
 
@@ -152,6 +143,57 @@ def circle_branch(degree, amplitude, index):
                     max_slope=degree + two_pi * abs(amplitude),
                     log_deriv_lipschitz=(two_pi ** 2) * abs(amplitude) / floor_slope,
                     tag=tag)
+
+
+def _det2(m):
+    (a, b), (c, d) = m.tolist()
+    return a * d - b * c
+
+
+def _inv2(m):
+    """Inverse of a 2x2 matrix, adj(m) / det(m)."""
+    (a, b), (c, d) = m.tolist()
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def _sv2(m):
+    """(sigma_max, sigma_min) of a 2x2 matrix."""
+    (a, b), (c, d) = m.tolist()
+    hi = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    return hi, abs(a * d - b * c) / hi
+
+
+class Branch2D:
+    """One affine cell of a linear expanding torus endomorphism.
+
+    The cell with integer ``offset`` k is the preimage of the unit square
+    shifted by k, and its inverse branch is y -> A^(-1) (y + k).  The
+    determinant, the inverse adj(A)/det A and the singular values come
+    from 2x2 closed forms: sigma_max is (|(a+d, b-c)| + |(a-d, b+c)|)/2
+    and sigma_min is |det A|/sigma_max.
+    """
+
+    __slots__ = ("matrix", "offset", "inv_matrix", "min_slope", "max_slope",
+                 "log_deriv_lipschitz", "tag")
+
+    def __init__(self, matrix, offset):
+        self.matrix = np.array(matrix, dtype=float).reshape(2, 2)
+        self.offset = np.array(offset, dtype=float).reshape(2)
+        if abs(_det2(self.matrix)) < 1e-12:
+            raise SingularMatrix("cell matrix is singular")
+        self.inv_matrix = _inv2(self.matrix)
+        self.max_slope, self.min_slope = _sv2(self.matrix)
+        self.log_deriv_lipschitz = 0.0
+        self.tag = ("cell",) + tuple(repr(float(v)) for v in self.matrix.ravel()) \
+            + tuple(repr(float(v)) for v in self.offset)
+
+    @property
+    def center(self):
+        return self.inv_matrix @ (self.offset + 0.5)
+
+    def inv(self, y):
+        y = np.asarray(y, dtype=float)
+        return (y + self.offset) @ self.inv_matrix.T
 
 
 class CocycleProduct(NamedTuple):
@@ -467,7 +509,7 @@ def circle_map(degree=3, amplitude=0.0):
 
 def toral_map(a=2, b=2):
     """Diagonal expanding torus endomorphism with matrix diag(a, b)."""
-    from .torus import Branch2D, TorusMap
+    from .torus import TorusMap
 
     a = int(a)
     b = int(b)
@@ -480,7 +522,7 @@ def toral_map(a=2, b=2):
 
 def toral_conformal_map(scale=3):
     """Conformal torus endomorphism: quarter turn times an integer scale."""
-    from .torus import Branch2D, TorusMap
+    from .torus import TorusMap
 
     s = int(scale)
     if s < 2:

@@ -58,8 +58,6 @@ def periodic_orbit(mapping, word):
         def newton(x, g, slope):
             return x - (g - x) / (slope - 1.0) if slope != 1.0 else math.nan
     else:
-        from .torus import _inv2
-
         tol, orbit, unit = 1e-14, np.empty((p, 2)), np.eye(2)
 
         def chain(slope, br, z):
@@ -71,7 +69,7 @@ def periodic_orbit(mapping, word):
                                & (z <= 1.0 + dyn._ALIGN_TOL)))
 
         def newton(x, g, slope):
-            return x - _inv2(slope - unit) @ (g - x)
+            return x - dyn._inv2(slope - unit) @ (g - x)
 
     x = first.center
     for _ in range(_ORBIT_PASSES):

@@ -286,24 +286,26 @@ def _letter_table(letters):
     return table
 
 
-# points a batched fiber walk holds per level over all its windows; 2^14
-# float64 points are 128 KiB, so the walks of a sweep add little to its
-# peak memory however many windows it certifies
-_BATCH_POINTS = 1 << 14
-
-
-def _window_chunks(family, count, depth):
+def _window_chunks(family, count, depth, points=None):
     """Slices batching ``count`` windows for walks of depth ``depth``.
 
     A batched walk holds one point per window and word, so each batch
-    keeps windows x words within ``_BATCH_POINTS``; a walk of more words
-    than that gets one window per batch.
+    keeps windows x words within ``points`` (``WORD_CAP`` when omitted);
+    a walk of more words than that gets one window per batch.
     """
-    size = max(1, _BATCH_POINTS // int(family.base_map.count_words(depth)))
+    budget = WORD_CAP if points is None else points
+    size = max(1, budget // int(family.base_map.count_words(depth)))
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 # -- conjugacy defects ------------------------------------------------------
+
+# points a batch of conjugacy walks holds per level over all its windows.
+# The defects keep one walk's level while the next walk runs, the largest
+# transient of a sweep; 2^14 points keep it near 0.6 MB, and smaller
+# batches start to cost time per point (CHANGES.md has the measurements)
+_CONJUGACY_BATCH_POINTS = 1 << 14
+
 
 def _conjugacy_defects(family, letters, base=None):
     """Conjugacy displacement and equivariance defect per row of ``letters``.
@@ -326,7 +328,8 @@ def _conjugacy_defects(family, letters, base=None):
         base = CylinderSet(family.base_map, depth).leaves.points
     moved = np.empty(len(letters))
     defect = np.empty(len(letters))
-    for rows in _window_chunks(family, len(letters), depth):
+    for rows in _window_chunks(family, len(letters), depth,
+                               _CONJUGACY_BATCH_POINTS):
         levels = FiberCylinders(family, letters[rows, :-1]).levels
         moved[rows] = _largest_gap(levels[-1].points, base)
         shifted = levels[-2].points[..., None]

@@ -14,63 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _ALIGN_TOL, ExpandingMap
-from .errors import BadSpec, EscapedRepeller, NonMarkov, SingularMatrix
+from .dynamics import _ALIGN_TOL, Branch2D, ExpandingMap, _det2, _sv2
+from .errors import BadSpec, EscapedRepeller, NonMarkov
 
 # cell lookup: a row on a cell edge lies in the cells on both sides;
 # nudged up first, then down on one axis, the other, and both
 _EDGE_NUDGES = 1e-9 * np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
-
-
-def _det2(m):
-    (a, b), (c, d) = m.tolist()
-    return a * d - b * c
-
-
-def _inv2(m):
-    """Inverse of a 2x2 matrix, adj(m) / det(m)."""
-    (a, b), (c, d) = m.tolist()
-    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-
-
-def _sv2(m):
-    """(sigma_max, sigma_min) of a 2x2 matrix."""
-    (a, b), (c, d) = m.tolist()
-    hi = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
-    return hi, abs(a * d - b * c) / hi
-
-
-class Branch2D:
-    """One affine cell of a linear expanding torus endomorphism.
-
-    The cell with integer ``offset`` k is the preimage of the unit square
-    shifted by k, and its inverse branch is y -> A^(-1) (y + k).  The
-    determinant, the inverse adj(A)/det A and the singular values come
-    from 2x2 closed forms: sigma_max is (|(a+d, b-c)| + |(a-d, b+c)|)/2
-    and sigma_min is |det A|/sigma_max.
-    """
-
-    __slots__ = ("matrix", "offset", "inv_matrix", "min_slope", "max_slope",
-                 "log_deriv_lipschitz", "tag")
-
-    def __init__(self, matrix, offset):
-        self.matrix = np.array(matrix, dtype=float).reshape(2, 2)
-        self.offset = np.array(offset, dtype=float).reshape(2)
-        if abs(_det2(self.matrix)) < 1e-12:
-            raise SingularMatrix("cell matrix is singular")
-        self.inv_matrix = _inv2(self.matrix)
-        self.max_slope, self.min_slope = _sv2(self.matrix)
-        self.log_deriv_lipschitz = 0.0
-        self.tag = ("cell",) + tuple(repr(float(v)) for v in self.matrix.ravel()) \
-            + tuple(repr(float(v)) for v in self.offset)
-
-    @property
-    def center(self):
-        return self.inv_matrix @ (self.offset + 0.5)
-
-    def inv(self, y):
-        y = np.asarray(y, dtype=float)
-        return (y + self.offset) @ self.inv_matrix.T
 
 
 class TorusMap(ExpandingMap):

@@ -92,7 +92,7 @@ def test_torus_cells_must_tile_the_unit_square():
     # give parallelograms A^(-1)([0,1]^2 + k) that leave the unit square
     jordan = [[3.0, 1.0], [0.0, 3.0]]
     with pytest.raises(pl.BadSpec, match="tile"):
-        torus.TorusMap([torus.Branch2D(jordan, (i, j))
+        torus.TorusMap([dyn.Branch2D(jordan, (i, j))
                         for i in range(3) for j in range(3)])
     for a in range(2, 6):
         assert pl.toral_conformal_map(a).n_symbols == a * a
@@ -132,7 +132,7 @@ def test_torus_maps_keep_their_description_and_scales(spec):
 
 
 def test_maps_take_branches_of_their_own_dimension():
-    cell = torus.Branch2D([[2.0, 0.0], [0.0, 2.0]], (0, 0))
+    cell = dyn.Branch2D([[2.0, 0.0], [0.0, 2.0]], (0, 0))
     with pytest.raises(pl.BadSpec, match="TorusMap"):
         pl.ExpandingMap([cell])
     with pytest.raises(pl.BadSpec, match="TorusMap"):
@@ -158,11 +158,11 @@ def test_2x2_closed_forms_match_linalg(entries):
     a, b, c, d = entries
     m = np.array([[a, b], [c, d]], dtype=float)
     det = a * d - b * c
-    assert torus._det2(m) == det
+    assert dyn._det2(m) == det
     assert np.linalg.det(m) == pytest.approx(det, rel=1e-12)
     inv = np.linalg.inv(m)
-    assert np.abs(torus._inv2(m) - inv).max() <= 1e-12 * np.abs(inv).max()
-    assert torus._sv2(m) == pytest.approx(
+    assert np.abs(dyn._inv2(m) - inv).max() <= 1e-12 * np.abs(inv).max()
+    assert dyn._sv2(m) == pytest.approx(
         tuple(np.linalg.svd(m, compute_uv=False)), rel=1e-12)
     moduli = lyapunov._eig_moduli2(m)
     if (a + d) ** 2 == 4 * det:

@@ -107,19 +107,16 @@ def test_random_bundle_forwards_the_names_moved_to_conjugacy():
             getattr(random_bundle, name)
 
 
-def test_dynamics_forwards_only_the_torus_cell_class():
-    """Importing dynamics does not load torus; the one forwarded name is
-    torus's own class, and no other name resolves through the forward."""
+def test_dynamics_loads_torus_only_for_a_torus_map():
+    """The torus factories import torus in their bodies, and the torus
+    map's cells are the Branch2D of dynamics."""
     code = ("import sys\n"
             "from pressurelab import dynamics\n"
-            "print('pressurelab.torus' in sys.modules)\n")
-    assert _fresh(code) == ["False"]
-    from pressurelab import dynamics, torus
-    assert "Branch2D" not in vars(dynamics)
-    assert dynamics.Branch2D is torus.Branch2D
-    for name in ("no_such_name", "TorusMap", "_inv2", "_EDGE_NUDGES"):
-        with pytest.raises(AttributeError, match=name):
-            getattr(dynamics, name)
+            "print('pressurelab.torus' in sys.modules)\n"
+            "mp = dynamics.toral_map(2, 3)\n"
+            "print('pressurelab.torus' in sys.modules)\n"
+            "print(type(mp.branches[0]) is dynamics.Branch2D)\n")
+    assert _fresh(code) == ["False", "True", "True"]
 
 
 def test_runs_load_neither_numpy_random_nor_hashlib(tmp_path):

@@ -672,7 +672,7 @@ def test_batched_walk_rows_equal_one_window_walks(shape, n_windows, depth,
     and blocks are shared; points and log-derivative sums are exact on
     affine fibers and agree to 1e-12 on circle fibers, whose inverse
     branches iterate Newton steps over all points of a call.  A small
-    batch budget splits the rows into batches of two.
+    word cap splits the rows into batches of two.
     """
     kind, params, eps = shape
     fam = pl.RandomFamily(kind, params, eps, n_letters)
@@ -681,8 +681,8 @@ def test_batched_walk_rows_equal_one_window_walks(shape, n_windows, depth,
     windows = np.array(data.draw(st.lists(row, min_size=n_windows,
                                           max_size=n_windows)))
     words = int(fam.base_map.count_words(depth))
-    cap = 2 * words if small_cap else random_bundle._BATCH_POINTS
-    with mock.patch.object(random_bundle, "_BATCH_POINTS", cap):
+    cap = 2 * words if small_cap else random_bundle.WORD_CAP
+    with mock.patch.object(random_bundle, "WORD_CAP", cap):
         chunks = random_bundle._window_chunks(fam, n_windows, depth)
     if small_cap:
         assert [len(windows[rows]) for rows in chunks] == \
@@ -746,11 +746,10 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     """One letter row per seed, and one base walk per conjugacy depth.
 
     Per level the sweep walks the batched fibers of both conjugacy slices
-    of the letter table, in batches of at most ``_BATCH_POINTS`` points,
-    its growth slice once, and the constant windows of all letters once
-    for distortion.  The base map is walked
-    once per distinct conjugacy depth, and at half and full depth for the
-    reference root.
+    of the letter table, in batches of at most ``_CONJUGACY_BATCH_POINTS``
+    points, its growth slice once, and the constant windows of all letters
+    once for distortion.  The base map is walked once per distinct
+    conjugacy depth, and at half and full depth for the reference root.
     """
     from pressurelab import cylinders, random_bundle
     draws = []
@@ -795,7 +794,8 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     assert base_depths == [6, 9, 10, 11, 12]
     # 16 windows of 2^11 words are two batches; of 2^10 or 2^9, one
     batches = [-(-16 * 2 ** cert["conj_depth"]
-                 // random_bundle._BATCH_POINTS) for cert in levels.values()]
+                 // random_bundle._CONJUGACY_BATCH_POINTS)
+               for cert in levels.values()]
     assert batches == [2, 1, 1, 1]
     assert len(walks) == len(base_depths) + 2 * sum(batches) + 2 * len(levels)
 
