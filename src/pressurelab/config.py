@@ -231,7 +231,14 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("out directory must be set")
         mapping = _map_or_none(self.map)
         if self.mode == "pressure":
-            build_potential(self.potential)
+            potential = build_potential(self.potential)
+            # geometric values read log f' of interval branches; torus
+            # cells have singular values instead
+            if potential.name.startswith("geometric") and \
+                    mapping is not None and mapping.dim == 2:
+                raise ConfigError("potential %s needs an interval map; on the "
+                                  "torus map %s use singular_upper or "
+                                  "singular_lower" % (self.potential, self.map))
         if self.mode in ("stability", "entropy", "checks"):
             kind, params = family_shape(self.map)
             if self.mode != "stability" and mapping is not None:
@@ -247,7 +254,7 @@ class ExperimentConfig(NamedTuple):
                                   % (self.orbit_word, self.map, exc))
         words = self._walk_words(mapping)
         if words > WORD_CAP:
-            raise ConfigError("%s mode on %s enumerates %.0f words of length "
+            raise ConfigError("%s mode on %s enumerates %d words of length "
                               "%d, cap is %d" % (self.mode, self.map, words,
                                                  self._deepest_walk(mapping),
                                                  WORD_CAP))

@@ -204,6 +204,13 @@ class CocycleProduct(NamedTuple):
     steps: int
 
 
+def _int_product(a, b):
+    """Product of two matrices of Python ints given as tuples of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
 class ExpandingMap:
     """Piecewise expanding Markov map of the interval with explicit inverse
     branches; ``torus.TorusMap`` is the torus subclass."""
@@ -420,13 +427,24 @@ class ExpandingMap:
         return word
 
     def count_words(self, length):
-        """Number of admissible words of the given length."""
+        """Number of admissible words of the given length, an exact int.
+
+        The row of ones times the 0/1 adjacency to the power length - 1,
+        by repeated squaring in Python integers, so no count rounds or
+        overflows at any length.
+        """
         if length < 1:
             raise BadSpec("word length must be positive")
-        if length == 1:
-            return float(self.n_symbols)
-        power = np.linalg.matrix_power(self.adjacency_matrix, length - 1)
-        return float(power.sum())
+        row = (1,) * self.n_symbols
+        power = self.adjacency
+        steps = length - 1
+        while steps:
+            if steps & 1:
+                row = _int_product((row,), power)[0]
+            steps >>= 1
+            if steps:
+                power = _int_product(power, power)
+        return sum(row)
 
     def describe(self):
         """Canonical text form, stable across runs."""

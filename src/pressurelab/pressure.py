@@ -333,7 +333,7 @@ def transfer_pressure(mapping, potential, block_length):
     count = mapping.count_words(block_length)
     if count > TRANSFER_CAP:
         raise MatrixTooLarge("block transfer needs %d states, cap is %d"
-                             % (int(count), TRANSFER_CAP))
+                             % (count, TRANSFER_CAP))
     cyl = CylinderSet(mapping, block_length)
     leaves = cyl.leaves
     if potential.kind != "additive" and mapping.dim == 2:

@@ -294,7 +294,7 @@ def _window_chunks(family, count, depth, points=None):
     a walk of more words than that gets one window per batch.
     """
     budget = WORD_CAP if points is None else points
-    size = max(1, budget // int(family.base_map.count_words(depth)))
+    size = max(1, budget // family.base_map.count_words(depth))
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
@@ -408,13 +408,9 @@ def random_entropy(family, depth=12):
     Letters never change word counts and every family is a full shift, so
     every fiber has the base map's N_n words of length n, and the zero
     potential ``random_pressure`` of any seeds is this value.  No word is
-    walked.  A count past float range is a BadSpec.
+    walked, and the count is exact, so every depth has an entropy.
     """
-    with np.errstate(over="ignore"):
-        count = family.base_map.count_words(depth)
-    if not math.isfinite(count):
-        raise BadSpec("the word count at depth %d overflows" % depth)
-    return math.log(count) / depth
+    return math.log(family.base_map.count_words(depth)) / depth
 
 
 def expansivity_min_growth(family, letters):
@@ -584,10 +580,10 @@ class StabilityResult(NamedTuple):
 
 
 def _cap_depth(family):
-    """Largest d with n^d <= WORD_CAP, n the symbol count, but at least 2."""
-    n_sym = family.base_map.n_symbols
+    """Largest d whose base map words fit under WORD_CAP, but at least 2."""
+    count = family.base_map.count_words
     depth = 2
-    while n_sym ** (depth + 1) <= WORD_CAP:
+    while count(depth + 1) <= WORD_CAP:
         depth += 1
     return depth
 

@@ -181,6 +181,30 @@ def test_unread_keys_are_config_errors(tmp_path, capsys, monkeypatch, mode,
             assert "%s mode does not read %s;" % (mode, key) in err
 
 
+@pytest.mark.parametrize("spec", ["toral(2,3)", "toral_conformal(3)"])
+def test_geometric_potential_on_a_torus_is_a_config_error(tmp_path, capsys,
+                                                          monkeypatch, spec):
+    """Torus cells have singular values, not the log f' geometric reads."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a potential the map lacks")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    keys = {"map": spec, "potential": "geometric(0.5)", "depth": "6"}
+    path = tmp_path / "exp.cfg"
+    path.write_text("mode = pressure\n" + "".join(
+        "%s = %s\n" % item for item in keys.items()))
+    routes = [["--mode", "pressure"] + ["%s=%s" % item for item in keys.items()],
+              ["--config", str(path)],
+              ["--mode", "pressure"] + [arg for key, value in keys.items()
+                                        for arg in ("--" + key, value)]]
+    for argv in routes:
+        rc, out = run_mode(tmp_path, *argv)
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "singular_upper" in err and "singular_lower" in err
+
+
 def test_flags_beat_overrides_and_overrides_beat_the_file(tmp_path):
     """Precedence is by source, whatever the order on the command line."""
     path = tmp_path / "exp.cfg"
@@ -550,6 +574,24 @@ def test_cli_rejects_walks_over_the_word_cap(tmp_path, capsys, args):
     assert rc == 2
     assert not out.exists()
     assert "cap is %d" % pl.WORD_CAP in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("--mode", "stability", "seeds=2"),
+    ("--mode", "checks"),
+], ids=["stability", "checks"])
+def test_runs_raise_no_float_matrix_to_a_power(tmp_path, monkeypatch, args):
+    """Word counts are exact ints, so no run calls ``matrix_power``."""
+    def no_power(*args, **kwargs):
+        raise AssertionError("a run raised a float matrix to a power")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+    rc, out = run_mode(tmp_path, *args)
+    assert rc == 0
+    record = (out / "record.txt").read_text()
+    assert "status=ok\n" in record
+    if "checks" in args:
+        assert "summary.checks_failed=0\n" in record
 
 
 def test_cli_stability_roots_need_no_word_walk(tmp_path):

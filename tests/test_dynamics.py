@@ -65,6 +65,27 @@ def test_golden_mean_forbids_repeated_ones():
         assert mp.count_words(n) == admissible_count(mp.adjacency, n)
 
 
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("build, length, count", [
+    (pl.doubling_map, 1100, 2 ** 1100),
+    # golden mean words of length n are the Fibonacci number F(n + 2)
+    (pl.golden_mean_map, 100, _fibonacci(102)),
+    (lambda: pl.toral_map(2, 3), 30, 6 ** 30),
+], ids=["doubling", "golden_mean", "toral"])
+def test_word_counts_are_exact_past_float_precision(build, length, count):
+    """Counts past 2^53, and past float range, are exact ints."""
+    mp = build()
+    words = mp.count_words(length)
+    assert type(words) is int and words > 2 ** 53
+    assert words == count == admissible_count(mp.adjacency, length)
+
+
 def test_linear_markov_adjacency_from_geometry(markov_example):
     domains, images = markov_example
     mp = pl.linear_markov(domains, images)
