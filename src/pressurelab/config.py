@@ -30,6 +30,10 @@ _MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16,
                "entropy": 12}
 # noise level of the checks battery when epsilon is 0
 CHECKS_EPSILON = 0.1
+# deepest entropy run: its exact word count holds depth log2 n bits for n
+# symbols, and the count of 3 symbols takes about 0.1 s at this depth and
+# 3 s at ten times it
+ENTROPY_DEPTH_CAP = 10 ** 5
 
 # potential spec names, each a constructor of ``pressure.Potential``
 _POTENTIALS = ("zero", "constant", "geometric", "singular_upper",
@@ -201,6 +205,9 @@ class ExperimentConfig(NamedTuple):
         """Raise ConfigError unless this resolved config can run."""
         if "depth" in _MODE_KEYS[self.mode] and self.depth < 1:
             raise ConfigError("depth must be positive")
+        if self.mode == "entropy" and self.depth > ENTROPY_DEPTH_CAP:
+            raise ConfigError("entropy depth must be at most %d"
+                              % ENTROPY_DEPTH_CAP)
         if self.seeds < 1:
             raise ConfigError("seeds must be positive")
         # seeds key a 64-bit hash of the letter positions
@@ -252,12 +259,11 @@ class ExperimentConfig(NamedTuple):
             except InadmissibleWord as exc:
                 raise ConfigError("orbit_word %r on %s: %s"
                                   % (self.orbit_word, self.map, exc))
-        words = self._walk_words(mapping)
-        if words > WORD_CAP:
-            raise ConfigError("%s mode on %s enumerates %d words of length "
-                              "%d, cap is %d" % (self.mode, self.map, words,
-                                                 self._deepest_walk(mapping),
-                                                 WORD_CAP))
+        if self._walk_words(mapping) > WORD_CAP:
+            raise ConfigError("%s mode on %s enumerates more words of length "
+                              "%d than the word cap; cap is %d"
+                              % (self.mode, self.map,
+                                 self._deepest_walk(mapping), WORD_CAP))
 
     def _certify_family(self, kind, params):
         """ConfigError unless the family of one-level runs certifies.
@@ -276,9 +282,10 @@ class ExperimentConfig(NamedTuple):
                               % (self.mode, self.map, self.epsilon, exc))
 
     def _walk_words(self, mapping):
-        """Words in the deepest cylinder walk of a run; 0 for none."""
+        """Words in the deepest cylinder walk of a run, WORD_CAP + 1 for
+        any count past the cap; 0 for none."""
         depth = self._deepest_walk(mapping) if mapping is not None else 0
-        return mapping.count_words(depth) if depth else 0
+        return mapping.count_words(depth, cap=WORD_CAP) if depth else 0
 
     def _deepest_walk(self, mapping):
         """Longest word a run of this config enumerates; 0 for none.

@@ -330,10 +330,9 @@ def transfer_pressure(mapping, potential, block_length):
     NoConvergence); paths of this graph biject with admissible words, so
     on full shifts the value is exact at every block length.
     """
-    count = mapping.count_words(block_length)
-    if count > TRANSFER_CAP:
-        raise MatrixTooLarge("block transfer needs %d states, cap is %d"
-                             % (count, TRANSFER_CAP))
+    if mapping.count_words(block_length, cap=TRANSFER_CAP) > TRANSFER_CAP:
+        raise MatrixTooLarge("block transfer of length %d needs more states "
+                             "than the cap of %d" % (block_length, TRANSFER_CAP))
     cyl = CylinderSet(mapping, block_length)
     leaves = cyl.leaves
     if potential.kind != "additive" and mapping.dim == 2:

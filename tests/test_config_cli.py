@@ -568,6 +568,10 @@ def test_cli_config_error_exit_code():
     ("--mode", "stability", "map=circle(4,0.05)", "depth=8"),
     # additive torus pressure enumerates words; only closed forms do not
     ("--mode", "pressure", "map=toral(2,3)", "depth=8"),
+    # the cap check counts in capped ints, so no depth is too deep to check
+    ("--mode", "dimension", "map=circle(3,0.05)", "depth=1000000000"),
+    ("--mode", "stability", "map=cookie_cutter(3,3)",
+     "conj_depth=1000000000"),
 ])
 def test_cli_rejects_walks_over_the_word_cap(tmp_path, capsys, args):
     rc, out = run_mode(tmp_path, *args)
@@ -592,6 +596,16 @@ def test_runs_raise_no_float_matrix_to_a_power(tmp_path, monkeypatch, args):
     assert "status=ok\n" in record
     if "checks" in args:
         assert "summary.checks_failed=0\n" in record
+
+
+def test_cli_rejects_entropy_past_the_depth_cap(tmp_path, capsys):
+    """An exact count grows with depth; past the cap a run exits 2."""
+    cap = cfgmod.ENTROPY_DEPTH_CAP
+    assert make("entropy", depth=str(cap)).depth == cap
+    rc, out = run_mode(tmp_path, "--mode", "entropy", "depth=%d" % (cap + 1))
+    assert rc == 2
+    assert not out.exists()
+    assert "at most %d" % cap in capsys.readouterr().err
 
 
 def test_cli_stability_roots_need_no_word_walk(tmp_path):

@@ -86,6 +86,21 @@ def test_word_counts_are_exact_past_float_precision(build, length, count):
     assert words == count == admissible_count(mp.adjacency, length)
 
 
+@pytest.mark.parametrize("build", [pl.golden_mean_map, pl.doubling_map,
+                                   lambda: pl.circle_map(5, 0.0)],
+                         ids=["golden_mean", "doubling", "circle5"])
+def test_word_counts_and_capped_counts_match_the_oracle(build):
+    """Short words take row products, long ones squarings; a cap clips."""
+    mp = build()
+    for length in range(1, 61):
+        exact = admissible_count(mp.adjacency, length)
+        assert mp.count_words(length) == exact
+        for cap in (0, 1, 7, 2 ** 20, 10 ** 30):
+            assert mp.count_words(length, cap=cap) == min(exact, cap + 1)
+    # a capped count keeps small ints, so any length is cheap
+    assert mp.count_words(10 ** 12, cap=2 ** 20) == 2 ** 20 + 1
+
+
 def test_linear_markov_adjacency_from_geometry(markov_example):
     domains, images = markov_example
     mp = pl.linear_markov(domains, images)
