@@ -30,9 +30,8 @@ _MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16,
                "entropy": 12}
 # noise level of the checks battery when epsilon is 0
 CHECKS_EPSILON = 0.1
-# deepest entropy run: its exact word count holds depth log2 n bits for n
-# symbols, and the count of 3 symbols takes about 0.1 s at this depth and
-# 3 s at ten times it
+# deepest entropy run; its exact count of 3 symbols takes 0.1 s here, 3 s
+# at ten times the depth
 ENTROPY_DEPTH_CAP = 10 ** 5
 
 # potential spec names, each a constructor of ``pressure.Potential``
@@ -282,8 +281,8 @@ class ExperimentConfig(NamedTuple):
                               % (self.mode, self.map, self.epsilon, exc))
 
     def _walk_words(self, mapping):
-        """Words in the deepest cylinder walk of a run, WORD_CAP + 1 for
-        any count past the cap; 0 for none."""
+        """Words in the deepest cylinder walk of a run, clipped at
+        WORD_CAP + 1; 0 for none."""
         depth = self._deepest_walk(mapping) if mapping is not None else 0
         return mapping.count_words(depth, cap=WORD_CAP) if depth else 0
 

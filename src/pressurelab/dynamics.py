@@ -204,18 +204,12 @@ class CocycleProduct(NamedTuple):
     steps: int
 
 
-def _int_product(a, b, top=None):
-    """Product of two matrices of Python ints given as tuples of rows.
-
-    With ``top`` every entry is clipped to it; entries are nonnegative, so
-    a product of clipped factors clipped again is the clipped product.
-    """
+def _int_product(a, b, top):
+    """Product of two matrices of Python ints given as tuples of rows, with
+    every entry clipped to ``top``."""
     cols = tuple(zip(*b))
-    prod = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a)
-    if top is None:
-        return prod
-    return tuple(tuple(min(v, top) for v in row) for row in prod)
+    return tuple(tuple(min(sum(x * y for x, y in zip(row, col)), top)
+                       for col in cols) for row in a)
 
 
 class ExpandingMap:
@@ -436,30 +430,27 @@ class ExpandingMap:
     def count_words(self, length, cap=None):
         """Number of admissible words of the given length, an exact int.
 
-        The row of ones times the 0/1 adjacency to the power length - 1,
-        in Python integers, so no count rounds or overflows at any length.
-        A row product costs n^2 and a squaring n^3 for n symbols, so short
-        words take a row product per letter and long ones square.  With
-        ``cap``, a count past it reads cap + 1 and every step keeps small
-        ints, so a cap check costs little at any length.
+        The row of ones times the 0/1 adjacency to the power length - 1 in
+        Python integers, so no count rounds or overflows.  Short words take
+        a row product (n^2 for n symbols) per letter, long ones square the
+        adjacency (n^3).  With ``cap``, every step clips at cap + 1, entries
+        being nonnegative, so a cap check keeps small ints at any length.
         """
         if length < 1:
             raise BadSpec("word length must be positive")
-        top = None if cap is None else cap + 1
+        top = math.inf if cap is None else cap + 1
         row = (1,) * self.n_symbols
         power = self.adjacency
         steps = length - 1
-        if steps <= self.n_symbols * steps.bit_length():
-            for _ in range(steps):
+        # square while that costs less than a row product per step left
+        while steps > self.n_symbols * steps.bit_length():
+            if steps & 1:
                 row = _int_product((row,), power, top)[0]
-        else:
-            while steps:
-                if steps & 1:
-                    row = _int_product((row,), power, top)[0]
-                steps >>= 1
-                if steps:
-                    power = _int_product(power, power, top)
-        return sum(row) if top is None else min(sum(row), top)
+            steps >>= 1
+            power = _int_product(power, power, top)
+        for _ in range(steps):
+            row = _int_product((row,), power, top)[0]
+        return min(sum(row), top)
 
     def describe(self):
         """Canonical text form, stable across runs."""
