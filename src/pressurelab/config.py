@@ -30,9 +30,6 @@ _MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16,
                "entropy": 12}
 # noise level of the checks battery when epsilon is 0
 CHECKS_EPSILON = 0.1
-# deepest entropy run; its exact count of 3 symbols takes 0.1 s here, 3 s
-# at ten times the depth
-ENTROPY_DEPTH_CAP = 10 ** 5
 
 # potential spec names, each a constructor of ``pressure.Potential``
 _POTENTIALS = ("zero", "constant", "geometric", "singular_upper",
@@ -204,9 +201,6 @@ class ExperimentConfig(NamedTuple):
         """Raise ConfigError unless this resolved config can run."""
         if "depth" in _MODE_KEYS[self.mode] and self.depth < 1:
             raise ConfigError("depth must be positive")
-        if self.mode == "entropy" and self.depth > ENTROPY_DEPTH_CAP:
-            raise ConfigError("entropy depth must be at most %d"
-                              % ENTROPY_DEPTH_CAP)
         if self.seeds < 1:
             raise ConfigError("seeds must be positive")
         # seeds key a 64-bit hash of the letter positions
@@ -237,11 +231,11 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("out directory must be set")
         mapping = _map_or_none(self.map)
         if self.mode == "pressure":
-            potential = build_potential(self.potential)
+            build_potential(self.potential)
             # geometric values read log f' of interval branches; torus
             # cells have singular values instead
-            if potential.name.startswith("geometric") and \
-                    mapping is not None and mapping.dim == 2:
+            if _parse_call(self.potential, "potential")[0] == "geometric" \
+                    and mapping is not None and mapping.dim == 2:
                 raise ConfigError("potential %s needs an interval map; on the "
                                   "torus map %s use singular_upper or "
                                   "singular_lower" % (self.potential, self.map))

@@ -435,6 +435,10 @@ class ExpandingMap:
         a row product (n^2 for n symbols) per letter, long ones square the
         adjacency (n^3).  With ``cap``, every step clips at cap + 1, entries
         being nonnegative, so a cap check keeps small ints at any length.
+        A capped count first takes row products and stops once the row sum
+        reaches cap + 1: every row of an irreducible adjacency holds a 1, so
+        the count never falls as words grow, and a deep cap check costs
+        about log(cap) row products instead of log(length) squarings.
         """
         if length < 1:
             raise BadSpec("word length must be positive")
@@ -442,6 +446,13 @@ class ExpandingMap:
         row = (1,) * self.n_symbols
         power = self.adjacency
         steps = length - 1
+        if cap is not None:
+            # at most as many row products as the squarings below would cost
+            for _ in range(min(steps, self.n_symbols * top.bit_length())):
+                if sum(row) >= top:
+                    return top
+                row = _int_product((row,), power, top)[0]
+                steps -= 1
         # square while that costs less than a row product per step left
         while steps > self.n_symbols * steps.bit_length():
             if steps & 1:

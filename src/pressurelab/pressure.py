@@ -93,6 +93,9 @@ class Potential:
         t = float(t)
 
         def value_fn(mapping, symbol, pts):
+            if mapping.dim != 1:
+                raise BadSpec("geometric potentials need an interval map; on "
+                              "torus maps use singular_upper or singular_lower")
             return -t * np.log(mapping.branches[symbol].deriv(np.asarray(pts, dtype=float)))
 
         return cls("additive", value_fn, weight=t, name="geometric(%g)" % t)

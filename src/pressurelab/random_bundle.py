@@ -406,11 +406,14 @@ def random_entropy(family, depth=12):
     """Fiber entropy at depth n: log N_n / n for the base map's word count.
 
     Letters never change word counts and every family is a full shift, so
-    every fiber has the base map's N_n words of length n, and the zero
-    potential ``random_pressure`` of any seeds is this value.  No word is
-    walked, and the count is exact, so every depth has an entropy.
+    every fiber has the base map's N_n = k^n words of length n for k
+    symbols, and the zero potential ``random_pressure`` of any seeds is
+    log k at every depth.  No word is walked or counted.
     """
-    return math.log(family.base_map.count_words(depth)) / depth
+    if depth < 1:
+        raise BadSpec("word length must be positive")
+    _require_full_shift(family.base_map)
+    return math.log(family.base_map.n_symbols)
 
 
 def expansivity_min_growth(family, letters):

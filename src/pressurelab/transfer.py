@@ -141,9 +141,9 @@ def fiber_pressures(ops, letters, t):
 def _root_operators(family, letters):
     """Fiber operators on the fewest nodes that resolve the pressures.
 
-    Starting at 8, the node count doubles until P_n at t = 0 and t = 1
-    agrees with that on twice as many nodes to within ROOT_TOL / 10 for every
-    window.  Past ``MAX_ROOT_NODES`` nodes the pressures count as
+    Starting at 8, the node count doubles until P_n and its slope at t = 0
+    and t = 1 agree with those on twice as many nodes to within
+    ROOT_TOL / 10 for every window.  Past ``MAX_ROOT_NODES`` nodes the pressures count as
     unresolved and NoConvergence is raised.  Returns the operators and
     their ``fiber_pressures`` of all windows at t = 0 and t = 1.
     """
@@ -154,9 +154,9 @@ def _root_operators(family, letters):
     coarse, probes = probe(8)
     while True:
         fine, fine_probes = probe(2 * coarse.nodes)
-        if all(np.abs(probes[t][0] - fine_probes[t][0]).max()
-               <= 0.1 * ROOT_TOL
-               for t in probes):
+        if all(np.abs(coarse_part - fine_part).max() <= 0.1 * ROOT_TOL
+               for t in probes
+               for coarse_part, fine_part in zip(probes[t], fine_probes[t])):
             return coarse, probes
         if fine.nodes > MAX_ROOT_NODES:
             raise NoConvergence("fiber pressures of %s are unresolved on %d "

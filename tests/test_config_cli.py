@@ -598,14 +598,14 @@ def test_runs_raise_no_float_matrix_to_a_power(tmp_path, monkeypatch, args):
         assert "summary.checks_failed=0\n" in record
 
 
-def test_cli_rejects_entropy_past_the_depth_cap(tmp_path, capsys):
-    """An exact count grows with depth; past the cap a run exits 2."""
-    cap = cfgmod.ENTROPY_DEPTH_CAP
-    assert make("entropy", depth=str(cap)).depth == cap
-    rc, out = run_mode(tmp_path, "--mode", "entropy", "depth=%d" % (cap + 1))
-    assert rc == 2
-    assert not out.exists()
-    assert "at most %d" % cap in capsys.readouterr().err
+def test_cli_entropy_runs_at_any_depth(tmp_path):
+    """Full shifts have k^n words of length n, so entropy is log k."""
+    rc, out = run_mode(tmp_path, "--mode", "entropy", "map=circle(100,0.05)",
+                       "depth=1000000000")
+    assert rc == 0
+    record = (out / "record.txt").read_text()
+    assert "status=ok\n" in record
+    assert "summary.entropy=%.12g\n" % math.log(100) in record
 
 
 def test_cli_stability_roots_need_no_word_walk(tmp_path):

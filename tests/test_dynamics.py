@@ -101,6 +101,23 @@ def test_word_counts_and_capped_counts_match_the_oracle(build):
     assert mp.count_words(10 ** 12, cap=2 ** 20) == 2 ** 20 + 1
 
 
+def test_a_deep_capped_count_stops_at_the_cap(monkeypatch):
+    """A cap check stops its row products once the count passes the cap,
+    with no squaring of the 100 x 100 adjacency."""
+    mp = pl.circle_map(100, 0.0)
+    calls = []
+    product = dyn._int_product
+
+    def counted(a, b, top):
+        calls.append(len(a))
+        return product(a, b, top)
+
+    monkeypatch.setattr(dyn, "_int_product", counted)
+    assert mp.count_words(10 ** 9, cap=pl.WORD_CAP) == pl.WORD_CAP + 1
+    # 100^4 > 2^20 words: three row products, no matrix product
+    assert calls == [1, 1, 1]
+
+
 def test_linear_markov_adjacency_from_geometry(markov_example):
     domains, images = markov_example
     mp = pl.linear_markov(domains, images)

@@ -219,6 +219,15 @@ def test_iterated_pressure_is_invariant_under_every_divisor(case, t, kind):
     assert max(values) - min(values) <= 1e-12
 
 
+@pytest.mark.parametrize("build", [lambda: pl.toral_map(2, 3),
+                                   lambda: pl.toral_conformal_map(3)],
+                         ids=["toral", "toral_conformal"])
+def test_geometric_potential_needs_an_interval_map(build):
+    """Torus cells have singular values, not the log f' geometric reads."""
+    with pytest.raises(pl.BadSpec, match="singular_upper or singular_lower"):
+        pl.pressure_additive(build(), pl.Potential.geometric(0.5), 4)
+
+
 def test_iterated_pressure_kind_is_checked():
     for mp in (pl.cookie_cutter(3.0, 3.0), pl.toral_map(2, 3)):
         for kind in ("bogus", "Upper", None):
