@@ -15,13 +15,14 @@ from .bowen import dimension_report
 from .config import build_map, family_shape
 from .conjugacy import (FiberConjugacy, measure_equivariance,
                         random_conjugacy_pressure_check)
-from .cylinders import DISTORTION_DEPTH, CylinderSet
+from .cylinders import CylinderSet
 from .errors import CheckFailed
 from .lyapunov import average_conformal_check
 from .pressure import (Potential, conjugate_pressure_check, logsumexp,
                        pressure_additive, variational_gaps)
-from .random_bundle import (RandomFamily, distortion_constants,
-                            expansivity_min_growth, sample_base)
+from .random_bundle import (RandomFamily, _distortion_probes,
+                            distortion_constants, expansivity_min_growth,
+                            sample_base)
 
 # rounding slack of the transport check on top of its analytic bound,
 # which is exactly 0 on affine (cookie) fibers
@@ -147,8 +148,7 @@ def _battery(cfg):
                         "residual %.3e within bound %.3e" % (measured, bound))
 
     def check_distortion():
-        probes = np.tile(np.arange(letters)[:, None], (1, DISTORTION_DEPTH))
-        reports = distortion_constants(temper(), probes)
+        reports = distortion_constants(temper(), _distortion_probes(letters))
         worst = min(report.worst_violation for report in reports)
         pairs = sum(report.pairs for report in reports)
         return _require(worst >= -1e-10,

@@ -205,9 +205,9 @@ def _run_lyapunov(cfg):
 def _run_entropy(cfg):
     kind, params = family_shape(cfg.map)
     family = pl.RandomFamily(kind, params, cfg.epsilon, cfg.letters)
-    value = pl.random_entropy(family, depth=cfg.depth)
-    header = ("map", "epsilon", "letters", "depth", "entropy")
-    rows = [(cfg.map, cfg.epsilon, cfg.letters, cfg.depth, value)]
+    value = pl.random_entropy(family)
+    header = ("map", "epsilon", "letters", "entropy")
+    rows = [(cfg.map, cfg.epsilon, cfg.letters, value)]
     summary = {"entropy": value}
     return Outcome(header, rows, _family_certificates(family), summary)
 

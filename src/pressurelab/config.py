@@ -21,13 +21,12 @@ _MODE_KEYS = {
     "lyapunov": ("map", "orbit_word"),
     "stability": ("map", "eps_schedule", "depth", "seeds", "seed", "letters",
                   "conj_depth"),
-    "entropy": ("map", "epsilon", "letters", "depth"),
+    "entropy": ("map", "epsilon", "letters"),
     "checks": ("map", "seed", "epsilon", "letters"),
 }
 MODES = tuple(_MODE_KEYS)
 
-_MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16,
-               "entropy": 12}
+_MODE_DEPTH = {"dimension": 12, "pressure": 10, "stability": 16}
 # noise level of the checks battery when epsilon is 0
 CHECKS_EPSILON = 0.1
 

@@ -19,6 +19,8 @@ from .errors import BadSpec, MatrixTooLarge, NoConvergence, NotSemiConjugate
 TRANSFER_CAP = 1 << 16
 TRANSFER_TOL = 1e-10         # relative width the bracket must close to
 TRANSFER_ITERATIONS = 500    # power steps allowed to close it
+LIMIT_TOL = 1e-3             # step of raw or extrapolated pressure to stop at
+LIMIT_DEPTH = 16             # deepest walk of ``pressure_limit``
 EQUIVARIANCE_TOL = 1e-8      # largest defect a factor map may show
 EQUIVARIANCE_SAMPLES = 2048  # most sample points the defect is measured on
 
@@ -215,19 +217,19 @@ def pressure_additive(mapping, potential, depth, walk=None):
     return _pressure_at(mapping, potential, [depth], walk)[0]
 
 
-def pressure_limit(mapping, potential, tol=1e-3, max_depth=16):
+def pressure_limit(mapping, potential):
     """Depth refined pressure with Richardson extrapolation.
 
-    Depth doubles until either the raw increment or the change of the
-    extrapolated value drops below tol.  The leading finite depth error is
-    of order 1/depth, so 2 P(2n) - P(n) cancels it.
+    Depth doubles up to ``LIMIT_DEPTH`` until either the raw increment or
+    the change of the extrapolated value drops to ``LIMIT_TOL`` (else
+    NoConvergence).  The leading finite depth error is of order 1/depth,
+    so 2 P(2n) - P(n) cancels it.
     """
     eps = mapping.resolve_epsilon()
-    history = []
-    extraps = []
+    history, extraps = [], []
     depth = 2
     prev = None
-    while depth <= max_depth:
+    while depth <= LIMIT_DEPTH:
         value = pressure_additive(mapping, potential, depth)
         history.append((depth, value))
         if prev is not None:
@@ -235,24 +237,21 @@ def pressure_limit(mapping, potential, tol=1e-3, max_depth=16):
             raw_step = abs(value - prev)
             extrap_step = (abs(extraps[-1] - extraps[-2])
                            if len(extraps) >= 2 else math.inf)
-            if raw_step <= tol or extrap_step <= tol:
-                return PressureEstimate(value=extraps[-1], depth=depth,
-                                        separation=eps,
-                                        per_depth=tuple(history),
-                                        extrapolated=extraps[-1],
-                                        residual=min(raw_step, extrap_step))
+            if raw_step <= LIMIT_TOL or extrap_step <= LIMIT_TOL:
+                return PressureEstimate(
+                    value=extraps[-1], depth=depth, separation=eps,
+                    per_depth=tuple(history), extrapolated=extraps[-1],
+                    residual=min(raw_step, extrap_step))
         prev = value
         depth *= 2
+    # LIMIT_DEPTH walks depths 2 .. 16, so two extrapolants exist
     partial = PressureEstimate(
-        value=extraps[-1] if extraps else (history[-1][1] if history else math.nan),
-        depth=history[-1][0] if history else 0,
-        separation=eps,
-        per_depth=tuple(history),
-        extrapolated=extraps[-1] if extraps else math.nan,
-        residual=abs(extraps[-1] - extraps[-2]) if len(extraps) >= 2 else math.nan,
+        value=extraps[-1], depth=history[-1][0], separation=eps,
+        per_depth=tuple(history), extrapolated=extraps[-1],
+        residual=abs(extraps[-1] - extraps[-2]),
         advisory="depth limit reached before tolerance")
-    raise NoConvergence("pressure did not settle within depth %d" % max_depth,
-                        estimate=partial)
+    raise NoConvergence("pressure did not settle within depth %d"
+                        % LIMIT_DEPTH, estimate=partial)
 
 
 def pressure_subadditive(mapping, potential, depth=8):

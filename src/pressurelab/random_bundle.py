@@ -402,16 +402,14 @@ def random_bowen_roots(family, letters):
                        nodes=ops.nodes)
 
 
-def random_entropy(family, depth=12):
-    """Fiber entropy at depth n: log N_n / n for the base map's word count.
+def random_entropy(family):
+    """Fiber entropy: log N_n / n for the base map's word count N_n.
 
     Letters never change word counts and every family is a full shift, so
     every fiber has the base map's N_n = k^n words of length n for k
-    symbols, and the zero potential ``random_pressure`` of any seeds is
-    log k at every depth.  No word is walked or counted.
+    symbols, and the zero potential ``random_pressure`` of any seeds and
+    depth is log k.  No word is walked or counted.
     """
-    if depth < 1:
-        raise BadSpec("word length must be positive")
     _require_full_shift(family.base_map)
     return math.log(family.base_map.n_symbols)
 
@@ -591,15 +589,17 @@ def _cap_depth(family):
     return depth
 
 
-def _conjugacy_depth_for(family):
-    """Truncation depth matching the evaluator error to ``CONJ_TOL``.
-
-    The depth is capped where its words still fit under ``WORD_CAP``; the
-    certificates then carry the bounds of the capped depth.
-    """
+def _conjugacy_depth_for(family, cap_depth):
+    """Depth matching the evaluator error to ``CONJ_TOL``, at most the
+    base map's ``cap_depth``; certificates carry the bounds of the depth."""
     depth = max(2, math.ceil(math.log(CONJ_TOL)
                              / math.log(family.gamma_bound)))
-    return min(depth, _cap_depth(family))
+    return min(depth, cap_depth)
+
+
+def _distortion_probes(n_letters):
+    """Row a holds ``DISTORTION_DEPTH`` copies of letter a, probing its map."""
+    return np.tile(np.arange(n_letters)[:, None], (1, DISTORTION_DEPTH))
 
 
 def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
@@ -635,15 +635,15 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     ``CONJ_TOL``, or as deep as ``WORD_CAP`` allows when that is not deep
     enough.
     """
-    t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root
     if seeds < 1:
         raise BadSpec("need at least one base seed")
-    # the automatic conjugacy depth never passes the capped one
-    width = max(depth, GROWTH_DEPTH, (conj_depth or _cap_depth(family)) + 1)
+    t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root
+    # levels share the base map, so automatic depths share its word cap
+    deepest = conj_depth or _cap_depth(family)
+    width = max(depth, GROWTH_DEPTH, deepest + 1)
     table = np.array([sample_base(base_seed + k, family.n_letters).letters(
         0, width) for k in range(seeds)])
-    probes = np.tile(np.arange(family.n_letters)[:, None],
-                     (1, DISTORTION_DEPTH))
+    probes = _distortion_probes(family.n_letters)
     # base map leaves per conjugacy depth, shared by levels of one depth
     base_walks = {}
     rows = []
@@ -652,7 +652,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
         try:
             fam = RandomFamily(family.kind, family.params, eps,
                                family.n_letters)
-            cd = conj_depth or _conjugacy_depth_for(fam)
+            cd = conj_depth or _conjugacy_depth_for(fam, deepest)
             roots = random_bowen_roots(fam, table[:, :depth])
             if cd not in base_walks:
                 base_walks[cd] = CylinderSet(family.base_map,

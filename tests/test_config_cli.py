@@ -60,6 +60,16 @@ def test_unknown_keys_and_modes_are_config_errors(tmp_path):
     path.write_text("no_such_key = 1\n")
     with pytest.raises(pl.ConfigError):
         cfgmod.parse_args(["--config", str(path)])
+    with pytest.raises(pl.ConfigError, match="cannot read config file"):
+        cfgmod.parse_args(["--config", str(tmp_path / "missing.cfg")])
+    path.write_text("mode = dimension\ndepth 8\n")
+    with pytest.raises(pl.ConfigError, match="bad.cfg:2: expected key=value"):
+        cfgmod.parse_args(["--config", str(path)])
+    for argv in (["--config", str(tmp_path / "missing.cfg")],
+                 ["--config", str(path)]):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_map_and_potential_specs():
@@ -142,7 +152,7 @@ MODE_READS = {
     "lyapunov": {"map", "orbit_word"},
     "stability": {"map", "eps_schedule", "depth", "seeds", "seed", "letters",
                   "conj_depth"},
-    "entropy": {"map", "epsilon", "letters", "depth"},
+    "entropy": {"map", "epsilon", "letters"},
     "checks": {"map", "seed", "epsilon", "letters"},
 }
 # a value every mode would accept for each key
@@ -277,6 +287,10 @@ def test_help_lists_every_mode_and_the_keys_it_reads(capsys):
     ("--config",),
     ("-x", "1"),
     ("stray",),
+    ("--mode", "dimension", "map=cookie_cutter(3,3"),
+    ("--mode", "dimension", "map=cookie_cutter(3,x)"),
+    ("--mode", "dimension", "depth=abc"),
+    ("--mode", "dimension", "--out="),
 ])
 def test_bad_flags_are_config_errors(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -368,12 +382,12 @@ def test_cli_record_names_the_package_version(tmp_path):
 
 def test_cli_runs_are_byte_identical(tmp_path):
     rc1, out1 = run_mode(tmp_path / "a", "mode=entropy",
-                         "map=cookie_cutter(3,3)", "depth=8")
+                         "map=cookie_cutter(3,3)")
     rc2, out2 = run_mode(tmp_path / "b", "mode=entropy",
-                         "map=cookie_cutter(3,3)", "depth=8")
+                         "map=cookie_cutter(3,3)")
     assert rc1 == rc2 == 0
     assert (out1 / "run.csv").read_text().split("\n")[0] \
-        == "map,epsilon,letters,depth,entropy"
+        == "map,epsilon,letters,entropy"
     assert (out1 / "run.csv").read_bytes() == (out2 / "run.csv").read_bytes()
     assert ((out1 / "certificates.txt").read_bytes()
             == (out2 / "certificates.txt").read_bytes())
@@ -537,6 +551,9 @@ def test_cli_error_attribution(tmp_path):
     # certificates are keyed by level, so a repeat would drop a block
     ("--mode", "stability", "eps_schedule=0.1,0.1", "seeds=2"),
     ("--mode", "stability", "eps_schedule=0.2,0.05,0.20"),
+    ("--mode", "stability", "seeds=0"),
+    ("--mode", "stability", "conj_depth=-1"),
+    ("--mode", "stability", "eps_schedule=-0.1"),
 ])
 def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
                                                        monkeypatch, args):
@@ -598,14 +615,20 @@ def test_runs_raise_no_float_matrix_to_a_power(tmp_path, monkeypatch, args):
         assert "summary.checks_failed=0\n" in record
 
 
-def test_cli_entropy_runs_at_any_depth(tmp_path):
-    """Full shifts have k^n words of length n, so entropy is log k."""
-    rc, out = run_mode(tmp_path, "--mode", "entropy", "map=circle(100,0.05)",
-                       "depth=1000000000")
+def test_cli_entropy_runs_at_any_depth(tmp_path, capsys):
+    """Full shifts have k^n words of length n, so entropy is log k at every
+    depth, and depth is no entropy key."""
+    rc, out = run_mode(tmp_path, "--mode", "entropy", "map=circle(100,0.05)")
     assert rc == 0
     record = (out / "record.txt").read_text()
     assert "status=ok\n" in record
     assert "summary.entropy=%.12g\n" % math.log(100) in record
+    assert "config.depth=" not in record
+    for depth in (("depth=1000000000",), ("--depth", "13")):
+        rc, out = run_mode(tmp_path / depth[-1], "--mode", "entropy", *depth)
+        assert rc == 2
+        assert not out.exists()
+        assert "entropy mode does not read depth;" in capsys.readouterr().err
 
 
 def test_cli_stability_roots_need_no_word_walk(tmp_path):
@@ -647,8 +670,8 @@ def test_default_pressure_depth_fits_the_word_cap(tmp_path):
     ("--mode", "dimension", "map=toral(2,3)", "depth=1000"),
     ("--mode", "pressure", "map=toral(2,3)", "potential=singular_upper(0.7)",
      "depth=700"),
-    # 3^13 fiber words: the entropy is log N_n / n and walks none
-    ("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
+    # 3^13 fiber words at depth 13: the entropy is log 3 and walks none
+    ("--mode", "entropy", "map=circle(3,0.05)"),
 ])
 def test_cli_closed_form_torus_runs_skip_the_word_cap(tmp_path, args):
     rc, out = run_mode(tmp_path, *args)

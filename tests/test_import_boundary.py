@@ -63,7 +63,7 @@ _RANDOM = {"random_bundle", "transfer", "conjugacy"}
     (("--mode", "dimension", "map=toral(2,3)", "depth=20"),
      {"lyapunov", "checks", "pressure"} | _RANDOM),
     # entropies are word counts, not zero potential pressures
-    (("--mode", "entropy", "map=circle(3,0.05)", "depth=13"),
+    (("--mode", "entropy", "map=circle(3,0.05)"),
      {"lyapunov", "checks", "pressure", "conjugacy", "torus"}),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):

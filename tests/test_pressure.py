@@ -72,18 +72,23 @@ def test_product_structure_closed_form():
 
 
 def test_pressure_limit_converges_on_golden_mean():
+    from pressurelab import pressure
+    assert (pressure.LIMIT_TOL, pressure.LIMIT_DEPTH) == (1e-3, 16)
     mp = pl.golden_mean_map()
-    est = pl.pressure_limit(mp, pl.Potential.zero(), tol=1e-3, max_depth=16)
+    est = pl.pressure_limit(mp, pl.Potential.zero())
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     assert est.value == pytest.approx(math.log(phi), abs=1e-3)
     assert est.residual <= 1e-3
     assert est.per_depth[0][0] == 2
 
 
-def test_pressure_limit_no_convergence_carries_estimate():
+def test_pressure_limit_no_convergence_carries_estimate(monkeypatch):
+    from pressurelab import pressure
+    monkeypatch.setattr(pressure, "LIMIT_TOL", 1e-14)
+    monkeypatch.setattr(pressure, "LIMIT_DEPTH", 8)
     mp = pl.golden_mean_map()
     with pytest.raises(pl.NoConvergence) as info:
-        pl.pressure_limit(mp, pl.Potential.zero(), tol=1e-14, max_depth=8)
+        pl.pressure_limit(mp, pl.Potential.zero())
     assert info.value.estimate is not None
     assert info.value.estimate.depth == 8
 
@@ -101,6 +106,19 @@ def test_transfer_golden_mean_entropy():
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     got = pl.transfer_pressure(mp, pl.Potential.zero(), 10)
     assert got == pytest.approx(math.log(phi), abs=5e-4)
+
+
+@pytest.mark.parametrize("kind", ["singular_upper", "singular_lower"])
+@pytest.mark.parametrize("build", [lambda: pl.toral_map(2, 3),
+                                   lambda: pl.toral_conformal_map(3)],
+                         ids=["toral", "toral_conformal"])
+def test_transfer_torus_singular_pressure_is_the_closed_form(build, kind):
+    """Torus blocks all weigh alike, so the spectral radius is the count's."""
+    mp = build()
+    pot = getattr(pl.Potential, kind)(0.7)
+    for block_length in range(1, 5):
+        assert abs(pl.transfer_pressure(mp, pot, block_length)
+                   - pl.pressure_additive(mp, pot, block_length)) <= 1e-12
 
 
 def test_transfer_cap():

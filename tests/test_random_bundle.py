@@ -278,7 +278,7 @@ def test_random_pressure_zero_potential_counts_branches():
     assert est.value == pytest.approx(math.log(2.0), abs=1e-12)
     assert est.std_error == 0.0
     assert len(est.per_sample) == 6
-    assert pl.random_entropy(fam, depth=8) == pytest.approx(
+    assert pl.random_entropy(fam) == pytest.approx(
         math.log(2.0), abs=1e-12)
 
 
@@ -499,19 +499,66 @@ def test_stability_experiment_records_failures():
 
 
 def test_automatic_conjugacy_depth_fits_the_word_cap(monkeypatch):
-    from pressurelab.random_bundle import CONJ_TOL, _conjugacy_depth_for
+    from pressurelab.random_bundle import (CONJ_TOL, _cap_depth,
+                                           _conjugacy_depth_for)
     assert CONJ_TOL == 1e-4
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.05)
     wanted = math.ceil(math.log(1e-4) / math.log(cookie.gamma_bound))
-    assert _conjugacy_depth_for(cookie) == wanted < 20
+    assert _conjugacy_depth_for(cookie, _cap_depth(cookie)) == wanted < 20
     # circle(2, 0.05) at noise 0.05 wants depth 30 for 1e-4
     circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
     assert math.log(1e-4) / math.log(circle.gamma_bound) > 20
-    assert _conjugacy_depth_for(circle) == 20
+    assert _conjugacy_depth_for(circle, _cap_depth(circle)) == 20
     monkeypatch.setattr(random_bundle, "CONJ_TOL", 1e-12)
     for fam in (cookie, circle):
-        depth = _conjugacy_depth_for(fam)
+        depth = _conjugacy_depth_for(fam, _cap_depth(fam))
         assert 2 ** depth <= pl.WORD_CAP < 2 ** (depth + 1)
+
+
+def test_a_sweep_derives_its_cap_depth_once(monkeypatch):
+    """Levels share the base map, so one word-cap depth serves them all.
+
+    The default cookie sweep counts words 31 times: 19 counts find the cap
+    depth 20, and each of the four levels sizes the batches of its
+    conjugacy, growth and distortion walks once.
+    """
+    from pressurelab import dynamics
+    caps = []
+    cap_depth = random_bundle._cap_depth
+
+    def counted_cap(family):
+        caps.append(family.epsilon)
+        return cap_depth(family)
+
+    counts = []
+    count_words = dynamics.ExpandingMap.count_words
+
+    def counted_words(mapping, *args, **kwargs):
+        counts.append(args)
+        return count_words(mapping, *args, **kwargs)
+
+    monkeypatch.setattr(random_bundle, "_cap_depth", counted_cap)
+    monkeypatch.setattr(dynamics.ExpandingMap, "count_words", counted_words)
+    carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    rows = pl.stability_experiment(carrier).rows
+    assert len(rows) == 4 and all(r.failure == "" for r in rows)
+    assert caps == [0.0]
+    assert len(counts) == 31
+    # a set conjugacy depth needs no cap depth
+    caps.clear()
+    pl.stability_experiment(carrier, schedule=(0.1, 0.05), depth=8, seeds=2,
+                            conj_depth=6)
+    assert caps == []
+
+
+def test_a_sweep_without_seeds_fails_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep without seeds solved a root")
+
+    monkeypatch.setattr(random_bundle, "dimension_report", no_work)
+    carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    with pytest.raises(pl.BadSpec, match="at least one base seed"):
+        pl.stability_experiment(carrier, seeds=0)
 
 
 def test_expectation_root_oracle_tracks_experiment():
@@ -882,7 +929,7 @@ def test_random_entropy_is_the_walked_zero_pressure(shape, n_letters, depth,
     fam = pl.RandomFamily(kind, params, eps, n_letters)
     walked = pl.random_pressure(fam, pl.Potential.zero(),
                                 _table(seeds, depth, n_letters)).value
-    assert abs(pl.random_entropy(fam, depth) - walked) <= 1e-12
+    assert abs(pl.random_entropy(fam) - walked) <= 1e-12
 
 
 def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
@@ -892,9 +939,8 @@ def test_random_entropy_needs_no_walk_past_the_word_cap(monkeypatch):
 
     monkeypatch.setattr(random_bundle, "FiberCylinders", no_walk)
     fam = pl.RandomFamily("circle", (3.0, 0.05), 0.0)
-    # 3^700 and 3^10000 words lie past float range; the count is exact
-    for depth in (13, 700, 10 ** 4):
-        assert abs(pl.random_entropy(fam, depth) - math.log(3.0)) <= 1e-12
+    # log 3 at every depth, 3^13 words and past float range alike
+    assert abs(pl.random_entropy(fam) - math.log(3.0)) <= 1e-12
 
 
 def _whole_array_pairs(m):
@@ -1005,8 +1051,9 @@ def test_distortion_probes_of_many_letters_walk_in_batches():
     each letter's report is its own one-window call."""
     n_letters = 1100
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.05, n_letters)
-    probes = np.tile(np.arange(n_letters)[:, None],
-                     (1, random_bundle.DISTORTION_DEPTH))
+    probes = random_bundle._distortion_probes(n_letters)
+    assert probes.tolist() == [[letter] * random_bundle.DISTORTION_DEPTH
+                               for letter in range(n_letters)]
     reports = pl.distortion_constants(fam, probes)
     assert len(reports) == n_letters
     # both sides of the batch boundary, and the ends of the table
