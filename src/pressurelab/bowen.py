@@ -65,7 +65,7 @@ def _logsumexp_pressure(sums, depth):
         w = np.exp(x - top)
         total = float(w.sum())
         return ((top + math.log(total)) / depth,
-                -(float(w @ sums) / total) / depth)
+                -(float((w * sums).sum()) / total) / depth)
 
     return pressure_and_slope
 

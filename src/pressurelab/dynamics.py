@@ -163,6 +163,24 @@ def _sv2(m):
     return hi, abs(a * d - b * c) / hi
 
 
+def _apply2(m, x):
+    """A 2x2 matrix m applied to a point x, or to every row of a stack x.
+
+    x @ m.T in closed form: a numpy call of this size cannot pay for BLAS,
+    whose first call pages its kernels into the process.  The product
+    a @ b of two 2x2 matrices is _apply2(a, b.T).T.
+    """
+    (a, b), (c, d) = m.tolist()
+    if x.ndim == 1:
+        p, q = x.tolist()
+        return np.array([a * p + b * q, c * p + d * q])
+    p, q = x[..., 0], x[..., 1]
+    out = np.empty(x.shape)
+    out[..., 0] = a * p + b * q
+    out[..., 1] = c * p + d * q
+    return out
+
+
 class Branch2D:
     """One affine cell of a linear expanding torus endomorphism.
 
@@ -189,11 +207,11 @@ class Branch2D:
 
     @property
     def center(self):
-        return self.inv_matrix @ (self.offset + 0.5)
+        return _apply2(self.inv_matrix, self.offset + 0.5)
 
     def inv(self, y):
         y = np.asarray(y, dtype=float)
-        return (y + self.offset) @ self.inv_matrix.T
+        return _apply2(self.inv_matrix, y + self.offset)
 
 
 class CocycleProduct(NamedTuple):

@@ -61,15 +61,15 @@ def periodic_orbit(mapping, word):
         tol, orbit, unit = 1e-14, np.empty((p, 2)), np.eye(2)
 
         def chain(slope, br, z):
-            return br.inv_matrix @ slope
+            return dyn._apply2(br.inv_matrix, slope.T).T
 
         def inside(x):
-            z = first.matrix @ x - first.offset
+            z = dyn._apply2(first.matrix, x) - first.offset
             return bool(np.all((z >= -dyn._ALIGN_TOL)
                                & (z <= 1.0 + dyn._ALIGN_TOL)))
 
         def newton(x, g, slope):
-            return x - dyn._inv2(slope - unit) @ (g - x)
+            return x - dyn._apply2(dyn._inv2(slope - unit), g - x)
 
     x = first.center
     for _ in range(_ORBIT_PASSES):

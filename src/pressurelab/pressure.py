@@ -353,7 +353,7 @@ def transfer_pressure(mapping, potential, block_length):
     lam_lo = lam_hi = math.nan
     for _ in range(TRANSFER_ITERATIONS):
         by_first = np.bincount(first, weights=x, minlength=n_sym)
-        reachable = adj @ by_first
+        reachable = (adj * by_first).sum(axis=1)
         y = weights * reachable[last]
         ratio = y / x
         lam_lo = float(ratio.min())

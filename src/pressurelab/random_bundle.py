@@ -39,7 +39,7 @@ TWO_PI = 2.0 * math.pi
 
 # names of ``conjugacy`` that perfbench/tracer.py reaches through this
 # module; the forward goes with the next benchmark change, which points the
-# tracer at ``conjugacy`` (ROADMAP item 11)
+# tracer at ``conjugacy`` (ROADMAP item 9)
 _MOVED_TO_CONJUGACY = frozenset({
     "FiberConjugacy", "conjugacy_displacement", "measure_equivariance",
     "random_conjugacy_pressure_check"})

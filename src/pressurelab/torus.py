@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _ALIGN_TOL, Branch2D, ExpandingMap, _det2, _sv2
+from .dynamics import (_ALIGN_TOL, Branch2D, ExpandingMap, _apply2, _det2,
+                       _sv2)
 from .errors import BadSpec, EscapedRepeller, NonMarkov
 
 # cell lookup: a row on a cell edge lies in the cells on both sides;
@@ -51,7 +52,8 @@ class TorusMap(ExpandingMap):
         # |det A| cells with distinct offsets tile the unit square exactly
         # when every cell A^(-1)([0,1]^2 + k) lies inside it
         corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        pulled = (self._offsets[:, None] + corners) @ self.branches[0].inv_matrix.T
+        pulled = _apply2(self.branches[0].inv_matrix,
+                         self._offsets[:, None] + corners)
         if not np.all((pulled >= -_ALIGN_TOL) & (pulled <= 1.0 + _ALIGN_TOL)):
             raise BadSpec("torus cells do not tile the unit square")
         if any(v != 1 for row in self.adjacency for v in row):
@@ -92,7 +94,7 @@ class TorusMap(ExpandingMap):
         for a in range(n):
             for b in range(a + 1, n):
                 dk = self.branches[a].offset - self.branches[b].offset
-                v = inv @ dk
+                v = _apply2(inv, dk)
                 v = v - np.round(v)
                 best = min(best, float(np.hypot(v[0], v[1])))
         return best
@@ -106,7 +108,7 @@ class TorusMap(ExpandingMap):
         """
         rows, single = self._rows(x)
         least, table = self._offset_index
-        images = rows @ self.branches[0].matrix.T
+        images = _apply2(self.branches[0].matrix, rows)
         syms = np.full(len(rows), -1, dtype=np.intp)
         for nudge in _EDGE_NUDGES:
             free = np.nonzero(syms < 0)[0]
@@ -126,7 +128,7 @@ class TorusMap(ExpandingMap):
         syms = self.symbol(rows) if symbol is None else symbol
         syms = np.broadcast_to(np.asarray(syms, dtype=np.intp), len(rows))
         # the cells share one derivative matrix
-        out = rows @ self.branches[0].matrix.T - self._offsets[syms]
+        out = _apply2(self.branches[0].matrix, rows) - self._offsets[syms]
         np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
@@ -151,9 +153,9 @@ class TorusMap(ExpandingMap):
         a = self.constant_derivative
         power, exponent = np.eye(2), 0
         for bit in bin(k)[2:]:
-            power, exponent = power @ power, 2 * exponent
+            power, exponent = _apply2(power, power.T).T, 2 * exponent
             if bit == "1":
-                power = a @ power
+                power = _apply2(a, power.T).T
             shift = int(np.frexp(np.abs(power).max())[1])
             power, exponent = np.ldexp(power, -shift), exponent + shift
         log_hi = exponent * math.log(2.0) + math.log(_sv2(power)[0])

@@ -114,6 +114,8 @@ def fiber_pressures(ops, letters, t):
     # interpolation rows sum to 1, so L 1 is the weight summed over branches
     norm = weight.sum(axis=3).max(axis=2)
     weight /= norm[..., None, None]
+    # the one place BLAS pays: the products below grow with depth x
+    # windows x nodes^2, where the 2x2 and short sums elsewhere do not
     # rows of L and of L' per letter: (t, letters, nodes, 2, nodes)
     pair = np.stack([weight, -ops.log_slopes * weight], axis=3) @ ops.interp
     block = np.zeros(pair.shape[:2] + (2 * n, 2 * n))

@@ -159,6 +159,25 @@ def test_newton_windows_equal_one_window_solves(rows, depth, hi, steps):
     assert got.tolist() == expect
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1,
+                max_size=300),
+       st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=2.0))
+def test_logsumexp_pressure_matches_the_matmul_reference(row, depth, t):
+    """P and P' of the softmax sums agree with a w @ sums slope."""
+    sums = np.asarray(row)
+    x = -t * sums
+    top = float(x.max())
+    w = np.exp(x - top)
+    total = float(w.sum())
+    value = (top + math.log(total)) / depth
+    slope = -(float(w @ sums) / total) / depth
+    got_value, got_slope = _logsumexp_pressure(sums, depth)(t)
+    assert got_value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert got_slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+
+
 def test_newton_root_clamps_exactly():
     # a single word has pressure 0 at t = 0
     one = _logsumexp_pressure(np.array([3.0]), 4)

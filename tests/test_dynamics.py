@@ -147,6 +147,23 @@ def test_torus_cells_must_tile_the_unit_square():
     with pytest.raises(pl.BadSpec, match="tile"):
         torus.TorusMap([dyn.Branch2D(jordan, (i, j))
                         for i in range(3) for j in range(3)])
+    # the cells of toral(2,3), then layouts that break one rule each
+    diag = [[2.0, 0.0], [0.0, 3.0]]
+    offsets = [(i, j) for i in range(2) for j in range(3)]
+    cells = [dyn.Branch2D(diag, k) for k in offsets]
+    full = [[1] * 6 for _ in range(6)]
+    one_gap = [row[:] for row in full]
+    one_gap[0][5] = 0
+    for branches, adjacency, error, match in [
+            (cells[:-1] + [dyn.Branch2D([[3.0, 0.0], [0.0, 2.0]], (1, 2))],
+             None, pl.BadSpec, "share one derivative"),
+            (cells[:-1], None, pl.BadSpec, "expected 6 cells .* got 5"),
+            (cells[:-1] + [dyn.Branch2D(diag, (0, 0))], None, pl.BadSpec,
+             "duplicate cell offsets"),
+            (cells, one_gap, pl.NonMarkov, "full transition matrix")]:
+        with pytest.raises(error, match=match):
+            torus.TorusMap(branches, adjacency)
+    assert torus.TorusMap(cells, full).n_symbols == 6
     for a in range(2, 6):
         assert pl.toral_conformal_map(a).n_symbols == a * a
         for b in range(2, 6):
@@ -205,9 +222,20 @@ _MATRICES = st.one_of(
 ).filter(lambda e: e[0] * e[3] != e[1] * e[2])
 
 
+_COORD = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+def _assert_close_to_matmul(got, want, terms):
+    """got equals want to 1e-15 of each entry's largest term, the terms
+    of an entry running along the last axis of ``terms``."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * terms.max(axis=-1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_MATRICES)
-def test_2x2_closed_forms_match_linalg(entries):
+@given(_MATRICES, st.lists(st.tuples(_COORD, _COORD), min_size=1,
+                           max_size=6))
+def test_2x2_closed_forms_match_linalg(entries, rows):
     a, b, c, d = entries
     m = np.array([[a, b], [c, d]], dtype=float)
     det = a * d - b * c
@@ -215,6 +243,15 @@ def test_2x2_closed_forms_match_linalg(entries):
     assert np.linalg.det(m) == pytest.approx(det, rel=1e-12)
     inv = np.linalg.inv(m)
     assert np.abs(dyn._inv2(m) - inv).max() <= 1e-12 * np.abs(inv).max()
+    # _apply2 against @: on a point, on a stack of rows, and as the
+    # product of two 2x2 matrices
+    rows = np.array(rows)
+    _assert_close_to_matmul(dyn._apply2(m, rows[0]), m @ rows[0],
+                            np.abs(m) * np.abs(rows[0]))
+    _assert_close_to_matmul(dyn._apply2(m, rows), rows @ m.T,
+                            np.abs(m) * np.abs(rows)[:, None, :])
+    _assert_close_to_matmul(dyn._apply2(m, inv.T).T, m @ inv,
+                            np.abs(m)[:, None, :] * np.abs(inv).T)
     assert dyn._sv2(m) == pytest.approx(
         tuple(np.linalg.svd(m, compute_uv=False)), rel=1e-12)
     moduli = lyapunov._eig_moduli2(m)

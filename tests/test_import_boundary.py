@@ -12,11 +12,31 @@ import pressurelab as pl
 
 SRC = str(Path(pl.__file__).resolve().parent.parent)
 
-# runs the CLI on argv, then prints the package modules it loaded
+# runs the CLI on argv, then prints the resident KB of the OpenBLAS
+# mapping before and after the run (-1 without smaps or that mapping) and
+# the package modules the run loaded
 _RUN = """
-import sys
+import re, sys
 from pressurelab import cli
+
+def blas_rss():
+    try:
+        with open("/proc/self/smaps") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return -1
+    total, inside, seen = 0, False, False
+    for line in lines:
+        if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+            inside = "openblas" in line.lower()
+            seen = seen or inside
+        elif inside and line.startswith("Rss:"):
+            total += int(line.split()[1])
+    return total if seen else -1
+
+before = blas_rss()
 code = cli.main(sys.argv[1:])
+print(before, blas_rss())
 print(" ".join(sorted(n for n in sys.modules if n.startswith("pressurelab."))))
 sys.exit(code)
 """
@@ -31,11 +51,14 @@ def _fresh(code, *args):
 
 
 def _loaded_by_run(out, *args):
+    """The package modules a CLI run loads, and the KB of OpenBLAS code it
+    pages in: None where the process has no smaps or no OpenBLAS mapping."""
     lines = _fresh(_RUN, *args, "--out", str(out))
     loaded = {name.split(".", 1)[1] for name in lines[-1].split()}
     record = (out / "record.txt").read_text()
     assert "count.modules=%d\n" % len(loaded) in record
-    return loaded
+    before, after = map(int, lines[-2].split())
+    return loaded, (after - before if before >= 0 else None)
 
 
 def test_package_import_loads_no_submodule():
@@ -65,18 +88,31 @@ _RANDOM = {"random_bundle", "transfer", "conjugacy"}
     # entropies are word counts, not zero potential pressures
     (("--mode", "entropy", "map=circle(3,0.05)"),
      {"lyapunov", "checks", "pressure", "conjugacy", "torus"}),
+    (("--mode", "lyapunov", "map=cookie_cutter(3,3)"),
+     {"checks", "pressure", "bowen", "torus"} | _RANDOM),
+    (("--mode", "lyapunov", "map=toral_conformal(3)"),
+     {"checks", "pressure", "bowen"} | _RANDOM),
+    (("--mode", "pressure", "map=toral(2,3)"),
+     {"lyapunov", "checks", "bowen"} | _RANDOM),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
-    loaded = _loaded_by_run(tmp_path / "out", *args)
+    loaded, blas_paged = _loaded_by_run(tmp_path / "out", *args)
     assert {"cli", "config", "dynamics", "cylinders"} <= loaded
     assert not loaded & absent
     # a torus run reads one module more than the interval run of its mode
-    assert ("torus" in loaded) == ("map=toral(2,3)" in args)
+    assert ("torus" in loaded) == any(a.startswith("map=toral") for a in args)
+    # only the stability roots' operator products are large enough for
+    # BLAS to pay; every other product is a 2x2 closed form or a short sum
+    if "stability" not in args and blas_paged is not None:
+        assert blas_paged <= 0
 
 
 def test_checks_run_loads_every_module(tmp_path):
-    loaded = _loaded_by_run(tmp_path / "out", "--mode", "checks")
+    loaded, blas_paged = _loaded_by_run(tmp_path / "out", "--mode", "checks")
     assert loaded == set(pl._SUBMODULES)
+    # the battery solves no fiber root
+    if blas_paged is not None:
+        assert blas_paged <= 0
 
 
 def test_public_names_resolve_to_their_modules():
