@@ -139,9 +139,8 @@ def build_levels(maps):
         first, lasts, parent, blocks = [], [], [], []
         start = 0
         for a in range(n_sym):
+            # irreducible maps extend some word of every level by each symbol
             idx = np.nonzero(adj[a, prev.first] == 1)[0]
-            if idx.size == 0:
-                continue
             stop = start + idx.size
             # a symbol following every word reads the level as it is
             taken = (prev.points if idx.size == len(prev.first)
@@ -183,7 +182,6 @@ class CylinderSet:
             raise BadSpec("a chain needs one map per word position")
         self.windows = _chain_windows(self.maps)
         self.levels = build_levels(self.maps)
-        self._logd = None
 
     @property
     def leaves(self):
@@ -231,7 +229,5 @@ class CylinderSet:
         """Birkhoff sums of log f' along representative orbits (1d only)."""
         if _groups(self.maps[0], False)[0][0].dim != 1:
             raise BadSpec("pointwise log derivative needs a one dimensional map")
-        if self._logd is None:
-            self._logd = self.birkhoff(
-                lambda mp, s, pts: np.log(mp.branches[s].deriv(pts)))
-        return self._logd
+        return self.birkhoff(
+            lambda mp, s, pts: np.log(mp.branches[s].deriv(pts)))

@@ -30,6 +30,11 @@ _KINDS = ("additive", "singular_upper", "singular_lower")
 _TORUS_SIDE = {"singular_upper": 1, "singular_lower": 2}
 
 
+def _torus_word_sum(mapping, potential, k):
+    """Sum of a singular potential along each word of length k of a torus map."""
+    return -potential.weight * mapping._torus_logs(k)[_TORUS_SIDE[potential.kind]]
+
+
 def logsumexp(values):
     """Stable log of a sum of exponentials."""
     arr = np.asarray(values, dtype=float)
@@ -52,7 +57,7 @@ class Potential:
     maps the two coincide.
     """
 
-    def __init__(self, kind, value_fn=None, weight=0.0, name="", symbol_free=False):
+    def __init__(self, kind, value_fn=None, weight=0.0, name=""):
         if kind not in _KINDS:
             raise BadSpec("unknown potential kind %r" % (kind,))
         if kind == "additive" and value_fn is None:
@@ -61,7 +66,8 @@ class Potential:
         self.value_fn = value_fn
         self.weight = float(weight)
         self.name = name or kind
-        self.symbol_free = bool(symbol_free)
+        # set by ``from_function``: the value function ignores the symbol
+        self.symbol_free = False
 
     # -- constructors ---------------------------------------------------
 
@@ -72,13 +78,8 @@ class Potential:
     @classmethod
     def constant(cls, c):
         c = float(c)
-
-        def value_fn(mapping, symbol, pts):
-            pts = np.asarray(pts, dtype=float)
-            rows = pts.shape[0] if pts.ndim else 1
-            return np.full(rows, c)
-
-        return cls("additive", value_fn, name="constant(%g)" % c, symbol_free=True)
+        return cls.from_function(lambda pts: np.full(len(np.atleast_1d(pts)), c),
+                                 name="constant(%g)" % c)
 
     @classmethod
     def from_function(cls, func, name="function"):
@@ -87,7 +88,9 @@ class Potential:
         def value_fn(mapping, symbol, pts):
             return np.asarray(func(pts), dtype=float)
 
-        return cls("additive", value_fn, name=name, symbol_free=True)
+        potential = cls("additive", value_fn, name=name)
+        potential.symbol_free = True
+        return potential
 
     @classmethod
     def geometric(cls, t):
@@ -192,12 +195,9 @@ def _pressure_at(mapping, potential, depths, walk=None):
     word count.
     """
     if potential.kind != "additive" and mapping.dim == 2:
-        side = _TORUS_SIDE[potential.kind]
-        values = []
-        for k in depths:
-            logs = mapping._torus_logs(k)
-            values.append((logs[0] - potential.weight * logs[side]) / k)
-        return values
+        log_n = math.log(mapping.n_symbols)
+        return [(k * log_n + _torus_word_sum(mapping, potential, k)) / k
+                for k in depths]
     if walk is None:
         walk = CylinderSet(mapping, depths[-1])
     elif walk.depth != depths[-1]:
@@ -338,9 +338,8 @@ def transfer_pressure(mapping, potential, block_length):
     cyl = CylinderSet(mapping, block_length)
     leaves = cyl.leaves
     if potential.kind != "additive" and mapping.dim == 2:
-        side = _TORUS_SIDE[potential.kind]
-        s_vals = np.full(len(leaves.first), -potential.weight
-                         * mapping._torus_logs(block_length)[side])
+        s_vals = np.full(len(leaves.first),
+                         _torus_word_sum(mapping, potential, block_length))
     else:
         s_vals = cyl.birkhoff(potential.step_values)[-1]
     shift = float(s_vals.max())
@@ -391,9 +390,7 @@ def variational_gaps(mapping, potential, words, depth=12):
         averages = np.add.reduceat(values, np.cumsum(lengths) - lengths) \
             / lengths
     else:
-        side = _TORUS_SIDE[potential.kind]
-        averages = np.array([-potential.weight
-                             * mapping._torus_logs(len(word))[side]
+        averages = np.array([_torus_word_sum(mapping, potential, len(word))
                              / len(word) for word in words])
     return pressure_additive(mapping, potential, depth) - averages
 
@@ -440,12 +437,9 @@ def conjugate_pressure_check(map_src, map_dst, phi, potential, depth=10):
         raise NotSemiConjugate("equivariance defect %.3g exceeds tolerance "
                                "%.3g" % (residual, EQUIVARIANCE_TOL))
 
-    def pulled_fn(mapping, symbol, pts_arr):
-        images = np.asarray(phi(np.asarray(pts_arr, dtype=float)), dtype=float)
-        return potential.pointwise(map_dst, images)
-
-    pulled = Potential("additive", pulled_fn,
-                       name="pullback(%s)" % potential.name, symbol_free=True)
+    pulled = Potential.from_function(
+        lambda pts_arr: potential.pointwise(map_dst, phi(pts_arr)),
+        name="pullback(%s)" % potential.name)
     p_target = pressure_additive(map_dst, potential, depth)
     p_pulled = pressure_additive(map_src, pulled, depth, walk=cyl)
     return ConjugacyReport(pressure_target=p_target,

@@ -211,12 +211,7 @@ class RandomFamily:
     @property
     def displacement_bound(self):
         """Analytic bound on how far the fiber conjugacy can move a point."""
-        reach = self.certificate["reach"]
-        if self.kind == "circle":
-            delta = reach / self.certified_expansion
-        else:
-            r_min = min(self.params)
-            delta = reach / (r_min * (1.0 - reach)) if reach > 0.0 else 0.0
+        delta = self.certificate["reach"] / self.certified_expansion
         return delta / (1.0 - self.gamma_bound)
 
     @property
@@ -647,7 +642,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     # base map leaves per conjugacy depth, shared by levels of one depth
     base_walks = {}
     rows = []
-    certificates = {"reference_root": float(t_reference), "per_epsilon": {}}
+    certificates = {"per_epsilon": {}}
     for eps in schedule:
         try:
             fam = RandomFamily(family.kind, family.params, eps,

@@ -46,7 +46,9 @@ class TorusMap(ExpandingMap):
         if count != self.n_symbols:
             raise BadSpec("expected %d cells for this matrix, got %d"
                           % (count, self.n_symbols))
-        offsets = {tuple(int(round(v)) for v in br.offset) for br in self.branches}
+        if not all(float(v).is_integer() for v in self._offsets.ravel()):
+            raise BadSpec("torus cell offsets must be integers")
+        offsets = {tuple(int(v) for v in br.offset) for br in self.branches}
         if len(offsets) != self.n_symbols:
             raise BadSpec("duplicate cell offsets")
         # |det A| cells with distinct offsets tile the unit square exactly
@@ -75,7 +77,7 @@ class TorusMap(ExpandingMap):
         Entry k - least of the table is the symbol of the cell with integer
         offset k, and -1 where no cell has that offset.
         """
-        keys = np.round(self._offsets).astype(np.int64)
+        keys = self._offsets.astype(np.int64)
         least = keys.min(axis=0)
         table = np.full(tuple(keys.max(axis=0) - least + 1), -1, dtype=np.intp)
         table[tuple((keys - least).T)] = np.arange(self.n_symbols)

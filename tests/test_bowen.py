@@ -68,7 +68,7 @@ def test_toral_bracket_and_conformal_root():
     assert rep.t_root == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("depth", [8, 64, 1000])
+@pytest.mark.parametrize("depth", [1, 8, 64, 1000])
 def test_toral_dimensions_match_the_closed_form_at_any_depth(depth):
     """Newton on the closed-form torus pressures, past float range of A^k."""
     for a in range(2, 7):

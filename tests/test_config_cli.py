@@ -554,6 +554,8 @@ def test_cli_error_attribution(tmp_path):
     ("--mode", "stability", "seeds=0"),
     ("--mode", "stability", "conj_depth=-1"),
     ("--mode", "stability", "eps_schedule=-0.1"),
+    ("--mode", "entropy", "epsilon=-0.1"),
+    ("--mode", "checks", "epsilon=-0.1"),
 ])
 def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
                                                        monkeypatch, args):

@@ -160,6 +160,8 @@ def test_torus_cells_must_tile_the_unit_square():
             (cells[:-1], None, pl.BadSpec, "expected 6 cells .* got 5"),
             (cells[:-1] + [dyn.Branch2D(diag, (0, 0))], None, pl.BadSpec,
              "duplicate cell offsets"),
+            (cells[:-1] + [dyn.Branch2D(diag, (1, 1.5))], None, pl.BadSpec,
+             "offsets must be integers"),
             (cells, one_gap, pl.NonMarkov, "full transition matrix")]:
         with pytest.raises(error, match=match):
             torus.TorusMap(branches, adjacency)

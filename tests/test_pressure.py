@@ -324,6 +324,21 @@ def test_variational_gaps_match_the_oracle_cycles(r1, r2):
         assert gap == pytest.approx(pressure - average, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, t", [("singular_upper", 0.7),
+                                     ("singular_lower", 1.3)])
+@pytest.mark.parametrize("build, cells", [(lambda: pl.toral_map(2, 3), 6),
+                                          (lambda: pl.toral_conformal_map(3), 9)],
+                         ids=["toral", "toral_conformal"])
+def test_torus_variational_gaps_are_the_log_cell_count(build, cells, kind, t):
+    """All torus words of one length weigh alike, so pressure minus any
+    cycle average is the entropy log n of the full shift on the cells."""
+    mp = build()
+    words = primitive_cycles(mp.adjacency, 3)
+    gaps = pl.variational_gaps(mp, getattr(pl.Potential, kind)(t), words)
+    assert gaps.shape == (len(words),)
+    assert np.abs(gaps - math.log(cells)).max() <= 1e-12
+
+
 def test_variational_gaps_walk_once(monkeypatch):
     from pressurelab import pressure as pmod
 
