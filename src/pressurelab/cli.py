@@ -218,8 +218,8 @@ def _run_stability(cfg):
     result = pl.stability_experiment(
         carrier, cfg.eps_schedule, depth=cfg.depth, seeds=cfg.seeds,
         conj_depth=cfg.conj_depth or None, base_seed=cfg.seed)
-    rows = [(r.epsilon, r.t_root, r.t_reference, r.gap_t, r.std_error,
-             r.depth, r.seeds) for r in result.rows]
+    rows = [(r.epsilon, r.t_root, result.t_reference, r.gap_t, r.std_error,
+             cfg.depth, cfg.seeds) for r in result.rows]
     cert = {"reference_root": result.t_reference}
     for eps, entry in result.certificates["per_epsilon"].items():
         cert["eps_%g" % eps] = entry

@@ -113,7 +113,6 @@ class RandomEstimate(NamedTuple):
     value: float
     std_error: float
     per_sample: tuple
-    depth: int
 
 
 def random_pressure(family, potential, letters):
@@ -132,7 +131,7 @@ def random_pressure(family, potential, letters):
     vals = [logsumexp(FiberCylinders(family, row).birkhoff(
         potential.step_values)[-1]) / depth for row in table]
     return RandomEstimate(value=float(np.mean(vals)), std_error=_std_error(vals),
-                          per_sample=tuple(vals), depth=int(depth))
+                          per_sample=tuple(vals))
 
 
 # -- pressure transport through the conjugacy --------------------------------
@@ -166,7 +165,7 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8):
     |amp + epsilon a| on circle fibers, so the fibers of the first and the
     last letter, whose coefficients a are extreme, attain it.
     """
-    from .pressure import logsumexp
+    from .pressure import _per_symbol, logsumexp
 
     base = family.base_map
     _require_full_shift(base)
@@ -182,24 +181,22 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8):
     sums = chain.birkhoff(potential.step_values)
 
     sel = np.arange(n_sym ** depth, dtype=np.int64) * (n_sym ** margin)
+    # climbing from a leaf to its suffix reads the word's leading symbols;
+    # the margin symbols of a selected leaf are zeros
+    digits = np.zeros((len(sel), total), dtype=np.int64)
     anc = sel.copy()
     for li in range(total - 1, margin - 1, -1):
+        digits[:, total - 1 - li] = chain.levels[li].first[anc]
         anc = chain.levels[li].parent[anc]
     s_direct = sums[-1][sel] - sums[margin - 1][anc]
     p_direct = logsumexp(s_direct) / depth
 
     s_pulled = np.zeros(len(sel), dtype=float)
-    digits = np.zeros((len(sel), total), dtype=np.int64)
-    rem = np.arange(n_sym ** depth, dtype=np.int64)
-    for pos in range(depth - 1, -1, -1):
-        digits[:, pos] = rem % n_sym
-        rem //= n_sym
     for pos, letter in enumerate(letters[:depth]):
         points = conj.shifted(pos).map_words(digits[:, pos:])
-        fiber = family.fiber_map(letter)
-        for s in range(n_sym):
-            rows = digits[:, pos] == s
-            s_pulled[rows] += potential.step_values(fiber, s, points[rows])
+        s_pulled += _per_symbol(potential.step_values,
+                                family.fiber_map(letter), digits[:, pos],
+                                points)
     p_pulled = logsumexp(s_pulled) / depth
 
     lipschitz = abs(potential.weight) * max(

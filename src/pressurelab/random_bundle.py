@@ -269,7 +269,6 @@ class FiberCylinders(CylinderSet):
                     for column in letters.T]
         else:
             raise BadSpec("fiber letters are one window or a table of them")
-        self.family = family
         super().__init__(maps, letters.shape[-1])
 
 
@@ -359,7 +358,6 @@ class RandomRoots(NamedTuple):
     t_root: float
     std_error: float
     per_sample: tuple
-    depth: int
     nodes: int
 
 
@@ -393,8 +391,7 @@ def random_bowen_roots(family, letters):
     root = _newton_solve(mean, 1.0, ROOT_TOL)
     per = tuple(float(r) for r in _newton_solve(per_window, 1.0, ROOT_TOL))
     return RandomRoots(t_root=float(root), std_error=_std_error(per),
-                       per_sample=per, depth=letters.shape[1],
-                       nodes=ops.nodes)
+                       per_sample=per, nodes=ops.nodes)
 
 
 def random_entropy(family):
@@ -427,8 +424,8 @@ def expansivity_min_growth(family, letters):
 class DistortionReport(NamedTuple):
     k0: float
     k_value: float
-    worst_violation: float
     radius: float
+    worst_violation: float
     pairs: int
 
 
@@ -535,8 +532,8 @@ def distortion_constants(family, letters):
                             metric(images[i], images[j]), k_val)
                 for i, j in _pair_blocks(pairs)]))
             reports.append(DistortionReport(
-                k0=k0, k_value=float(k_val), worst_violation=worst,
-                radius=float(r0), pairs=len(pairs[0])))
+                k0=k0, k_value=float(k_val), radius=float(r0),
+                worst_violation=worst, pairs=len(pairs[0])))
     return reports
 
 
@@ -558,11 +555,8 @@ CONJ_TOL = 1e-4
 class StabilityRow(NamedTuple):
     epsilon: float
     t_root: float
-    t_reference: float
     gap_t: float
     std_error: float
-    depth: int
-    seeds: int
     h_sup: float
     equivariance: float
     equivariance_bound: float
@@ -659,15 +653,12 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
             eq_meas = float(eq_vals.max())
             eq_bound = _equivariance_bound(fam, cd)
             reports = distortion_constants(fam, probes)
-            distortion = {letter: {key: getattr(rep, key) for key in (
-                "k0", "k_value", "radius", "worst_violation", "pairs")}
-                for letter, rep in enumerate(reports)}
+            distortion = {letter: rep._asdict()
+                          for letter, rep in enumerate(reports)}
             rows.append(StabilityRow(
                 epsilon=float(eps), t_root=roots.t_root,
-                t_reference=float(t_reference),
                 gap_t=abs(roots.t_root - t_reference),
-                std_error=roots.std_error, depth=int(depth),
-                seeds=int(seeds), h_sup=h_sup,
+                std_error=roots.std_error, h_sup=h_sup,
                 equivariance=eq_meas, equivariance_bound=eq_bound))
             certificates["per_epsilon"][float(eps)] = {
                 "expansion_margin": fam.certified_expansion - 1.0,
@@ -683,9 +674,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
         except PressureLabError as exc:
             nan = float("nan")
             rows.append(StabilityRow(
-                epsilon=float(eps), t_root=nan,
-                t_reference=float(t_reference), gap_t=nan,
-                std_error=nan, depth=int(depth), seeds=int(seeds),
+                epsilon=float(eps), t_root=nan, gap_t=nan, std_error=nan,
                 h_sup=nan, equivariance=nan, equivariance_bound=nan,
                 failure=str(exc)))
             certificates["per_epsilon"][float(eps)] = {"failure": str(exc)}

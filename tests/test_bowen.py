@@ -202,3 +202,19 @@ def test_dimension_report_roots_match_bisection(r1, r2, depth):
         expect = _bisected_root(logd, d, 1.0)
         assert t_lower == pytest.approx(expect, abs=1e-9)
         assert t_upper == t_lower
+
+
+def test_newton_falls_back_to_bisection_when_its_certificate_fails():
+    """A slope a trillion times too steep stops Newton after one 5e-13
+    step; the certificate around that step finds no sign change, so the
+    root is bisected on the bracket."""
+    root = _newton_solve(lambda t: (0.5 - t, -1e12), 1.0, 1e-10)
+    assert abs(root - 0.5) <= 1e-10
+    windows = _newton_solve(
+        lambda t: (np.array([0.5, 0.25]) - t, np.full(2, -1e12)), 1.0, 1e-10)
+    assert np.all(np.abs(windows - [0.5, 0.25]) <= 1e-10)
+
+
+def test_bisection_stops_at_the_float_floor():
+    # no float lies between two neighbours, so a zero tolerance ends there
+    assert pl.bowen_root(lambda t: 0.5 - t, 0.0, 1.0, tol=0.0) == 0.5

@@ -333,6 +333,7 @@ def test_each_mode_records_the_keys_it_reads(tmp_path, mode):
     ("map=golden_mean", "orbit_word=1,1"),
     ("map=cookie_cutter(3,3)", "orbit_word=0,2"),
     ("orbit_word=-1",),
+    ("map=golden_mean", "orbit_word=1"),
 ])
 def test_lyapunov_rejects_inadmissible_orbit_words(tmp_path, capsys, args):
     rc, out = run_mode(tmp_path, "--mode", "lyapunov", *args)
@@ -777,3 +778,10 @@ def test_cli_stability_partial_failure_stays_ok(tmp_path):
     assert rc == 0
     assert "status=ok\n" in (out / "record.txt").read_text()
     assert "failures.eps_0.9=" in (out / "certificates.txt").read_text()
+    # the failed level reports the sweep's reference root, depth and seeds
+    with open(out / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["epsilon"] for r in rows] == ["0.9", "0.05"]
+    assert rows[0]["t_root"] == "nan" and rows[1]["t_root"] != "nan"
+    for r in rows:
+        assert (r["t0"], r["n"], r["seeds"]) == ("0.630929753571", "8", "2")

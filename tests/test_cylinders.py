@@ -120,3 +120,18 @@ def test_cylinder_set_walks_a_chain_of_maps():
 def test_build_levels_rejects_mixed_transitions():
     with pytest.raises(pl.BadSpec):
         pl.build_levels([pl.doubling_map(), pl.golden_mean_map()])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: pl.CylinderSet(pl.doubling_map(), 0), pl.BadSpec),
+    (lambda: pl.MapColumn([]), pl.BadSpec),
+    (lambda: pl.CylinderSet(
+        [pl.MapColumn([pl.doubling_map()]),
+         pl.MapColumn([pl.doubling_map(), pl.doubling_map()])], 2),
+     pl.BadSpec),
+    (lambda: pl.CylinderSet(pl.toral_map(2, 3), 2).log_derivative_sums(),
+     pl.BadSpec),
+])
+def test_invalid_walks_are_rejected(call, error):
+    with pytest.raises(error):
+        call()

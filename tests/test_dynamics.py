@@ -465,3 +465,53 @@ def test_torus_rows_equal_the_one_point_results(shape, picks):
     back = pts[::-1]
     assert mp.distance(pts, back).tolist() == [
         mp.distance(x, y) for x, y in zip(pts, back)]
+
+
+def _same(x):
+    return x
+
+
+_AFFINE = dyn.affine_branch
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: dyn.Branch1D(0.5, 0.5, _same, _same, _same, 2.0, 2.0),
+     pl.BadSpec),
+    (lambda: dyn.Branch1D(0.0, 1.0, _same, _same, _same, 0.0, 2.0),
+     pl.BadSpec),
+    (lambda: _AFFINE(0.0, 0.0, 0.0, 1.0), pl.BadSpec),
+    (lambda: pl.circle_map(2, 0.4), pl.BadSpec),
+    (lambda: dyn.Branch2D([[1.0, 2.0], [2.0, 4.0]], (0, 0)),
+     pl.SingularMatrix),
+    (lambda: pl.ExpandingMap([]), pl.BadSpec),
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.5, 0.0, 1.0)], ((1, 1),)),
+     pl.BadSpec),
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.5, 0.0, 1.0)], ((2,),)),
+     pl.BadSpec),
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.5, 0.0, 0.5)]),
+     pl.NonExpanding),
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.5, 0.0, 1.0),
+                              _AFFINE(0.4, 0.9, 0.0, 1.0)]), pl.BadSpec),
+    # the image [0, 0.5] of branch 0 misses the allowed domain [0.5, 1]
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.25, 0.0, 0.5),
+                              _AFFINE(0.5, 1.0, 0.0, 1.0)]), pl.NonMarkov),
+    # the image [0, 1] of branch 0 enters the forbidden domain [0.5, 1]
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.5, 0.0, 1.0),
+                              _AFFINE(0.5, 1.0, 0.0, 1.0)],
+                             ((1, 0), (1, 1))), pl.NonMarkov),
+    (lambda: pl.ExpandingMap([_AFFINE(0.0, 0.25, 0.0, 0.5),
+                              _AFFINE(0.5, 0.75, 0.5, 1.0)],
+                             ((1, 0), (0, 1))), pl.NonMarkov),
+    (lambda: pl.doubling_map().check_word(()), pl.InadmissibleWord),
+    (lambda: pl.doubling_map().count_words(0), pl.BadSpec),
+    (lambda: pl.orbit(pl.cookie_cutter(3, 3), 0.1, 0), pl.BadSpec),
+    # 0.5 lies in the gap between the cookie cutter's branch domains
+    (lambda: pl.orbit(pl.cookie_cutter(3, 3), 0.5, 3), pl.EscapedRepeller),
+    (lambda: pl.toral_conformal_map(1), pl.BadSpec),
+    (lambda: pl.linear_markov(((0.0, 0.5), (0.5, 1.0)), ((0.0, 1.0),)),
+     pl.BadSpec),
+    (lambda: pl.cocycle(pl.toral_map(2, 3), (0.1, 0.1), 0), pl.BadSpec),
+])
+def test_invalid_maps_and_requests_are_rejected(build, error):
+    with pytest.raises(error):
+        build()

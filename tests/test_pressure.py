@@ -18,6 +18,9 @@ def test_logsumexp_matches_direct():
     # overflow safe
     assert pl.logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(
         1000.0 + math.log(2.0))
+    # no weight at all is log 0
+    assert pl.logsumexp([]) == -math.inf
+    assert pl.logsumexp([-math.inf, -math.inf]) == -math.inf
 
 
 def test_potential_constructors():
@@ -473,3 +476,37 @@ def test_geometric_pressure_is_convex_with_bounded_slope(mp, t0, steps,
     lo = -math.log(mp.max_expansion) - 1e-9
     hi = -math.log(mp.min_expansion) + 1e-9
     assert all(lo <= q <= hi for q in slopes)
+
+
+_COOKIE = pl.cookie_cutter(3, 3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: pl.Potential("bogus"), pl.BadSpec),
+    (lambda: pl.Potential("additive"), pl.BadSpec),
+    (lambda: pl.Potential.singular_upper(1.0).step_values(
+        pl.toral_map(2, 3), 0, np.array([[0.1, 0.1]])), pl.BadSpec),
+    (lambda: pl.Potential.singular_upper(1.0).pointwise(
+        _COOKIE, np.array([0.1])), pl.BadSpec),
+    (lambda: pl.pressure_subadditive(_COOKIE, pl.Potential.singular_upper(1.0),
+                                     0), pl.BadSpec),
+    (lambda: pl.iterated_singular_pressure(_COOKIE, 1.0, 0), pl.BadSpec),
+    (lambda: pl.iterated_singular_pressure(_COOKIE, 1.0, 1, budget=0),
+     pl.BadSpec),
+    (lambda: pl.conjugate_pressure_check(_COOKIE, _COOKIE, lambda x: x,
+                                         pl.Potential.singular_upper(1.0)),
+     pl.BadSpec),
+])
+def test_invalid_potentials_and_requests_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_transfer_no_convergence_carries_estimate(monkeypatch):
+    from pressurelab import pressure
+    monkeypatch.setattr(pressure, "TRANSFER_ITERATIONS", 1)
+    with pytest.raises(pl.NoConvergence) as info:
+        pl.transfer_pressure(pl.cookie_cutter(2, 4),
+                             pl.Potential.geometric(0.5), 4)
+    # one power step from the uniform vector leaves the bracket open
+    assert info.value.estimate == pytest.approx(0.2291, abs=1e-4)

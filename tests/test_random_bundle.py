@@ -1060,3 +1060,29 @@ def test_distortion_probes_of_many_letters_walk_in_batches():
     for letter in (0, 1, 511, 1022, 1023, 1024, 1025, n_letters - 1):
         assert pl.distortion_constants(fam, probes[letter]) \
             == [reports[letter]]
+
+
+def _foreign_transport():
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    other = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    conj = pl.FiberConjugacy(other, _table([0], 8)[0])
+    return pl.random_conjugacy_pressure_check(fam, conj, pl.Potential.zero(),
+                                              depth=5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: pl.RandomFamily("cookie", (3.0, 3.0), -0.1), pl.BadSpec),
+    (lambda: pl.RandomFamily("cookie", (3.0, 3.0, 3.0), 0.1), pl.BadSpec),
+    (lambda: pl.RandomFamily("circle", (3.0, 0.05, 1.0), 0.1), pl.BadSpec),
+    (lambda: pl.RandomFamily("cookie", (3.0, 3.0), 0.1).fiber_map(2),
+     pl.BadSpec),
+    (lambda: pl.random_bowen_roots(pl.RandomFamily("cookie", (3.0, 3.0), 0.1),
+                                   np.empty((0, 8), dtype=int)), pl.BadSpec),
+    (lambda: transfer.fiber_operators(
+        pl.RandomFamily("cookie", (3.0, 3.0), 0.1), 1), pl.BadSpec),
+    # the check refuses a conjugacy built for an equal but other family
+    (_foreign_transport, pl.BadSpec),
+])
+def test_invalid_families_and_requests_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
