@@ -12,7 +12,9 @@ the config names the mode, and the pipelines reach them through the
 package's lazy names.
 """
 
+import atexit
 import csv
+import gc
 import math
 import os
 import sys
@@ -346,6 +348,9 @@ def run(cfg, startup=()):
 
 def main(argv=None):
     started = time.perf_counter()
+    # the teardown collections would only visit what dies with the process
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         cfg = parse_args(argv)
     except ConfigError as exc:

@@ -62,21 +62,28 @@ def _parse_call(text, what):
 def _call_factory(registry, spec, what):
     """Build the registered object a spec names.
 
-    Unknown names and argument lists that do not fit the factory's
-    signature are ConfigErrors.  Errors of the package itself (say an
-    out-of-range parameter) propagate unchanged; any other error raised
-    inside the factory becomes a ConfigError naming the spec and carrying
-    the factory's message.
+    Unknown names, argument lists that do not fit the factory's signature
+    and fractional values of integer parameters (those whose default is an
+    int: a degree, a matrix entry, a scale) are ConfigErrors.  Errors of
+    the package itself (say an out-of-range parameter) propagate
+    unchanged; any other error raised inside the factory becomes a
+    ConfigError naming the spec and carrying the factory's message.
     """
     name, args = _parse_call(spec, what)
     factory = registry.get(name)
     if factory is None:
         raise ConfigError("unknown %s %r; known: %s"
                           % (what, name, ", ".join(sorted(registry))))
+    signature = inspect.signature(factory)
     try:
-        inspect.signature(factory).bind(*args)
+        bound = signature.bind(*args)
     except TypeError:
         raise ConfigError("wrong number of arguments for %s %r" % (what, spec))
+    for key, value in bound.arguments.items():
+        if isinstance(signature.parameters[key].default, int) \
+                and not float(value).is_integer():
+            raise ConfigError("%s %r: %s must be an integer, got %r"
+                              % (what, spec, key, value))
     try:
         return factory(*args)
     except PressureLabError:

@@ -44,6 +44,9 @@ class Branch1D:
             raise BadSpec("branch domain [%r, %r] is empty" % (lo, hi))
         if not float(min_slope) > 0.0:
             raise BadSpec("branches must be increasing, got slope %r" % (min_slope,))
+        if not float(max_slope) >= float(min_slope):
+            raise BadSpec("max slope %r is below min slope %r"
+                          % (max_slope, min_slope))
         self.lo = lo
         self.hi = hi
         self.fwd = fwd
@@ -61,6 +64,13 @@ class Branch1D:
     @property
     def image(self):
         return (float(self.fwd(self.lo)), float(self.fwd(self.hi)))
+
+
+def _integer(value, what):
+    """value as an int; a float must be integral, so 3.0 passes and 3.5 fails."""
+    if not float(value).is_integer():
+        raise BadSpec("%s must be an integer, got %r" % (what, value))
+    return int(value)
 
 
 def affine_branch(lo, hi, image_lo, image_hi):
@@ -93,9 +103,9 @@ def circle_branch(degree, amplitude, index):
     Domain endpoints and the inverse are found by Newton iteration from the
     affine initial guess, which is exact when the amplitude vanishes.
     """
-    degree = int(degree)
+    degree = _integer(degree, "covering degree")
     amplitude = float(amplitude)
-    index = int(index)
+    index = _integer(index, "branch index")
     two_pi = 2.0 * math.pi
     floor_slope = degree - two_pi * abs(amplitude)
     if floor_slope <= 0.0:
@@ -553,7 +563,7 @@ def cookie_cutter(r1=3.0, r2=3.0):
 
 def circle_map(degree=3, amplitude=0.0):
     """Full branch covering map of the circle from a sinusoidal lift."""
-    degree = int(degree)
+    degree = _integer(degree, "covering degree")
     if degree < 2:
         raise BadSpec("covering degree must be at least 2")
     branches = [circle_branch(degree, amplitude, k) for k in range(degree)]
@@ -564,8 +574,8 @@ def toral_map(a=2, b=2):
     """Diagonal expanding torus endomorphism with matrix diag(a, b)."""
     from .torus import TorusMap
 
-    a = int(a)
-    b = int(b)
+    a = _integer(a, "diagonal entry")
+    b = _integer(b, "diagonal entry")
     if min(a, b) < 2:
         raise BadSpec("diagonal entries must be at least 2")
     mat = np.array([[float(a), 0.0], [0.0, float(b)]])
@@ -577,7 +587,7 @@ def toral_conformal_map(scale=3):
     """Conformal torus endomorphism: quarter turn times an integer scale."""
     from .torus import TorusMap
 
-    s = int(scale)
+    s = _integer(scale, "conformal scale")
     if s < 2:
         raise BadSpec("conformal scale must be at least 2")
     mat = np.array([[0.0, -float(s)], [float(s), 0.0]])

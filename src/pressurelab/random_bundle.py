@@ -152,7 +152,7 @@ class RandomFamily:
         elif self.kind == "circle":
             if not 1 <= len(self.params) <= 2:
                 raise BadSpec("circle family takes degree and optional amplitude")
-            self.base_map = dyn.circle_map(int(self.params[0]),
+            self.base_map = dyn.circle_map(self.params[0],
                                            self._base_amplitude)
         else:
             raise BadSpec("unknown random family kind %r" % kind)
@@ -229,7 +229,7 @@ class RandomFamily:
         if letter not in self._fibers:
             a = self.coefficient(letter)
             if self.kind == "circle":
-                fiber = dyn.circle_map(int(self.params[0]),
+                fiber = dyn.circle_map(self.params[0],
                                        self._base_amplitude + self.epsilon * a)
             else:
                 scale = 1.0 + self.epsilon * a

@@ -1,10 +1,12 @@
 """Configuration resolution and the batch front end."""
 
 import csv
+import gc
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -557,6 +559,11 @@ def test_cli_error_attribution(tmp_path):
     ("--mode", "stability", "eps_schedule=-0.1"),
     ("--mode", "entropy", "epsilon=-0.1"),
     ("--mode", "checks", "epsilon=-0.1"),
+    # integer map parameters are not truncated
+    ("--mode", "dimension", "map=circle(3.5,0.05)", "depth=6"),
+    ("--mode", "stability", "map=circle(3.5,0.05)", "seeds=2"),
+    ("--mode", "pressure", "map=toral(2.7,3)", "depth=6"),
+    ("--mode", "dimension", "map=toral_conformal(2.9)", "depth=6"),
 ])
 def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
                                                        monkeypatch, args):
@@ -576,6 +583,56 @@ def test_cli_config_error_exit_code():
     assert cli.main(["mode=dimension", "map=cookie(3,3,3)"]) == 2
     assert cli.main(["mode=dimension", "map=linear_markov(1,2)"]) == 2
     assert cli.main(["mode=dimension", "workers=0"]) == 2
+
+
+def test_integral_float_map_parameters_are_integers():
+    assert build_map("circle(3.0,0.05)").describe() \
+        == build_map("circle(3,0.05)").describe()
+    assert build_map("toral(2.0,3)").n_symbols == 6
+
+
+def test_cli_runs_leave_nothing_for_the_exit_collections(tmp_path,
+                                                         monkeypatch):
+    """The heap is frozen at exit, so teardown collects no cycle.
+
+    A file left unclosed in a reference cycle would lose its unflushed
+    buffer there, so a run must leave no such cycle.
+    """
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for mode, *keys in (("stability", "seeds=2"), ("checks",)):
+            out = tmp_path / mode
+            assert cli.main(["--mode", mode, *keys, f"out={out}"]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert unraisable == []
+    assert gc.garbage == []
+
+
+def test_cli_hooks_one_freeze_at_exit_however_often_main_runs(tmp_path):
+    # atexit._ncallbacks() also counts unregistered slots, so the hook is
+    # counted by the calls it gets at exit
+    code = ("import gc, sys\n"
+            "from pressurelab import cli\n"
+            "freeze = gc.freeze\n"
+            "def counted():\n"
+            "    print('freeze')\n"
+            "    freeze()\n"
+            "gc.freeze = counted\n"
+            "for run in 'ab':\n"
+            "    assert cli.main(['--mode', 'entropy',\n"
+            "                     '--out', sys.argv[1] + '/' + run]) == 0\n"
+            "print('returned')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["returned", "freeze"]
+    assert proc.stdout.splitlines().count("freeze") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -511,7 +511,24 @@ _AFFINE = dyn.affine_branch
     (lambda: pl.linear_markov(((0.0, 0.5), (0.5, 1.0)), ((0.0, 1.0),)),
      pl.BadSpec),
     (lambda: pl.cocycle(pl.toral_map(2, 3), (0.1, 0.1), 0), pl.BadSpec),
+    # integer parameters are not truncated: 3.5 is no degree
+    (lambda: pl.circle_map(3.5, 0.05), pl.BadSpec),
+    (lambda: dyn.circle_branch(3.5, 0.05, 0), pl.BadSpec),
+    (lambda: pl.toral_map(2.7, 3), pl.BadSpec),
+    (lambda: pl.toral_map(2, 3.5), pl.BadSpec),
+    (lambda: pl.toral_conformal_map(2.9), pl.BadSpec),
+    # a max slope below the min slope would swap the expansion bounds
+    (lambda: dyn.Branch1D(0.0, 1.0, _same, _same, _same, 2.0, 0.5),
+     pl.BadSpec),
 ])
 def test_invalid_maps_and_requests_are_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_integral_float_parameters_build_the_integer_maps():
+    assert pl.circle_map(3.0, 0.05).describe() \
+        == pl.circle_map(3, 0.05).describe()
+    assert pl.toral_map(2.0, 3.0).describe() == pl.toral_map(2, 3).describe()
+    assert pl.toral_conformal_map(3.0).describe() \
+        == pl.toral_conformal_map(3).describe()

@@ -1082,6 +1082,8 @@ def _foreign_transport():
         pl.RandomFamily("cookie", (3.0, 3.0), 0.1), 1), pl.BadSpec),
     # the check refuses a conjugacy built for an equal but other family
     (_foreign_transport, pl.BadSpec),
+    # the degree is not truncated to 3
+    (lambda: pl.RandomFamily("circle", (3.5, 0.05), 0.02), pl.BadSpec),
 ])
 def test_invalid_families_and_requests_are_rejected(call, error):
     with pytest.raises(error):
