@@ -98,18 +98,20 @@ def build_map(spec):
     return _call_factory(dyn._FAMILIES, spec, "map")
 
 
-def _map_or_none(spec):
-    """The map a spec names, or None when its parameters are out of range.
+def _runnable_map(spec):
+    """The map a spec names, or ConfigError when it cannot be built.
 
-    The map family must exist; an out-of-range parameter is a computation
-    error surfaced when the run starts, not a config error.
+    Every mode builds its map, so a map whose parameters are out of range
+    (a degree below 2, a slope that does not expand) leaves nothing to
+    run and fails with the config, before any work.
     """
     try:
         return build_map(spec)
     except ConfigError:
         raise
-    except PressureLabError:
-        return None
+    except PressureLabError as exc:
+        raise ConfigError("map %s cannot be built: %s: %s"
+                          % (spec, type(exc).__name__, exc))
 
 
 def build_potential(spec):
@@ -197,7 +199,7 @@ class ExperimentConfig(NamedTuple):
             cfg = cfg._replace(depth=_MODE_DEPTH[cfg.mode])
             if cfg.mode == "pressure":
                 # the deepest default walk that fits under the word cap
-                mapping = _map_or_none(cfg.map)
+                mapping = _runnable_map(cfg.map)
                 while cfg.depth > 1 and cfg._walk_words(mapping) > WORD_CAP:
                     cfg = cfg._replace(depth=cfg.depth - 1)
         cfg.validate()
@@ -235,21 +237,21 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("stability mode needs a nonempty eps_schedule")
         if not self.out:
             raise ConfigError("out directory must be set")
-        mapping = _map_or_none(self.map)
+        mapping = _runnable_map(self.map)
         if self.mode == "pressure":
             build_potential(self.potential)
             # geometric values read log f' of interval branches; torus
             # cells have singular values instead
             if _parse_call(self.potential, "potential")[0] == "geometric" \
-                    and mapping is not None and mapping.dim == 2:
+                    and mapping.dim == 2:
                 raise ConfigError("potential %s needs an interval map; on the "
                                   "torus map %s use singular_upper or "
                                   "singular_lower" % (self.potential, self.map))
         if self.mode in ("stability", "entropy", "checks"):
             kind, params = family_shape(self.map)
-            if self.mode != "stability" and mapping is not None:
+            if self.mode != "stability":
                 self._certify_family(kind, params)
-        if self.mode == "lyapunov" and mapping is not None:
+        if self.mode == "lyapunov":
             # the lyapunov layer loads only with the mode that runs it
             from .lyapunov import _check_closable
 
@@ -283,7 +285,7 @@ class ExperimentConfig(NamedTuple):
     def _walk_words(self, mapping):
         """Words in the deepest cylinder walk of a run, clipped at
         WORD_CAP + 1; 0 for none."""
-        depth = self._deepest_walk(mapping) if mapping is not None else 0
+        depth = self._deepest_walk(mapping)
         return mapping.count_words(depth, cap=WORD_CAP) if depth else 0
 
     def _deepest_walk(self, mapping):

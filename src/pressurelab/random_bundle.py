@@ -280,26 +280,18 @@ def _letter_table(letters):
     return table
 
 
-def _window_chunks(family, count, depth, points=None):
+def _window_chunks(family, count, depth):
     """Slices batching ``count`` windows for walks of depth ``depth``.
 
     A batched walk holds one point per window and word, so each batch
-    keeps windows x words within ``points`` (``WORD_CAP`` when omitted);
-    a walk of more words than that gets one window per batch.
+    keeps windows x words within ``WORD_CAP``; a walk of more words than
+    that gets one window per batch.
     """
-    budget = WORD_CAP if points is None else points
-    size = max(1, budget // family.base_map.count_words(depth))
+    size = max(1, WORD_CAP // family.base_map.count_words(depth))
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 # -- conjugacy defects ------------------------------------------------------
-
-# points a batch of conjugacy walks holds per level over all its windows.
-# The defects keep one walk's level while the next walk runs, the largest
-# transient of a sweep; 2^14 points keep it near 0.6 MB, and smaller
-# batches start to cost time per point (CHANGES.md has the measurements)
-_CONJUGACY_BATCH_POINTS = 1 << 14
-
 
 def _conjugacy_defects(family, letters, base=None):
     """Conjugacy displacement and equivariance defect per row of ``letters``.
@@ -322,8 +314,7 @@ def _conjugacy_defects(family, letters, base=None):
         base = CylinderSet(family.base_map, depth).leaves.points
     moved = np.empty(len(letters))
     defect = np.empty(len(letters))
-    for rows in _window_chunks(family, len(letters), depth,
-                               _CONJUGACY_BATCH_POINTS):
+    for rows in _window_chunks(family, len(letters), depth):
         levels = FiberCylinders(family, letters[rows, :-1]).levels
         moved[rows] = _largest_gap(levels[-1].points, base)
         shifted = levels[-2].points[..., None]
@@ -550,6 +541,10 @@ def _pair_slack(deriv_i, deriv_j, dx, dy, k_val):
 
 # largest truncation error of the conjugacy evaluator a sweep aims for
 CONJ_TOL = 1e-4
+# windows the conjugacy and growth certificates of a sweep walk: the bounds
+# they cross-check hold for every realization, so a few windows test them
+# as well as many, and the roots still average every seed
+_WALKED_WINDOWS = 4
 
 
 class StabilityRow(NamedTuple):
@@ -606,9 +601,10 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     only the conjugacy, the reference root, the growth and the
     distortion probes walk cylinders.  One letter table, a row per seed
     and as wide as the deepest walk of any level, is drawn once per sweep,
-    and every level slices it: columns 0 .. m - 1 and 1 .. m for the
-    depth m conjugacy, the first ``GROWTH_DEPTH`` for the growth and the
-    first ``depth`` for the roots.  Each level certifies all rows
+    and every level slices it: the first ``depth`` columns of every row
+    for the roots, and of the first min(seeds, ``_WALKED_WINDOWS``) rows
+    columns 0 .. m - 1 and 1 .. m for the depth m conjugacy and the first
+    ``GROWTH_DEPTH`` for the growth.  Each level certifies those rows
     together: batched fiber walks of both conjugacy slices, one batched
     growth walk, batched walks (``_window_chunks``) of the constant
     windows of all letters for distortion, whose sampled pairs are drawn
@@ -616,8 +612,8 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     The base map is walked once per distinct conjugacy depth.
     Certificates collect per noise level the expansion margin, the node
     count of the root operators (``root_nodes``), displacement and
-    equivariance budgets, the smallest fiber growth rate and distortion
-    constants per letter.
+    equivariance budgets, the smallest fiber growth rate, the count of
+    walked rows (``walked_windows``) and distortion constants per letter.
     A noise level that fails certification produces a row holding the
     failure message instead of aborting the experiment.  When conj_depth
     is omitted it is chosen per level so the truncation error stays below
@@ -632,6 +628,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     width = max(depth, GROWTH_DEPTH, deepest + 1)
     table = np.array([sample_base(base_seed + k, family.n_letters).letters(
         0, width) for k in range(seeds)])
+    walked = table[:_WALKED_WINDOWS]
     probes = _distortion_probes(family.n_letters)
     # base map leaves per conjugacy depth, shared by levels of one depth
     base_walks = {}
@@ -646,9 +643,9 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
             if cd not in base_walks:
                 base_walks[cd] = CylinderSet(family.base_map,
                                              cd).leaves.points
-            h_vals, eq_vals = _conjugacy_defects(fam, table[:, :cd + 1],
+            h_vals, eq_vals = _conjugacy_defects(fam, walked[:, :cd + 1],
                                                  base=base_walks[cd])
-            growth = expansivity_min_growth(fam, table[:, :GROWTH_DEPTH])
+            growth = expansivity_min_growth(fam, walked[:, :GROWTH_DEPTH])
             h_sup = float(h_vals.max())
             eq_meas = float(eq_vals.max())
             eq_bound = _equivariance_bound(fam, cd)
@@ -669,6 +666,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
                 "equivariance": eq_meas,
                 "equivariance_bound": eq_bound,
                 "min_growth": growth,
+                "walked_windows": len(walked),
                 "distortion": distortion,
             }
         except PressureLabError as exc:

@@ -534,14 +534,18 @@ def test_cli_record_times_every_stage(tmp_path, args):
         assert "timing." not in body and "count." not in body
 
 
-def test_cli_error_attribution(tmp_path):
+def test_cli_error_attribution(tmp_path, monkeypatch):
+    """A run that fails while computing records the error it died of."""
+    def broken(cfg):
+        raise pl.NonExpanding("deliberately not expanding")
+
+    monkeypatch.setitem(cli._PIPELINES, "dimension", broken)
     out = tmp_path / "out"
-    rc = cli.main(["mode=dimension", "map=cookie_cutter(0.5,3)",
-                   f"out={out}"])
+    rc = cli.main(["mode=dimension", "map=cookie_cutter(3,3)", f"out={out}"])
     assert rc == 1
-    record = (out / "record.txt").read_text()
+    record = (out / "record.txt").read_text().splitlines()
     assert "status=error" in record
-    assert "NonExpanding" in record
+    assert "error=NonExpanding: deliberately not expanding" in record
 
 
 @pytest.mark.parametrize("args", [
@@ -564,6 +568,11 @@ def test_cli_error_attribution(tmp_path):
     ("--mode", "stability", "map=circle(3.5,0.05)", "seeds=2"),
     ("--mode", "pressure", "map=toral(2.7,3)", "depth=6"),
     ("--mode", "dimension", "map=toral_conformal(2.9)", "depth=6"),
+    # a map whose parameters are out of range cannot be built
+    ("--mode", "dimension", "map=circle(1,0.05)", "depth=6"),
+    ("--mode", "dimension", "map=circle(2,0.4)", "depth=6"),
+    ("--mode", "dimension", "map=toral(1,3)", "depth=6"),
+    ("--mode", "dimension", "map=cookie_cutter(0.5,3)", "depth=6"),
 ])
 def test_cli_rejects_unrunnable_sweeps_before_any_work(tmp_path, capsys,
                                                        monkeypatch, args):

@@ -361,6 +361,58 @@ def test_conjugacy_displacement_walks_in_batches():
         pl.conjugacy_displacement(fam, row) for row in table)
 
 
+_CERTIFIED_FAMILIES = st.one_of(
+    st.tuples(st.just("cookie"),
+              st.tuples(st.floats(min_value=2.5, max_value=4.0),
+                        st.floats(min_value=2.5, max_value=4.0)),
+              st.floats(min_value=0.0, max_value=0.2)),
+    st.tuples(st.just("circle"),
+              st.tuples(st.sampled_from([2.0, 3.0]),
+                        st.floats(min_value=-0.05, max_value=0.05)),
+              st.floats(min_value=0.0, max_value=0.05)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CERTIFIED_FAMILIES, st.integers(min_value=2, max_value=5),
+       st.integers(min_value=2, max_value=8),
+       st.integers(min_value=1, max_value=4), st.data())
+def test_walked_certificates_stay_inside_their_analytic_bounds(
+        shape, n_letters, conj_depth, n_windows, data):
+    """Any windows of a certified family meet the bounds of every window.
+
+    The sweep walks its conjugacy and growth certificates on a few rows
+    only; the bounds those walks cross-check (displacement, equivariance
+    at the conjugacy depth, the certified expansion) hold for every
+    realization, so here they must hold on any letter table of any
+    certified family, at any conjugacy depth.
+    """
+    kind, params, eps = shape
+    try:
+        fam = pl.RandomFamily(kind, params, eps, n_letters)
+    except pl.PerturbationTooLarge:
+        assume(False)
+    row = st.lists(st.integers(min_value=0, max_value=n_letters - 1),
+                   min_size=conj_depth + 1, max_size=conj_depth + 1)
+    table = np.array(data.draw(st.lists(row, min_size=n_windows,
+                                        max_size=n_windows)))
+    ulp = np.finfo(float).eps
+    # the bounds are on real numbers: each walked point is a few ulps of
+    # the hull off (contracting inverse branches keep the rounding of every
+    # step from growing), and at a noise near 1e-16 the displacement is
+    # that rounding alone
+    points = 8.0 * ulp * fam.base_map.diam
+    moved, defect = random_bundle._conjugacy_defects(fam, table)
+    assert moved.max() <= fam.displacement_bound + points
+    assert defect.max() <= random_bundle._equivariance_bound(
+        fam, conj_depth) + points
+    growth = pl.expansivity_min_growth(fam, table[:, :conj_depth])
+    # the bound is attained by words on the slowest branch of an extreme
+    # letter of an affine family, where the growth is a float mean of
+    # conj_depth equal logs: each addition may round it down by an ulp
+    assert growth >= math.log(fam.certified_expansion) * (
+        1.0 - conj_depth * ulp)
+
+
 def test_fiber_repeller_depths():
     """Up to the window's width, conjugacy images are the fiber leaves."""
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
@@ -793,10 +845,11 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     """One letter row per seed, and one base walk per conjugacy depth.
 
     Per level the sweep walks the batched fibers of both conjugacy slices
-    of the letter table, in batches of at most ``_CONJUGACY_BATCH_POINTS``
-    points, its growth slice once, and the constant windows of all letters
-    once for distortion.  The base map is walked once per distinct
-    conjugacy depth, and at half and full depth for the reference root.
+    and the growth slice of the first ``_WALKED_WINDOWS`` rows of the
+    letter table, each in one batch, and the constant windows of all
+    letters once for distortion.  The base map is walked once per
+    distinct conjugacy depth, and at half and full depth for the
+    reference root.
     """
     from pressurelab import cylinders, random_bundle
     draws = []
@@ -811,7 +864,8 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     walk = cylinders.build_levels
 
     def counted_walk(maps, *args, **kwargs):
-        walks.append((len(maps), all(mp.describe() == base for mp in maps)))
+        walks.append((len(maps), all(mp.describe() == base for mp in maps),
+                      cylinders._chain_windows(maps)))
         return walk(maps, *args, **kwargs)
 
     growths = []
@@ -828,23 +882,32 @@ def test_default_cookie_sweep_traffic(monkeypatch):
     carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
     res = pl.stability_experiment(carrier)
     assert draws == list(range(16))
+    walked = random_bundle._WALKED_WINDOWS
+    assert walked == 4
     # the growth certificate of a level is one call of its public kernel
-    assert growths == [(16, random_bundle.GROWTH_DEPTH)] * 4
+    assert growths == [(walked, random_bundle.GROWTH_DEPTH)] * 4
     levels = res.certificates["per_epsilon"]
     assert len(levels) == 4
-    base_depths = sorted(depth for depth, is_base in walks if is_base)
+    assert [cert["walked_windows"] for cert in levels.values()] \
+        == [walked] * 4
+    base_depths = sorted(depth for depth, is_base, _ in walks if is_base)
     reference = [random_bundle.REFERENCE_DEPTH // 2,
                  random_bundle.REFERENCE_DEPTH]
-    conj_depths = {cert["conj_depth"] for cert in levels.values()}
-    assert base_depths == sorted(reference + list(conj_depths))
+    conj_depths = [cert["conj_depth"] for cert in levels.values()]
+    assert base_depths == sorted(reference + list(set(conj_depths)))
     # levels 0.05 and 0.025 share conjugacy depth 9 and its base walk
     assert base_depths == [6, 9, 10, 11, 12]
-    # 16 windows of 2^11 words are two batches; of 2^10 or 2^9, one
-    batches = [-(-16 * 2 ** cert["conj_depth"]
-                 // random_bundle._CONJUGACY_BATCH_POINTS)
-               for cert in levels.values()]
-    assert batches == [2, 1, 1, 1]
-    assert len(walks) == len(base_depths) + 2 * sum(batches) + 2 * len(levels)
+    # each conjugacy slice and the growth slice of the walked rows is one
+    # walk (at depth 11 one batch of 4 x 2^11 = 8192 points), and the
+    # distortion probes one walk of both letters' constant windows
+    assert conj_depths == [11, 10, 9, 9]
+    fibers = [(depth, windows) for depth, is_base, windows in walks
+              if not is_base]
+    assert fibers == [
+        fiber for cd in conj_depths
+        for fiber in ((cd, walked), (cd, walked),
+                      (random_bundle.GROWTH_DEPTH, walked),
+                      (random_bundle.DISTORTION_DEPTH, 2))]
 
 
 def test_default_sweep_hashes_one_letter_table_and_one_pair_set(
@@ -877,22 +940,30 @@ def test_default_sweep_hashes_one_letter_table_and_one_pair_set(
 
 
 def test_sweep_levels_read_slices_of_one_letter_table():
-    """A level's numbers are the one-window measures of its table slices."""
+    """A level's numbers are the one-window measures of its table slices.
+
+    The root reads every row; the conjugacy and growth certificates read
+    the first min(seeds, ``_WALKED_WINDOWS``) rows.
+    """
     carrier = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
-    res = pl.stability_experiment(carrier, schedule=(0.1,), depth=10,
-                                  seeds=3, base_seed=7)
-    row = res.rows[0]
-    cert = res.certificates["per_epsilon"][0.1]
-    cd = cert["conj_depth"]
     fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
-    table = _table(range(7, 10), cd + 1)
-    assert row.t_root == pl.random_bowen_roots(fam, table[:, :10]).t_root
-    assert row.h_sup == max(pl.conjugacy_displacement(fam, r[:cd])
-                            for r in table)
-    assert row.equivariance == pl.measure_equivariance(
-        fam, table[:, :cd + 1])[0]
-    assert cert["min_growth"] == pl.expansivity_min_growth(
-        fam, table[:, :random_bundle.GROWTH_DEPTH])
+    for seeds in (3, 6):
+        res = pl.stability_experiment(carrier, schedule=(0.1,), depth=10,
+                                      seeds=seeds, base_seed=7)
+        row = res.rows[0]
+        cert = res.certificates["per_epsilon"][0.1]
+        cd = cert["conj_depth"]
+        table = _table(range(7, 7 + seeds), cd + 1)
+        walked = table[:random_bundle._WALKED_WINDOWS]
+        assert cert["walked_windows"] == len(walked) == min(seeds, 4)
+        assert row.t_root == pl.random_bowen_roots(fam,
+                                                   table[:, :10]).t_root
+        assert row.h_sup == max(pl.conjugacy_displacement(fam, r[:cd])
+                                for r in walked)
+        assert row.equivariance == pl.measure_equivariance(
+            fam, walked[:, :cd + 1])[0]
+        assert cert["min_growth"] == pl.expansivity_min_growth(
+            fam, walked[:, :random_bundle.GROWTH_DEPTH])
 
 
 @settings(max_examples=20, deadline=None)
