@@ -168,9 +168,10 @@ class ExperimentConfig(NamedTuple):
     up to 10 whose cylinder walk fits under ``WORD_CAP`` (7 on
     ``toral(2,3)``).  epsilon is the noise level of entropy runs and of
     the checks battery, where 0 means ``CHECKS_EPSILON``, while
-    eps_schedule drives the stability sweep.  conj_depth of 0 lets the
-    experiment match the conjugacy truncation error to its tolerance, as
-    far as the word cap allows.
+    eps_schedule drives the stability sweep.  conj_depth is 0, which
+    matches the conjugacy truncation error to its tolerance as far as the
+    word cap allows, or at least 2.  A family checks once, at
+    construction, that its map is a full shift.
     """
 
     mode: str = "dimension"
@@ -224,8 +225,8 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("letters must lie in 1 .. 2^32")
         if self.epsilon < 0.0:
             raise ConfigError("epsilon must not be negative")
-        if self.conj_depth < 0:
-            raise ConfigError("conj_depth must not be negative")
+        if self.conj_depth < 0 or self.conj_depth == 1:
+            raise ConfigError("conj_depth is 0 for automatic or at least 2")
         if any(e < 0.0 for e in self.eps_schedule):
             raise ConfigError("eps_schedule entries must not be negative")
         # certificates are keyed by level, so a repeated level would lose one

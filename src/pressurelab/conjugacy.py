@@ -15,9 +15,8 @@ import numpy as np
 from .cylinders import CylinderSet
 from .errors import BadSpec, InadmissibleWord
 from .random_bundle import (FiberCylinders, _conjugacy_defects,
-                            _equivariance_bound, _largest_gap, _letter_table,
-                            _std_error, _window_chunks)
-from .transfer import _require_full_shift
+                            _equivariance_bound, _fiber_walks, _largest_gap,
+                            _letter_table, _std_error)
 
 
 class FiberConjugacy:
@@ -80,14 +79,12 @@ def conjugacy_displacement(family, letters):
     """Largest distance the depth n conjugacy moves a cylinder point.
 
     ``letters`` is one window of n letters, or a table of them measured
-    by its worst row and walked in batches of ``_window_chunks``.
+    by its worst row and walked in batches of ``_fiber_walks``.
     """
     letters = _letter_table(letters)
-    depth = letters.shape[1]
-    base = CylinderSet(family.base_map, depth).leaves.points
-    return float(max(_largest_gap(
-        FiberCylinders(family, letters[rows]).leaves.points, base).max()
-        for rows in _window_chunks(family, len(letters), depth)))
+    base = CylinderSet(family.base_map, letters.shape[1]).leaves.points
+    return float(max(_largest_gap(walk.leaves.points, base).max()
+                     for _, walk in _fiber_walks(family, letters)))
 
 
 def measure_equivariance(family, letters):
@@ -99,12 +96,9 @@ def measure_equivariance(family, letters):
     from the truncation seeds, so it must stay below 2 gamma^n times the
     diameter.  Returns (measured, bound).
     """
-    letters = _letter_table(letters)
-    if letters.shape[1] < 3:
-        raise BadSpec("equivariance needs windows of at least 3 letters")
     _, defect = _conjugacy_defects(family, letters)
     return float(defect.max()), float(_equivariance_bound(
-        family, letters.shape[1] - 1))
+        family, np.shape(letters)[-1] - 1))
 
 
 # -- walked random pressure -------------------------------------------------
@@ -121,15 +115,14 @@ def random_pressure(family, potential, letters):
     Per row of ``letters`` (one window of n letters) the value is (1/n)
     log of the summed exponential of the accumulated potential over depth
     n fiber cylinders; the estimate is the mean over the rows with its
-    sampling spread.
+    sampling spread.  The rows are walked in batches of ``_fiber_walks``.
     """
     # the pressure layer loads only with the modes that fold potentials
     from .pressure import logsumexp
 
-    table = _letter_table(letters)
-    depth = table.shape[1]
-    vals = [logsumexp(FiberCylinders(family, row).birkhoff(
-        potential.step_values)[-1]) / depth for row in table]
+    vals = [logsumexp(row) / walk.depth
+            for _, walk in _fiber_walks(family, letters)
+            for row in walk.birkhoff(potential.step_values)[-1]]
     return RandomEstimate(value=float(np.mean(vals)), std_error=_std_error(vals),
                           per_sample=tuple(vals))
 
@@ -168,7 +161,6 @@ def random_conjugacy_pressure_check(family, conj, potential, depth=8):
     from .pressure import _per_symbol, logsumexp
 
     base = family.base_map
-    _require_full_shift(base)
     if conj.family is not family:
         raise BadSpec("conjugacy was built for a different family")
     margin = conj.depth - int(depth)

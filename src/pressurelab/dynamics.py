@@ -68,7 +68,8 @@ class Branch1D:
 
 def _integer(value, what):
     """value as an int; a float must be integral, so 3.0 passes and 3.5 fails."""
-    if not float(value).is_integer():
+    if (not isinstance(value, (int, np.integer))
+            and not float(value).is_integer()):
         raise BadSpec("%s must be an integer, got %r" % (what, value))
     return int(value)
 

@@ -66,7 +66,7 @@ class Potential:
         self.value_fn = value_fn
         self.weight = float(weight)
         self.name = name or kind
-        # set by ``from_function``: the value function ignores the symbol
+        # set by ``from_function`` and ``constant``: values ignore the symbol
         self.symbol_free = False
 
     # -- constructors ---------------------------------------------------
@@ -77,9 +77,13 @@ class Potential:
 
     @classmethod
     def constant(cls, c):
+        """c at every point: one value per point, or per row on the torus."""
         c = float(c)
-        return cls.from_function(lambda pts: np.full(len(np.atleast_1d(pts)), c),
-                                 name="constant(%g)" % c)
+        potential = cls("additive", lambda mapping, symbol, pts: np.full(
+            np.shape(pts)[:np.ndim(pts) + 1 - mapping.dim], c),
+            name="constant(%g)" % c)
+        potential.symbol_free = True
+        return potential
 
     @classmethod
     def from_function(cls, func, name="function"):
@@ -380,6 +384,8 @@ def variational_gaps(mapping, potential, words, depth=12):
     from .lyapunov import _check_closable, periodic_orbit
 
     words = [_check_closable(mapping, word) for word in words]
+    if not words:
+        raise BadSpec("need at least one closed word")
     if potential.kind == "additive" or mapping.dim == 1:
         syms = np.concatenate([np.array(word, dtype=np.intp)
                                for word in words])

@@ -32,8 +32,7 @@ from .bowen import _newton_solve, dimension_report
 from .cylinders import (DISTORTION_DEPTH, GROWTH_DEPTH, REFERENCE_DEPTH,
                         WORD_CAP, CylinderSet, MapColumn)
 from .errors import BadSpec, PerturbationTooLarge, PressureLabError
-from .transfer import (ROOT_TOL, _require_full_shift, _root_operators,
-                       fiber_pressures)
+from .transfer import ROOT_TOL, _root_operators, fiber_pressures
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,10 +102,12 @@ def _draw(seed, counters, n):
     return z
 
 
-def _check_letter_count(n_letters):
+def _letter_count(n_letters):
+    n_letters = dyn._integer(n_letters, "the letter count")
     # the multiply-shift of ``_draw`` reaches at most 2^32 letters
     if not 1 <= n_letters <= 2 ** 32:
         raise BadSpec("the letter count must lie in 1 .. 2^32")
+    return n_letters
 
 
 def sample_base(seed, n_letters=2):
@@ -115,12 +116,13 @@ def sample_base(seed, n_letters=2):
     Position p holds the letter ``_draw(seed, p, n_letters)``: a
     counter-based hash of the seed and the position, so every operation
     reading any range of positions from one seed sees one and the same
-    realization.  Seeds key a 64-bit hash and must lie in 0 .. 2^64 - 1.
+    realization.  Seeds key a 64-bit hash and must be ints in 0 .. 2^64 - 1.
     """
-    _check_letter_count(n_letters)
+    n_letters = _letter_count(n_letters)
+    seed = dyn._integer(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise BadSpec("seed must lie in 0 .. 2^64 - 1")
-    return BaseSample(int(seed), int(n_letters))
+    return BaseSample(seed, n_letters)
 
 
 # -- perturbation families ------------------------------------------------
@@ -132,19 +134,19 @@ class RandomFamily:
     Kind "circle" shifts the lift amplitude by epsilon times a, so the
     branch maps become x -> degree x + (amp + eps a) sin(2 pi x) mod 1.
     Kind "cookie" scales both branch slopes by 1 + epsilon * coefficient
-    and recomputes the branch domains accordingly.  Construction certifies
-    a uniform expansion margin: every fiber must keep at least half of the
-    unperturbed margin, otherwise PerturbationTooLarge.
+    and recomputes the branch domains accordingly.  Construction checks
+    that the base map is a full shift and certifies a uniform expansion
+    margin: every fiber must keep at least half of the unperturbed margin,
+    otherwise PerturbationTooLarge.
     """
 
     def __init__(self, kind, params, epsilon, n_letters=2):
         self.kind = str(kind)
         self.params = tuple(float(v) for v in params)
         self.epsilon = float(epsilon)
-        self.n_letters = int(n_letters)
+        self.n_letters = _letter_count(n_letters)
         if self.epsilon < 0.0:
             raise BadSpec("perturbation size must not be negative")
-        _check_letter_count(self.n_letters)
         if self.kind == "cookie":
             if len(self.params) != 2:
                 raise BadSpec("cookie family takes two branch slopes")
@@ -156,6 +158,8 @@ class RandomFamily:
                                            self._base_amplitude)
         else:
             raise BadSpec("unknown random family kind %r" % kind)
+        if any(v != 1 for row in self.base_map.adjacency for v in row):
+            raise BadSpec("random families need a full transition matrix")
         self._fibers = {}
         self.certificate = self._certify()
         self.certified_expansion = self.certificate["worst_expansion"]
@@ -257,7 +261,7 @@ class FiberCylinders(CylinderSet):
     lexicographic order as the walker of the base map.  ``letters`` is
     one window, or a 2-D table walked at once, one window per row: every
     position then holds a ``MapColumn`` and the level points one row per
-    window (see ``_window_chunks`` for how many windows fit one walk).
+    window (see ``_fiber_walks`` for how many windows fit one walk).
     """
 
     def __init__(self, family, letters):
@@ -280,15 +284,19 @@ def _letter_table(letters):
     return table
 
 
-def _window_chunks(family, count, depth):
-    """Slices batching ``count`` windows for walks of depth ``depth``.
+def _fiber_walks(family, letters):
+    """(rows, ``FiberCylinders`` of those rows) per batch of ``letters``.
 
-    A batched walk holds one point per window and word, so each batch
-    keeps windows x words within ``WORD_CAP``; a walk of more words than
-    that gets one window per batch.
+    ``letters`` is one window or a table of them.  A batched walk holds
+    one point per window and word, so each batch keeps windows x words
+    within ``WORD_CAP``; a walk of more words than that gets one window
+    per batch.  Each walk is built only when its batch is asked for.
     """
-    size = max(1, WORD_CAP // family.base_map.count_words(depth))
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
+    table = _letter_table(letters)
+    size = max(1, WORD_CAP // family.base_map.count_words(table.shape[1]))
+    for lo in range(0, len(table), size):
+        rows = slice(lo, lo + size)
+        yield rows, FiberCylinders(family, table[rows])
 
 
 # -- conjugacy defects ------------------------------------------------------
@@ -296,30 +304,31 @@ def _window_chunks(family, count, depth):
 def _conjugacy_defects(family, letters, base=None):
     """Conjugacy displacement and equivariance defect per row of ``letters``.
 
-    Each row holds n + 1 letters.  Base and fiber walkers enumerate the
-    same words in the same order, so the depth n conjugacy image of every
-    base representative is the fiber representative at the same index of
-    the walk of columns 0 .. n - 1; the displacement is their largest
-    distance.  Level n - 2 of that walk holds the words at positions
+    Each row holds n + 1 letters, at least 3.  Base and fiber walkers
+    enumerate the same words in the same order, so the depth n conjugacy
+    image of every base representative is the fiber representative at the
+    same index of the walk of columns 0 .. n - 1; the displacement is their
+    largest distance.  Level n - 2 of that walk holds the words at positions
     1 .. n - 1 (conjugate then shift), and the leaves of the walk of
     columns 1 .. n map them (map then conjugate); the defect is their
     largest mismatch over the prefix relation.  The base map is walked
     once for all rows, unless ``base`` already holds the leaf points of
     that walk.  Returns two arrays.
     """
-    _require_full_shift(family.base_map)
+    letters = _letter_table(letters)
+    if letters.shape[1] < 3:
+        raise BadSpec("equivariance needs windows of at least 3 letters")
     n_sym = family.base_map.n_symbols
-    depth = letters.shape[1] - 1
     if base is None:
-        base = CylinderSet(family.base_map, depth).leaves.points
+        base = CylinderSet(family.base_map, letters.shape[1] - 1).leaves.points
     moved = np.empty(len(letters))
     defect = np.empty(len(letters))
-    for rows in _window_chunks(family, len(letters), depth):
-        levels = FiberCylinders(family, letters[rows, :-1]).levels
+    for rows, walk in _fiber_walks(family, letters[:, :-1]):
+        levels = walk.levels
         moved[rows] = _largest_gap(levels[-1].points, base)
         shifted = levels[-2].points[..., None]
-        # free the first walk before the shifted walk is built
-        del levels
+        # free the conjugate walk before the shifted walk of its rows
+        del walk, levels
         mapped = FiberCylinders(family, letters[rows, 1:]).leaves.points
         # leaf i of the shifted walk extends word i // n_sym of ``shifted``
         defect[rows] = _largest_gap(
@@ -393,7 +402,6 @@ def random_entropy(family):
     symbols, and the zero potential ``random_pressure`` of any seeds and
     depth is log k.  No word is walked or counted.
     """
-    _require_full_shift(family.base_map)
     return math.log(family.base_map.n_symbols)
 
 
@@ -401,13 +409,10 @@ def expansivity_min_growth(family, letters):
     """Smallest per step log expansion over depth n fiber words.
 
     ``letters`` is one window of n letters, or a table of them measured
-    by its worst row and walked in batches of ``_window_chunks``.
+    by its worst row and walked in batches of ``_fiber_walks``.
     """
-    letters = _letter_table(letters)
-    depth = letters.shape[1]
-    return float(min(
-        FiberCylinders(family, letters[rows]).log_derivative_sums()[-1].min()
-        for rows in _window_chunks(family, len(letters), depth)) / depth)
+    return float(min(walk.log_derivative_sums()[-1].min() / walk.depth
+                     for _, walk in _fiber_walks(family, letters)))
 
 
 # -- distortion --------------------------------------------------------------
@@ -482,7 +487,7 @@ def distortion_constants(family, letters):
     pairs straddling a branch boundary.  worst_violation is the smallest
     slack over all sampled pairs; the inequality holds when it is not
     negative.  ``letters`` is one window of n letters or a table of them,
-    walked in batches of ``_window_chunks``, and the reports come one per
+    walked in batches of ``_fiber_walks``, and the reports come one per
     window; windows share the word count, so they share the pairs of
     ``_distortion_pairs``.  k0 and then the slack are scanned over blocks of
     ``_PAIR_BLOCK`` pairs.  ``DISTORTION_DEPTH`` copies of one letter
@@ -498,8 +503,7 @@ def distortion_constants(family, letters):
         return np.minimum(d, 1.0 - d) if circle else d
 
     reports = []
-    for rows in _window_chunks(family, len(windows), windows.shape[1]):
-        chain = FiberCylinders(family, windows[rows])
+    for rows, chain in _fiber_walks(family, windows):
         leaves = chain.leaves
         m = len(leaves.first)
         pairs = _distortion_pairs(m)
@@ -606,7 +610,7 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     columns 0 .. m - 1 and 1 .. m for the depth m conjugacy and the first
     ``GROWTH_DEPTH`` for the growth.  Each level certifies those rows
     together: batched fiber walks of both conjugacy slices, one batched
-    growth walk, batched walks (``_window_chunks``) of the constant
+    growth walk, batched walks (``_fiber_walks``) of the constant
     windows of all letters for distortion, whose sampled pairs are drawn
     once per sweep, and one vectorised Newton pass for the per-seed roots.
     The base map is walked once per distinct conjugacy depth.

@@ -21,11 +21,6 @@ ROOT_TOL = 1e-10
 _RESCALE_STEPS = 16
 
 
-def _require_full_shift(mapping):
-    if any(v != 1 for row in mapping.adjacency for v in row):
-        raise BadSpec("this check needs a full transition matrix")
-
-
 class FiberOperators(NamedTuple):
     """Chebyshev collocation of the fiber Ruelle operators of a family.
 
@@ -66,7 +61,6 @@ def fiber_operators(family, nodes):
     """
     if nodes < 2:
         raise BadSpec("collocation needs at least two nodes")
-    _require_full_shift(family.base_map)
     lo, hi = family.base_map.hull
     j = np.arange(int(nodes))
     x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * j / (nodes - 1))

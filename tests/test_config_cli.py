@@ -560,6 +560,8 @@ def test_cli_error_attribution(tmp_path, monkeypatch):
     ("--mode", "stability", "eps_schedule=0.2,0.05,0.20"),
     ("--mode", "stability", "seeds=0"),
     ("--mode", "stability", "conj_depth=-1"),
+    # a conjugacy defect compares two levels of one walk
+    ("--mode", "stability", "conj_depth=1"),
     ("--mode", "stability", "eps_schedule=-0.1"),
     ("--mode", "entropy", "epsilon=-0.1"),
     ("--mode", "checks", "epsilon=-0.1"),

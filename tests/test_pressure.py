@@ -34,6 +34,29 @@ def test_potential_constructors():
     assert np.allclose(fn.pointwise(mp, pts), pts * pts)
 
 
+@pytest.mark.parametrize("c", [0.0, 1.5, -0.25])
+def test_constant_potentials_fold_on_windowed_walks(c):
+    """Level k of a batched fiber walk sums k + 1 steps of c in every
+    window, since the value function shapes its values as the points."""
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+    table = np.array([pl.sample_base(s).letters(0, 4) for s in range(3)])
+    pot = pl.Potential.zero() if c == 0.0 else pl.Potential.constant(c)
+    assert pot.symbol_free
+    sums = pl.FiberCylinders(fam, table).birkhoff(pot.step_values)
+    assert len(sums) == 4
+    for k, level in enumerate(sums):
+        assert level.shape == (3, 2 ** (k + 1))
+        assert np.all(level == (k + 1) * c)
+
+
+def test_constant_potentials_give_one_value_per_torus_row():
+    mp = pl.toral_map(2, 3)
+    pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.9]])
+    for pot, c in ((pl.Potential.zero(), 0.0),
+                   (pl.Potential.constant(1.5), 1.5)):
+        assert pot.pointwise(mp, pts).tolist() == [c] * 3
+
+
 def test_separated_set_counts_and_spacing():
     mp = pl.cookie_cutter(3.0, 3.0)
     sep = pl.separated_set(mp, 6)
@@ -495,6 +518,9 @@ _COOKIE = pl.cookie_cutter(3, 3)
      pl.BadSpec),
     (lambda: pl.conjugate_pressure_check(_COOKIE, _COOKIE, lambda x: x,
                                          pl.Potential.singular_upper(1.0)),
+     pl.BadSpec),
+    # no closed word leaves nothing to compare
+    (lambda: pl.variational_gaps(_COOKIE, pl.Potential.zero(), []),
      pl.BadSpec),
 ])
 def test_invalid_potentials_and_requests_are_rejected(call, error):

@@ -361,6 +361,7 @@ def test_conjugacy_displacement_walks_in_batches():
         pl.conjugacy_displacement(fam, row) for row in table)
 
 
+
 _CERTIFIED_FAMILIES = st.one_of(
     st.tuples(st.just("cookie"),
               st.tuples(st.floats(min_value=2.5, max_value=4.0),
@@ -782,13 +783,16 @@ def test_batched_walk_rows_equal_one_window_walks(shape, n_windows, depth,
     words = int(fam.base_map.count_words(depth))
     cap = 2 * words if small_cap else random_bundle.WORD_CAP
     with mock.patch.object(random_bundle, "WORD_CAP", cap):
-        chunks = random_bundle._window_chunks(fam, n_windows, depth)
+        walks = list(random_bundle._fiber_walks(fam, windows))
     if small_cap:
-        assert [len(windows[rows]) for rows in chunks] == \
+        assert [batch.windows for _, batch in walks] == \
             [2] * (n_windows // 2) + [1] * (n_windows % 2)
+    # the batches cover the table's rows once, in order
+    assert np.concatenate([np.arange(n_windows)[rows]
+                           for rows, _ in walks]).tolist() \
+        == list(range(n_windows))
     tol = 0.0 if kind == "cookie" else 1e-12
-    for rows in chunks:
-        batch = pl.FiberCylinders(fam, windows[rows])
+    for rows, batch in walks:
         assert batch.windows == len(windows[rows])
         for k, window in enumerate(windows[rows]):
             one = pl.FiberCylinders(fam, window)
@@ -803,6 +807,68 @@ def test_batched_walk_rows_equal_one_window_walks(shape, n_windows, depth,
             np.testing.assert_allclose(batch.log_derivative_sums()[-1][k],
                                        one.log_derivative_sums()[-1],
                                        rtol=0.0, atol=tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WALK_FAMILIES, st.integers(min_value=2, max_value=3),
+       st.integers(min_value=2, max_value=5),
+       st.integers(min_value=3, max_value=8), st.data())
+def test_fiber_walk_consumers_read_the_same_values_in_any_batches(
+        shape, n_letters, n_windows, width, data):
+    """Each consumer of ``_fiber_walks`` is blind to how its rows batch.
+
+    With a word cap that lets every window walk alone, the conjugacy
+    defects, growth, displacement, walked pressure and distortion reports
+    equal those of one batch: exactly on affine cookie fibers, and to
+    1e-12 on circle fibers, whose inverse branches iterate Newton steps
+    over all points of a call.
+    """
+    kind, params, eps = shape
+    fam = pl.RandomFamily(kind, params, eps, n_letters)
+    row = st.lists(st.integers(min_value=0, max_value=n_letters - 1),
+                   min_size=width, max_size=width)
+    table = np.array(data.draw(st.lists(row, min_size=n_windows,
+                                        max_size=n_windows)))
+    windows = table[:, :-1]
+    potential = pl.Potential.geometric(0.6)
+
+    def consumers():
+        return [*random_bundle._conjugacy_defects(fam, table),
+                [pl.expansivity_min_growth(fam, windows)],
+                [pl.conjugacy_displacement(fam, windows)],
+                pl.random_pressure(fam, potential, windows).per_sample,
+                [value for report in pl.distortion_constants(fam, windows)
+                 for value in report]]
+
+    together = consumers()
+    words = fam.base_map.count_words(width - 1)
+    assert words * n_windows <= random_bundle.WORD_CAP
+    with mock.patch.object(random_bundle, "WORD_CAP", words):
+        assert len(list(random_bundle._fiber_walks(fam, windows))) \
+            == n_windows
+        alone = consumers()
+    tol = 0.0 if kind == "cookie" else 1e-12
+    for one_batch, one_each in zip(together, alone):
+        np.testing.assert_allclose(one_batch, one_each, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("kind, params, eps", [
+    ("circle", (3.0, 0.05), 0.05), ("circle", (2.0, 0.05), 0.02),
+    ("cookie", (3.0, 2.5), 0.1)])
+@pytest.mark.parametrize("n_letters", [2, 3])
+def test_batched_random_pressure_equals_one_window_walks(kind, params, eps,
+                                                         n_letters):
+    """Each row's walked pressure is that of its own one-window walk."""
+    from pressurelab.pressure import logsumexp
+
+    fam = pl.RandomFamily(kind, params, eps, n_letters)
+    table = _table(range(9), 7, n_letters)
+    for potential in (pl.Potential.geometric(0.6),
+                      pl.Potential.from_function(lambda x: np.sin(3 * x))):
+        est = pl.random_pressure(fam, potential, table)
+        assert est.per_sample == tuple(
+            logsumexp(pl.FiberCylinders(fam, row).birkhoff(
+                potential.step_values)[-1]) / 7 for row in table)
 
 
 def test_batched_walk_counts_every_window_against_the_cap(monkeypatch):
@@ -1155,7 +1221,42 @@ def _foreign_transport():
     (_foreign_transport, pl.BadSpec),
     # the degree is not truncated to 3
     (lambda: pl.RandomFamily("circle", (3.5, 0.05), 0.02), pl.BadSpec),
+    # nor are seeds and letter counts, and an int of any size reaches the
+    # range check
+    (lambda: pl.sample_base(1.5), pl.BadSpec),
+    (lambda: pl.sample_base(3, 2.5), pl.BadSpec),
+    (lambda: pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 2.5), pl.BadSpec),
+    (lambda: pl.sample_base(2 ** 2000), pl.BadSpec),
+    (lambda: pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 2 ** 2000),
+     pl.BadSpec),
 ])
 def test_invalid_families_and_requests_are_rejected(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_integral_seeds_and_letter_counts_are_ints():
+    assert pl.sample_base(3.0, 2.0) == pl.sample_base(3, 2)
+    assert pl.sample_base(np.int64(3)).seed == 3
+    assert pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 3.0).n_letters == 3
+
+
+def test_a_family_checks_at_construction_that_its_base_is_a_full_shift(
+        monkeypatch):
+    monkeypatch.setattr(random_bundle.dyn, "cookie_cutter",
+                        lambda *params: pl.golden_mean_map())
+    with pytest.raises(pl.BadSpec, match="full transition matrix"):
+        pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
+
+
+def test_a_one_letter_conjugacy_fails_every_level_plainly():
+    """A conjugacy defect compares two levels of one walk, so a sweep at
+    conj_depth 1 records every level as a failure, not an IndexError."""
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    result = pl.stability_experiment(fam, conj_depth=1, seeds=2)
+    assert len(result.rows) == 4
+    for row in result.rows:
+        assert row.failure == "equivariance needs windows of at least 3 " \
+            "letters"
+        assert result.certificates["per_epsilon"][row.epsilon] \
+            == {"failure": row.failure}
