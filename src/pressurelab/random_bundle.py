@@ -624,6 +624,10 @@ def stability_experiment(family, schedule=(0.2, 0.1, 0.05, 0.025), depth=16,
     ``CONJ_TOL``, or as deep as ``WORD_CAP`` allows when that is not deep
     enough.
     """
+    seeds = dyn._integer(seeds, "the seed count")
+    depth = dyn._integer(depth, "the root depth")
+    if conj_depth is not None:
+        conj_depth = dyn._integer(conj_depth, "the conjugacy depth")
     if seeds < 1:
         raise BadSpec("need at least one base seed")
     t_reference = dimension_report(family.base_map, REFERENCE_DEPTH).t_root

@@ -115,6 +115,28 @@ def expectation_root(eps, slopes=(3.0, 3.0), coeffs=(-1.0, 1.0)):
     return 0.5 * (lo + hi)
 
 
+def affine_fiber_pressure(slopes, scales, t):
+    """Depth n fiber pressure P_n(t) and slope P_n'(t) of affine fibers.
+
+    Position k scales every branch slope s_i by scales[k], and n is
+    len(scales).  Derivatives are constant along each branch, so the fiber
+    sum over words is the product over positions of sum_i x_ik**-t with
+    x_ik = s_i * scales[k]: P_n(t) is the mean over positions of its
+    logarithm, and P_n'(t) the mean of minus the average of log x_ik under
+    the weights x_ik**-t.
+    """
+    values, derivatives = [], []
+    for scale in scales:
+        logs = [math.log(s * scale) for s in slopes]
+        weights = [math.exp(-t * x) for x in logs]
+        total = math.fsum(weights)
+        values.append(math.log(total))
+        derivatives.append(-math.fsum(w * x for w, x in zip(weights, logs))
+                           / total)
+    return (math.fsum(values) / len(scales),
+            math.fsum(derivatives) / len(scales))
+
+
 def primitive_cycles(adj, period_cap):
     """All primitive admissible cycles up to rotation, as tuples."""
     n = len(adj)

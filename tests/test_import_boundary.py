@@ -94,6 +94,12 @@ _RANDOM = {"random_bundle", "transfer", "conjugacy"}
      {"checks", "pressure", "bowen"} | _RANDOM),
     (("--mode", "pressure", "map=toral(2,3)"),
      {"lyapunov", "checks", "bowen"} | _RANDOM),
+    # circle fibers are interpolated on more nodes, and a third letter
+    # adds a third operator to every step
+    (("--mode", "stability", "map=circle(2,0.05)", "seeds=2"),
+     {"lyapunov", "checks", "pressure", "conjugacy", "torus"}),
+    (("--mode", "stability", "letters=3", "seeds=2"),
+     {"lyapunov", "checks", "pressure", "conjugacy", "torus"}),
 ])
 def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
     loaded, blas_paged = _loaded_by_run(tmp_path / "out", *args)
@@ -101,9 +107,9 @@ def test_runs_skip_the_modules_of_other_modes(tmp_path, args, absent):
     assert not loaded & absent
     # a torus run reads one module more than the interval run of its mode
     assert ("torus" in loaded) == any(a.startswith("map=toral") for a in args)
-    # only the stability roots' operator products are large enough for
-    # BLAS to pay; every other product is a 2x2 closed form or a short sum
-    if "stability" not in args and blas_paged is not None:
+    # no run calls BLAS: the stability roots' operator products are
+    # einsums, and every other product is a 2x2 closed form or a short sum
+    if blas_paged is not None:
         assert blas_paged <= 0
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pressurelab as pl
-from conftest import expectation_root, moran_root
+from conftest import affine_fiber_pressure, expectation_root, moran_root
 from pressurelab import random_bundle, transfer
 
 
@@ -713,6 +713,40 @@ def test_fiber_operators_reproduce_fiber_sums(shape, seed, n_seeds, depth,
                                          rel=0.0, abs=tol)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.floats(min_value=2.5, max_value=5.0),
+                 st.floats(min_value=2.5, max_value=5.0)),
+       st.floats(min_value=0.0, max_value=0.15),
+       st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=2, max_value=3),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                max_size=4))
+def test_fiber_pressures_equal_affine_products(slopes, eps, seed, depth,
+                                               n_letters, ts):
+    """On affine fibers the operator pressures and slopes are closed forms.
+
+    Depths past ``_RESCALE_STEPS`` run the rescaling (by about 1 here:
+    L 1 is constant on affine fibers); every window is checked at one
+    shared t and at its own t, and a per-window t whose entries all equal
+    the shared t reads the shared t's values.
+    """
+    fam = pl.RandomFamily("cookie", slopes, eps, n_letters)
+    letters = _table(range(seed, seed + len(ts)), depth, n_letters)
+    ops = transfer.fiber_operators(fam, 8)
+    shared = transfer.fiber_pressures(ops, letters, ts[0])
+    own = transfer.fiber_pressures(ops, letters, np.array(ts))
+    equal = transfer.fiber_pressures(ops, letters, np.full(len(ts), ts[0]))
+    for k, row in enumerate(letters):
+        scales = [1.0 + eps * fam.coefficient(a) for a in row]
+        for t, got in ((ts[0], shared), (ts[k], own)):
+            value, slope = affine_fiber_pressure(slopes, scales, t)
+            assert got[0][k] == pytest.approx(value, rel=0.0, abs=1e-12)
+            assert got[1][k] == pytest.approx(slope, rel=0.0, abs=1e-12)
+        assert equal[0][k] == pytest.approx(shared[0][k], rel=0.0, abs=1e-12)
+        assert equal[1][k] == pytest.approx(shared[1][k], rel=0.0, abs=1e-12)
+
+
 def test_random_roots_report_their_nodes(monkeypatch):
     cookie = pl.RandomFamily("cookie", (3.0, 3.0), 0.1)
     circle = pl.RandomFamily("circle", (2, 0.05), 0.05)
@@ -1229,6 +1263,16 @@ def _foreign_transport():
     (lambda: pl.sample_base(2 ** 2000), pl.BadSpec),
     (lambda: pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 2 ** 2000),
      pl.BadSpec),
+    # nor are the sweep's counts and depths, or a node count
+    (lambda: pl.stability_experiment(
+        pl.RandomFamily("cookie", (3.0, 3.0), 0.0), seeds=2.5), pl.BadSpec),
+    (lambda: pl.stability_experiment(
+        pl.RandomFamily("cookie", (3.0, 3.0), 0.0), depth=2.5), pl.BadSpec),
+    (lambda: pl.stability_experiment(
+        pl.RandomFamily("cookie", (3.0, 3.0), 0.0), conj_depth=2.5),
+     pl.BadSpec),
+    (lambda: transfer.fiber_operators(
+        pl.RandomFamily("cookie", (3.0, 3.0), 0.1), 8.5), pl.BadSpec),
 ])
 def test_invalid_families_and_requests_are_rejected(call, error):
     with pytest.raises(error):
@@ -1239,6 +1283,10 @@ def test_integral_seeds_and_letter_counts_are_ints():
     assert pl.sample_base(3.0, 2.0) == pl.sample_base(3, 2)
     assert pl.sample_base(np.int64(3)).seed == 3
     assert pl.RandomFamily("cookie", (3.0, 3.0), 0.1, 3.0).n_letters == 3
+    fam = pl.RandomFamily("cookie", (3.0, 3.0), 0.0)
+    assert transfer.fiber_operators(fam, 8.0).nodes == 8
+    assert pl.stability_experiment(fam, (0.1,), 8.0, 3.0, 4.0) \
+        == pl.stability_experiment(fam, (0.1,), 8, 3, 4)
 
 
 def test_a_family_checks_at_construction_that_its_base_is_a_full_shift(
